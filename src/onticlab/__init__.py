@@ -48,14 +48,8 @@ from .models import (
     PairPoint,
     SinglePoint,
     StateCatalog,
-    bm_density,
-    bm_response,
-    bm_sample,
     catalog_from_states,
     default_catalog,
-    ks_density,
-    ks_response,
-    ks_sample,
     make_model,
     random_states,
     step,

@@ -9,7 +9,7 @@ call it either way); anything beyond both is "violated".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .integrate import (
     QuadratureGrid,
     mc_expectation,
     mc_expectations,
+    sample_batches,
     substream_key,
     tv_distance,
     uniform_blocks,
@@ -139,31 +140,41 @@ def _sample_sources(model: OntologicalModel, catalog: StateCatalog):
     return sources
 
 
-def _iter_batches(sampler, n: int, batch_size: int, seed: int):
-    for start in range(0, n, batch_size):
-        yield sampler(seed, start, min(batch_size, n - start))
+def _scan_responses(model: OntologicalModel, catalog: StateCatalog, cfg: McConfig, probe):
+    """Count offending response values over every sample source, in index order.
+
+    The sample budget is split evenly over the sources (at least 100 each).
+    probe(basis, batch) yields (offending mask, describe) pairs, where
+    describe(source_label) words an offense; it is called before the probe
+    resumes, and only the first offense seen is kept.
+    Returns (values checked, offenses, first offense text, states sampled).
+    """
+    sources = _sample_sources(model, catalog)
+    per_source = replace(cfg, n_samples=max(100, cfg.n_samples // len(sources)))
+    checked = bad = 0
+    first_offense = ""
+    for source_label, sampler in sources:
+        for _, batch in sample_batches(sampler, per_source):
+            for basis in catalog.bases:
+                for off, describe in probe(basis, batch):
+                    checked += len(off)
+                    if off.any():
+                        bad += int(off.sum())
+                        if not first_offense:
+                            first_offense = describe(source_label)
+    return checked, bad, first_offense, per_source.n_samples * len(sources)
 
 
 def check_outcome_determinism(model: OntologicalModel, catalog: StateCatalog, cfg: McConfig) -> CheckReport:
     """Assert every evaluated response value is exactly 0 or 1."""
-    sources = _sample_sources(model, catalog)
-    n_per = max(100, cfg.n_samples // len(sources))
-    checked = 0
-    bad = 0
-    first_offense = ""
-    for source_label, sampler in sources:
-        for batch in _iter_batches(sampler, n_per, cfg.batch_size, cfg.seed):
-            for basis in catalog.bases:
-                for idx in (0, 1):
-                    vals = model.response_batch(basis, idx, batch)
-                    off = (vals != 0.0) & (vals != 1.0)
-                    checked += len(vals)
-                    if off.any():
-                        bad += int(off.sum())
-                        if not first_offense:
-                            first_offense = (
-                                f"; first offense {source_label}|{basis.describe()} value {vals[off][0]!r}"
-                            )
+
+    def probe(basis, batch):
+        for idx in (0, 1):
+            vals = model.response_batch(basis, idx, batch)
+            off = (vals != 0.0) & (vals != 1.0)
+            yield off, lambda label: f"; first offense {label}|{basis.describe()} value {vals[off][0]!r}"
+
+    checked, bad, first_offense, n_states = _scan_responses(model, catalog, cfg, probe)
     fraction = bad / checked if checked else 0.0
     return CheckReport(
         check_name="determinism",
@@ -173,7 +184,7 @@ def check_outcome_determinism(model: OntologicalModel, catalog: StateCatalog, cf
         tolerance=0.0,
         n_samples=cfg.n_samples,
         seed=cfg.seed,
-        details=f"{checked} response values over {n_per * len(sources)} sampled ontic states{first_offense}",
+        details=f"{checked} response values over {n_states} sampled ontic states{first_offense}",
     )
 
 
@@ -199,26 +210,16 @@ def check_measurement_noncontextuality(
     model: OntologicalModel, catalog: StateCatalog, cfg: McConfig
 ) -> CheckReport:
     """Assert responses depend only on the outcome state, not its descriptor."""
-    sources = _sample_sources(model, catalog)
-    n_per = max(100, cfg.n_samples // len(sources))
-    compared = 0
-    mismatches = 0
-    first_offense = ""
-    for source_label, sampler in sources:
-        for batch in _iter_batches(sampler, n_per, cfg.batch_size, cfg.seed):
-            for basis in catalog.bases:
-                base_vals = [model.response_batch(basis, idx, batch) for idx in (0, 1)]
-                for variant, v_idx, b_idx in _descriptor_variants(basis):
-                    vals = model.response_batch(variant, v_idx, batch)
-                    diff = vals != base_vals[b_idx]
-                    compared += len(vals)
-                    if diff.any():
-                        mismatches += int(diff.sum())
-                        if not first_offense:
-                            first_offense = (
-                                f"; first mismatch {source_label}|{basis.describe()}"
-                                f" vs descriptor {variant.describe()}"
-                            )
+
+    def probe(basis, batch):
+        base_vals = [model.response_batch(basis, idx, batch) for idx in (0, 1)]
+        for variant, v_idx, b_idx in _descriptor_variants(basis):
+            diff = model.response_batch(variant, v_idx, batch) != base_vals[b_idx]
+            yield diff, lambda label: (
+                f"; first mismatch {label}|{basis.describe()} vs descriptor {variant.describe()}"
+            )
+
+    compared, mismatches, first_offense, _ = _scan_responses(model, catalog, cfg, probe)
     fraction = mismatches / compared if compared else 0.0
     return CheckReport(
         check_name="measurement-nc",
@@ -345,28 +346,19 @@ class EnsembleDistribution:
             return self.model.prepare_batch(entries[0][1], seed, start, count)
         j = self._choices(seed, start, count)
         parts = [self.model.prepare_batch(s, seed, start, count) for _, s in entries]
-        if isinstance(parts[0], SingleBatch):
-            pts = parts[0].points.copy()
-            for k in range(1, len(parts)):
-                mask = j == k
-                pts[mask] = parts[k].points[mask]
-            return SingleBatch(pts)
-        first = parts[0].first.copy()
-        second = parts[0].second.copy()
+        pair = isinstance(parts[0], PairBatch)
+        fields = ("first", "second") if pair else ("points",)
+        rows = [getattr(parts[0], name).copy() for name in fields]
         for k in range(1, len(parts)):
             mask = j == k
-            first[mask] = parts[k].first[mask]
-            second[mask] = parts[k].second[mask]
-        # per-row preparation tags are dropped here; support checks on
-        # mixture batches rely on the exact-vector distance fallback
-        return PairBatch(first, second, None)
+            for out, name in zip(rows, fields):
+                out[mask] = getattr(parts[k], name)[mask]
+        # mixture rows carry no preparation tag; support checks on them
+        # rely on the exact-vector distance fallback
+        return PairBatch(*rows, None) if pair else SingleBatch(*rows)
 
     def sample(self, seed: int, index: int) -> OnticState:
-        entries = self.ensemble.entries
-        if len(entries) == 1:
-            return self.model.sample_prepared(entries[0][1], seed, index)
-        k = int(self._choices(seed, index, 1)[0])
-        return self.model.sample_prepared(entries[k][1], seed, index)
+        return self.sample_batch(seed, index, 1).item(0)
 
     def density_batch(self, batch: Batch) -> np.ndarray | None:
         total = None
@@ -482,32 +474,24 @@ def find_omega_witness(
     if outcome_index is None:
         raise PreconditionError("phi is not an outcome of the given basis")
 
-    n = cfg.n_samples
-    s1_omega = s2_omega = s1_resp = s2_resp = 0.0
+    s1_omega = s1_resp = s2_resp = 0.0
     examples: list[OnticState] = []
-    for start in range(0, n, cfg.batch_size):
-        count = min(cfg.batch_size, n - start)
-        batch = model.prepare_batch(psi, cfg.seed, start, count)
+    for _, batch in sample_batches(_prepare_sampler(model, psi), cfg):
         resp = model.response_batch(basis_containing_phi, outcome_index, batch)
         omega = (~model.in_support_batch(phi, batch)) & (resp > 0.0)
         masked = resp * omega
         s1_omega += float(omega.sum())
-        s2_omega += float(omega.sum())          # indicator: squares equal values
         s1_resp += float(masked.sum())
         s2_resp += float((masked * masked).sum())
         if len(examples) < max_examples:
             for i in np.flatnonzero(omega)[: max_examples - len(examples)]:
                 examples.append(batch.item(int(i)))
 
-    def finish(s1: float, s2: float) -> McEstimate:
-        mean = s1 / n
-        var = max(0.0, (s2 - n * mean * mean) / (n - 1))
-        return McEstimate(mean=mean, std_error=float(np.sqrt(var / n)), n=n, seed=cfg.seed)
-
     return OmegaWitness(
         pair=(psi, phi),
-        mu_psi_mass=finish(s1_omega, s2_omega),
-        response_mass=finish(s1_resp, s2_resp),
+        # omega is an indicator, so its sum of squares equals its sum
+        mu_psi_mass=McEstimate.from_sums(s1_omega, s1_omega, cfg.n_samples, cfg.seed),
+        response_mass=McEstimate.from_sums(s1_resp, s2_resp, cfg.n_samples, cfg.seed),
         sample_points=tuple(examples),
     )
 
@@ -526,8 +510,11 @@ def _chain_pair(table, catalog: StateCatalog, tol: float):
         disc = abs(est.mean - born)
         if triage_verdict(disc, tol, est.std_error) == VIOLATED and disc > best_disc:
             best, best_disc = (psi, phi), disc
-    if best is not None:
-        return best
+    return best if best is not None else canonical_pair(catalog)
+
+
+def canonical_pair(catalog: StateCatalog) -> tuple[PureState, PureState]:
+    """The first distinct nonorthogonal (psi, phi) pair in catalog order."""
     for psi in catalog.states:
         for phi in catalog.states:
             if psi.bloch != phi.bloch and born_probability(phi, psi) > ORTHO_TOL:

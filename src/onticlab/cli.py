@@ -20,6 +20,7 @@ from .checks import (
     CheckReport,
     LabeledEstimate,
     audit_implication_chain,
+    canonical_pair,
     check_born_reproduction,
     check_max_psi_epistemic,
     check_measurement_noncontextuality,
@@ -34,7 +35,6 @@ from .integrate import McConfig, QuadratureGrid
 from .models import MODEL_NAMES, StateCatalog, catalog_from_states, default_catalog, make_model
 from .qubit import (
     MeasurementBasis,
-    born_probability,
     half_half_mixture,
     orthogonal_complement,
     state_from_catalog_entry,
@@ -57,14 +57,6 @@ class RunConfig:
     output_format: str = "text"
 
 
-def _canonical_pair(catalog: StateCatalog):
-    for psi in catalog.states:
-        for phi in catalog.states:
-            if psi.bloch != phi.bloch and born_probability(phi, psi) > 1e-12:
-                return psi, phi
-    raise PreconditionError("catalog has no distinct nonorthogonal pair of states")
-
-
 def _basis_containing(catalog: StateCatalog, phi) -> MeasurementBasis:
     for basis in catalog.bases:
         if any(outcome.bloch == phi.bloch for outcome in basis.outcomes):
@@ -73,14 +65,14 @@ def _basis_containing(catalog: StateCatalog, phi) -> MeasurementBasis:
 
 
 def _run_prep_nc(model, catalog, cfg, tol, grid):
-    psi, phi = _canonical_pair(catalog)
+    psi, phi = canonical_pair(catalog)
     return check_preparation_noncontextuality(
         model, half_half_mixture(psi), half_half_mixture(phi), cfg, tol, grid
     )
 
 
 def _run_omega(model, catalog, cfg, tol, grid):
-    psi, phi = _canonical_pair(catalog)
+    psi, phi = canonical_pair(catalog)
     witness = find_omega_witness(model, psi, phi, _basis_containing(catalog, phi), cfg)
     mass = witness.mu_psi_mass
     return CheckReport(
@@ -102,7 +94,7 @@ def _run_omega(model, catalog, cfg, tol, grid):
 
 
 def _run_nonlocality(model, catalog, cfg, tol, grid):
-    psi, phi = _canonical_pair(catalog)
+    psi, phi = canonical_pair(catalog)
     return nonlocality_witness(model, psi, phi, cfg, tol, grid)
 
 
@@ -198,6 +190,8 @@ def run(config: RunConfig) -> tuple[int, list[CheckReport]]:
             raise ValueError(
                 f"unknown output format {config.output_format!r}; valid: {', '.join(OUTPUT_FORMATS)}"
             )
+        if not 0.0 < config.tolerance < 1.0:
+            raise ValueError(f"--tol must be a finite number in (0, 1), got {config.tolerance!r}")
         catalog = load_catalog(config.catalog_path) if config.catalog_path else default_catalog()
         samples = config.samples
         if samples < MIN_SAMPLES:

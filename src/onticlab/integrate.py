@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -95,6 +95,28 @@ class McEstimate:
     n: int
     seed: int
 
+    @classmethod
+    def from_sums(cls, s1: float, s2: float, n: int, seed: int) -> McEstimate:
+        """The estimate from the sum s1 and the sum of squares s2 of n values."""
+        mean = s1 / n
+        var = max(0.0, (s2 - n * mean * mean) / (n - 1))
+        return cls(mean=mean, std_error=float(np.sqrt(var / n)), n=n, seed=seed)
+
+
+def sample_batches(
+    sampler: Callable[[int, int, int], object], cfg: McConfig
+) -> Iterator[tuple[int, object]]:
+    """Yield (count, batch) pairs covering sample indices 0..cfg.n_samples-1 in order.
+
+    sampler(seed, start, count) must return a batch for indices
+    start..start+count-1; batches hold at most cfg.batch_size rows, and the
+    last one holds the remainder.
+    """
+    n = cfg.n_samples
+    for start in range(0, n, cfg.batch_size):
+        count = min(cfg.batch_size, n - start)
+        yield count, sampler(cfg.seed, start, count)
+
 
 def mc_expectations(
     fs: Sequence[Callable],
@@ -110,12 +132,9 @@ def mc_expectations(
     """
     if not fs:
         raise ValueError("need at least one integrand")
-    n = cfg.n_samples
     s1 = [0.0] * len(fs)
     s2 = [0.0] * len(fs)
-    for start in range(0, n, cfg.batch_size):
-        count = min(cfg.batch_size, n - start)
-        batch = sampler(cfg.seed, start, count)
+    for count, batch in sample_batches(sampler, cfg):
         for k, f in enumerate(fs):
             vals = np.asarray(f(batch), dtype=float)
             if vals.shape != (count,):
@@ -124,12 +143,7 @@ def mc_expectations(
                 raise ValueError(f"integrand {k} produced non-finite values")
             s1[k] += float(vals.sum())
             s2[k] += float((vals * vals).sum())
-    out = []
-    for k in range(len(fs)):
-        mean = s1[k] / n
-        var = max(0.0, (s2[k] - n * mean * mean) / (n - 1))
-        out.append(McEstimate(mean=mean, std_error=float(np.sqrt(var / n)), n=n, seed=cfg.seed))
-    return out
+    return [McEstimate.from_sums(a, b, cfg.n_samples, cfg.seed) for a, b in zip(s1, s2)]
 
 
 def mc_expectation(f: Callable, sampler: Callable, cfg: McConfig) -> McEstimate:

@@ -79,7 +79,8 @@ class PairBatch:
     """Vectorized batch of PairPoint states.
 
     `prepared` is a single PureState when every row was pinned to the same
-    preparation, a per-row tuple for mixtures, or None for reference draws.
+    preparation, a one-row tuple for a batch wrapping one scalar state, or
+    None for reference draws and mixture draws.
     """
 
     first: np.ndarray
@@ -303,46 +304,6 @@ class LabelReadingModel(_PointMeasureFixture):
         if basis.label is not None and RELABEL_MARK in basis.label:
             return 1.0 - vals
         return vals
-
-
-_KS = KochenSpeckerModel()
-_BM = BellMerminModel()
-
-
-def ks_density(psi: PureState, lam: OnticState) -> float:
-    """Preparation density (1/pi) * max(0, psi . lam) of the single-sphere model."""
-    if not isinstance(lam, SinglePoint):
-        raise ValueError("ks_density is defined on single-sphere ontic states")
-    return float(np.maximum(0.0, psi.bloch.dot(lam.point)) / np.pi)
-
-
-def ks_sample(psi: PureState, seed: int, index: int) -> SinglePoint:
-    """One draw from the single-sphere model's preparation distribution."""
-    lam = _KS.sample_prepared(psi, seed, index)
-    assert isinstance(lam, SinglePoint)
-    return lam
-
-
-def ks_response(basis: MeasurementBasis, outcome_index: int, lam: OnticState) -> float:
-    """step(outcome . lam) for the selected outcome of the basis."""
-    return _KS.response(basis, outcome_index, lam)
-
-
-def bm_sample(psi: PureState, seed: int, index: int) -> PairPoint:
-    """One draw from the two-sphere model: (psi exactly, uniform point)."""
-    lam = _BM.sample_prepared(psi, seed, index)
-    assert isinstance(lam, PairPoint)
-    return lam
-
-
-def bm_response(basis: MeasurementBasis, outcome_index: int, lam: OnticState) -> float:
-    """step(outcome . (first + second)) for the selected outcome."""
-    return _BM.response(basis, outcome_index, lam)
-
-
-def bm_density(psi: PureState, lam: OnticState) -> None:
-    """Always None: the point-measure factor has no density w.r.t. the product measure."""
-    return None
 
 
 @dataclass(frozen=True)

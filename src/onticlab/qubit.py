@@ -20,6 +20,8 @@ class BlochVector:
     z: float
 
     def __post_init__(self):
+        if not all(math.isfinite(c) for c in (self.x, self.y, self.z)):
+            raise ValueError(f"Bloch vector components must be finite, got {(self.x, self.y, self.z)!r}")
         norm = math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
         if abs(norm - 1.0) > NORM_ACCEPT_TOL:
             raise ValueError(f"Bloch vector norm {norm!r} is not within {NORM_ACCEPT_TOL} of 1")
@@ -206,6 +208,13 @@ PLUS_Y = PureState(BlochVector(0.0, 1.0, 0.0), "+y")
 MINUS_Y = PureState(BlochVector(0.0, -1.0, 0.0), "-y")
 
 
+def _finite(field_name: str, value) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"catalog entry {field_name!r} must be finite, got {x!r}")
+    return x
+
+
 def state_from_catalog_entry(entry: dict) -> PureState:
     """Parse one state-catalog JSON entry.
 
@@ -219,7 +228,8 @@ def state_from_catalog_entry(entry: dict) -> PureState:
         v = entry["bloch"]
         if not isinstance(v, (list, tuple)) or len(v) != 3:
             raise ValueError("catalog entry 'bloch' must be a 3-element list")
-        return PureState(BlochVector(float(v[0]), float(v[1]), float(v[2])), label)
+        return PureState(BlochVector(*(_finite("bloch", c) for c in v)), label)
     if "theta" in entry and "phi" in entry:
-        return PureState(BlochVector.from_angles(float(entry["theta"]), float(entry["phi"])), label)
+        theta, phi = _finite("theta", entry["theta"]), _finite("phi", entry["phi"])
+        return PureState(BlochVector.from_angles(theta, phi), label)
     raise ValueError("catalog entry needs either 'bloch' or 'theta'/'phi' fields")

@@ -5,8 +5,12 @@ from dataclasses import replace
 
 import pytest
 
+from onticlab.integrate import McConfig, QuadratureGrid
+from onticlab.models import MODEL_NAMES, default_catalog, make_model
+
 from onticlab.checks import CheckReport, LabeledEstimate
 from onticlab.cli import (
+    CHECK_RUNNERS,
     RunConfig,
     emit_report,
     expected_patterns,
@@ -145,6 +149,20 @@ class TestCatalogIngestion:
         code, reports = run(RunConfig(model_name="ks", catalog_path=str(path)))
         assert code == 2 and reports == []
 
+    @pytest.mark.parametrize(
+        "entry, field",
+        [
+            ({"bloch": [float("nan"), 0, 0]}, "bloch"),
+            ({"theta": float("inf"), "phi": 0.0}, "theta"),
+        ],
+    )
+    def test_non_finite_entry_exits_2_naming_the_field(self, tmp_path, capsys, entry, field):
+        path = tmp_path / "nonfinite.json"
+        path.write_text(json.dumps([{"bloch": [0, 0, 1]}, entry]))
+        code, reports = run(RunConfig(model_name="ks", catalog_path=str(path), **FAST))
+        assert code == 2 and reports == []
+        assert f"'{field}'" in capsys.readouterr().err
+
     def test_missing_file_exits_2(self):
         code, reports = run(RunConfig(model_name="ks", catalog_path="/nonexistent.json"))
         assert code == 2
@@ -172,6 +190,14 @@ class TestMain:
     def test_unknown_model_exit_2(self, capsys):
         assert main(["--model", "zeta", "--samples", "20000"]) == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-0.5", "0", "1", "2"])
+    def test_tolerance_outside_unit_interval_exits_2(self, capsys, tol):
+        code = main(["--model", "ks", "--check", "born", "--samples", "100", "--tol", tol])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "--tol" in captured.err
+        assert captured.out == ""
+
 
 class TestDeterminism:
     def test_identical_configs_give_identical_json(self):
@@ -186,3 +212,32 @@ class TestDeterminism:
             normalized = [replace(r, duration_ms=0.0) for r in reports]
             outputs.append(emit_report(normalized, "json"))
         assert outputs[0] == outputs[1]
+
+
+class TestBatchSizeInvariance:
+    """Reports depend on (seed, n_samples) only, not on how the stream is batched.
+
+    The integrands of these checks take only the values 0, 0.5 and 1, so
+    their per-batch sums are exact and any batching must agree bit for bit.
+    7,000 and 1,000 do not divide 20,000, so tail batches are exercised; 1,000
+    also splits the per-source budget of determinism and measurement-nc.
+    """
+
+    CHECKS = ("born", "determinism", "measurement-nc", "max-epistemic", "classify",
+              "prep-nc", "omega")
+
+    @staticmethod
+    def reports(model_name, batch_size):
+        cfg = McConfig(n_samples=20_000, seed=42, batch_size=batch_size)
+        model, catalog, grid = make_model(model_name), default_catalog(), QuadratureGrid()
+        return [
+            report_as_dict(CHECK_RUNNERS[name](model, catalog, cfg, 1e-2, grid))
+            for name in TestBatchSizeInvariance.CHECKS
+        ]
+
+    @pytest.mark.parametrize("model_name", MODEL_NAMES)
+    def test_reports_equal_across_batch_sizes(self, model_name):
+        whole = self.reports(model_name, 20_000)
+        assert [r["check_name"] for r in whole] == list(self.CHECKS)
+        for batch_size in (7_000, 1_000):
+            assert self.reports(model_name, batch_size) == whole

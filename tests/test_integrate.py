@@ -4,9 +4,11 @@ import pytest
 from onticlab.errors import PreconditionError
 from onticlab.integrate import (
     McConfig,
+    McEstimate,
     QuadratureGrid,
     mc_expectation,
     mc_expectations,
+    sample_batches,
     sphere_quadrature,
     substream_key,
     tv_distance,
@@ -113,6 +115,35 @@ class TestMcExpectation:
             McConfig(batch_size=0)
         with pytest.raises(ValueError):
             mc_expectations([], uniform_sphere_batch, CFG)
+
+
+class TestSampleBatches:
+    def test_each_index_once_in_order_with_remainder_last(self):
+        calls = []
+
+        def sampler(seed, start, count):
+            calls.append((seed, start, count))
+            return np.arange(start, start + count)
+
+        cfg = McConfig(n_samples=250, seed=3, batch_size=100)
+        pairs = list(sample_batches(sampler, cfg))
+        assert [count for count, _ in pairs] == [100, 100, 50]
+        np.testing.assert_array_equal(np.concatenate([b for _, b in pairs]), np.arange(250))
+        assert calls == [(3, 0, 100), (3, 100, 100), (3, 200, 50)]
+
+    def test_single_batch_when_budget_fits(self):
+        cfg = McConfig(n_samples=100, seed=0, batch_size=1000)
+        pairs = list(sample_batches(lambda seed, start, count: (start, count), cfg))
+        assert pairs == [(100, (0, 100))]
+
+
+class TestMcEstimateFromSums:
+    def test_matches_sample_statistics(self):
+        vals = np.array([0.0, 1.0, 1.0, 0.5, 0.0])
+        est = McEstimate.from_sums(float(vals.sum()), float((vals * vals).sum()), 5, 7)
+        assert est.mean == vals.mean()
+        assert abs(est.std_error - vals.std(ddof=1) / np.sqrt(5)) <= 1e-15
+        assert (est.n, est.seed) == (5, 7)
 
 
 class TestSphereQuadrature:

@@ -18,14 +18,8 @@ from onticlab.models import (
     SingleBatch,
     SinglePoint,
     StateCatalog,
-    bm_density,
-    bm_response,
-    bm_sample,
     catalog_from_states,
     default_catalog,
-    ks_density,
-    ks_response,
-    ks_sample,
     make_model,
     random_states,
     step,
@@ -74,16 +68,16 @@ class TestStep:
 
 class TestCapDensity:
     def test_at_the_prepared_vector(self):
-        assert ks_density(PLUS_Z, SinglePoint(PLUS_Z.bloch)) == 1.0 / np.pi
+        assert KS.density(PLUS_Z, SinglePoint(PLUS_Z.bloch)) == 1.0 / np.pi
 
     def test_boundary_and_antipode(self):
-        assert ks_density(PLUS_Z, SinglePoint(PLUS_X.bloch)) == 0.0
-        assert ks_density(PLUS_Z, SinglePoint(MINUS_Z.bloch)) == 0.0
+        assert KS.density(PLUS_Z, SinglePoint(PLUS_X.bloch)) == 0.0
+        assert KS.density(PLUS_Z, SinglePoint(MINUS_Z.bloch)) == 0.0
 
     def test_rejects_pair_states(self):
         lam = PairPoint(PLUS_Z.bloch, PLUS_X.bloch)
         with pytest.raises(ValueError):
-            ks_density(PLUS_Z, lam)
+            KS.density(PLUS_Z, lam)
 
     def test_normalization_on_default_grid(self):
         # polar-aligned states hit the panel boundary and are near exact
@@ -123,7 +117,7 @@ class TestCapSampler:
     def test_determinism_and_scalar_batch_agreement(self):
         batch = KS.prepare_batch(PLUS_X, 21, 10, 6)
         for i in range(6):
-            lam = ks_sample(PLUS_X, 21, 10 + i)
+            lam = KS.sample_prepared(PLUS_X, 21, 10 + i)
             np.testing.assert_array_equal(lam.point.as_array(), batch.points[i])
         again = KS.prepare_batch(PLUS_X, 21, 10, 6)
         np.testing.assert_array_equal(batch.points, again.points)
@@ -144,9 +138,9 @@ class TestCapSampler:
 
 class TestCapResponse:
     def test_pointwise_cases(self):
-        assert ks_response(X_BASIS, 0, SinglePoint(PLUS_X.bloch)) == 1.0
-        assert ks_response(X_BASIS, 0, SinglePoint(MINUS_X.bloch)) == 0.0
-        assert ks_response(X_BASIS, 0, SinglePoint(PLUS_Z.bloch)) == 0.0  # boundary
+        assert KS.response(X_BASIS, 0, SinglePoint(PLUS_X.bloch)) == 1.0
+        assert KS.response(X_BASIS, 0, SinglePoint(MINUS_X.bloch)) == 0.0
+        assert KS.response(X_BASIS, 0, SinglePoint(PLUS_Z.bloch)) == 0.0  # boundary
 
     def test_outcomes_sum_to_one_off_boundary(self):
         batch = KS.prepare_batch(PLUS_Y, 3, 0, 50_000)
@@ -155,7 +149,7 @@ class TestCapResponse:
 
     def test_boundary_sums_to_zero(self):
         boundary = SinglePoint(PLUS_Z.bloch)   # equator of the x basis
-        total = ks_response(X_BASIS, 0, boundary) + ks_response(X_BASIS, 1, boundary)
+        total = KS.response(X_BASIS, 0, boundary) + KS.response(X_BASIS, 1, boundary)
         assert total == 0.0
 
 
@@ -173,16 +167,16 @@ class TestSpherePairModel:
         batch = BM.prepare_batch(PLUS_Z, 5, 0, 100)
         assert BM.in_support_batch(PLUS_Z, batch).all()
         assert not BM.in_support_batch(PLUS_X, batch).any()
-        lam = bm_sample(PLUS_Z, 5, 0)
+        lam = BM.sample_prepared(PLUS_Z, 5, 0)
         assert BM.in_support(PLUS_Z, lam)
         assert not BM.in_support(PLUS_X, lam)
 
     def test_point_response_cases(self):
-        assert bm_response(X_BASIS, 0, PairPoint(PLUS_X.bloch, PLUS_X.bloch)) == 1.0
+        assert BM.response(X_BASIS, 0, PairPoint(PLUS_X.bloch, PLUS_X.bloch)) == 1.0
         for basis, idx in ((X_BASIS, 0), (X_BASIS, 1), (Z_BASIS, 0), (Z_BASIS, 1)):
             lam = PairPoint(PLUS_Y.bloch, MINUS_Z.bloch.antipode().antipode())
             lam = PairPoint(PLUS_Y.bloch, orthogonal_complement(PLUS_Y).bloch)
-            assert bm_response(basis, idx, lam) == 0.0   # summed vector is zero
+            assert BM.response(basis, idx, lam) == 0.0   # summed vector is zero
 
     def test_reproduces_born_rule_in_expectation(self):
         for psi, alpha_basis, idx in (
@@ -199,13 +193,13 @@ class TestSpherePairModel:
             assert abs(est.mean - target) <= 5 * est.std_error
 
     def test_density_absent(self):
-        assert bm_density(PLUS_Z, bm_sample(PLUS_Z, 1, 0)) is None
+        assert BM.density(PLUS_Z, BM.sample_prepared(PLUS_Z, 1, 0)) is None
         assert BM.density_batch(PLUS_Z, BM.prepare_batch(PLUS_Z, 1, 0, 10)) is None
 
     def test_scalar_batch_agreement(self):
         batch = BM.prepare_batch(PLUS_X, 9, 4, 5)
         for i in range(5):
-            lam = bm_sample(PLUS_X, 9, 4 + i)
+            lam = BM.sample_prepared(PLUS_X, 9, 4 + i)
             np.testing.assert_array_equal(lam.first.as_array(), batch.first[i])
             np.testing.assert_array_equal(lam.second.as_array(), batch.second[i])
             assert lam.prepared == PLUS_X

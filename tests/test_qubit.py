@@ -35,6 +35,14 @@ class TestBlochVector:
         with pytest.raises(ValueError):
             BlochVector(0.0, 0.0, 0.5)
 
+    @pytest.mark.parametrize(
+        "components",
+        [(float("nan"), 0.0, 0.0), (0.0, float("inf"), 0.0), (0.0, 0.0, float("-inf"))],
+    )
+    def test_rejects_non_finite(self, components):
+        with pytest.raises(ValueError, match="finite"):
+            BlochVector(*components)
+
     def test_normalizes_near_unit(self):
         v = BlochVector(0.0, 0.0, 1.0 + 5e-10)
         assert abs(v.x**2 + v.y**2 + v.z**2 - 1.0) <= 1e-12
@@ -181,3 +189,16 @@ class TestCatalogEntries:
             state_from_catalog_entry({"theta": 0.0})
         with pytest.raises(ValueError):
             state_from_catalog_entry({"bloch": [0, 0, 1], "label": 7})
+
+    @pytest.mark.parametrize(
+        "entry, field",
+        [
+            ({"bloch": [float("nan"), 0, 0]}, "bloch"),
+            ({"bloch": [0, 0, float("inf")]}, "bloch"),
+            ({"theta": float("inf"), "phi": 0.0}, "theta"),
+            ({"theta": 0.5, "phi": float("nan")}, "phi"),
+        ],
+    )
+    def test_non_finite_entries_name_the_field(self, entry, field):
+        with pytest.raises(ValueError, match=f"'{field}' must be finite"):
+            state_from_catalog_entry(entry)
