@@ -15,7 +15,7 @@ import numpy as np
 from .checks import CheckReport, check_born_reproduction, check_preparation_noncontextuality
 from .errors import PreconditionError
 from .integrate import McConfig, QuadratureGrid
-from .models import OntologicalModel, StateCatalog
+from .models import OntologicalModel, catalog_from_states
 from .qubit import (
     DensityOperator,
     Ensemble,
@@ -139,14 +139,7 @@ def nonlocality_witness(
     and {phi, phi_perp} and delegates to the preparation-noncontextuality
     checker; verdict "violated" means the witness fires.
     """
-    states = []
-    for s in (psi, orthogonal_complement(psi), phi, orthogonal_complement(phi)):
-        if all(s.bloch != t.bloch for t in states):
-            states.append(s)
-    bases = [MeasurementBasis((psi, orthogonal_complement(psi)), "steer-psi")]
-    if phi.bloch != psi.bloch and phi.bloch != orthogonal_complement(psi).bloch:
-        bases.append(MeasurementBasis((phi, orthogonal_complement(phi)), "steer-phi"))
-    born = check_born_reproduction(model, StateCatalog(tuple(states), tuple(bases)), cfg, tol)
+    born = check_born_reproduction(model, catalog_from_states((psi, phi)), cfg, tol)
     if born.verdict != "satisfied":
         raise PreconditionError(
             f"model {model.name} does not reproduce the Born rule on the steering states"

@@ -9,7 +9,7 @@ call it either way); anything beyond both is "violated".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .models import (
     Batch,
     OnticState,
     OntologicalModel,
-    PairBatch,
     SingleBatch,
     StateCatalog,
 )
@@ -42,6 +41,8 @@ from .qubit import (
     density_operators_equal,
     ensemble_density_operator,
     half_half_mixture,
+    orthogonal_complement,
+    same_state,
 )
 
 SATISFIED = "satisfied"
@@ -50,7 +51,6 @@ INCONCLUSIVE = "inconclusive"
 PSI_ONTIC = "psi-ontic"
 PSI_EPISTEMIC = "psi-epistemic"
 
-ORTHO_TOL = 1e-12
 DENSITY_OP_TOL = 1e-12
 
 
@@ -285,11 +285,11 @@ def _classify_from_table(model, table, cfg) -> CheckReport:
     rows = []
     epistemic_witness = None
     max_overlap = 0.0
-    for psi, phi, est, born in table:
-        if psi.bloch == phi.bloch:
+    for psi, phi, est, _ in table:
+        if same_state(psi, phi):
             continue
         rows.append(LabeledEstimate(f"{psi.describe()}->{phi.describe()}", est.mean, est.std_error))
-        if born <= ORTHO_TOL:
+        if same_state(phi, orthogonal_complement(psi)):
             continue
         max_overlap = max(max_overlap, est.mean)
         if est.mean > 5.0 * est.std_error and est.mean > 0.0 and epistemic_witness is None:
@@ -346,16 +346,13 @@ class EnsembleDistribution:
             return self.model.prepare_batch(entries[0][1], seed, start, count)
         j = self._choices(seed, start, count)
         parts = [self.model.prepare_batch(s, seed, start, count) for _, s in entries]
-        pair = isinstance(parts[0], PairBatch)
-        fields = ("first", "second") if pair else ("points",)
-        rows = [getattr(parts[0], name).copy() for name in fields]
+        names = [f.name for f in fields(parts[0])]
+        rows = [getattr(parts[0], name).copy() for name in names]
         for k in range(1, len(parts)):
             mask = j == k
-            for out, name in zip(rows, fields):
+            for out, name in zip(rows, names):
                 out[mask] = getattr(parts[k], name)[mask]
-        # mixture rows carry no preparation tag; support checks on them
-        # rely on the exact-vector distance fallback
-        return PairBatch(*rows, None) if pair else SingleBatch(*rows)
+        return type(parts[0])(*rows)
 
     def sample(self, seed: int, index: int) -> OnticState:
         return self.sample_batch(seed, index, 1).item(0)
@@ -468,7 +465,7 @@ def find_omega_witness(
     """Estimate the mass of Omega = {lambda outside supp(mu_phi) with response(phi) > 0}."""
     outcome_index = None
     for idx in (0, 1):
-        if basis_containing_phi.outcomes[idx].bloch == phi.bloch:
+        if same_state(basis_containing_phi.outcomes[idx], phi):
             outcome_index = idx
             break
     if outcome_index is None:
@@ -505,7 +502,7 @@ def _chain_pair(table, catalog: StateCatalog, tol: float):
     best = None
     best_disc = 0.0
     for psi, phi, est, born in table:
-        if psi.bloch == phi.bloch:
+        if same_state(psi, phi):
             continue
         disc = abs(est.mean - born)
         if triage_verdict(disc, tol, est.std_error) == VIOLATED and disc > best_disc:
@@ -516,8 +513,9 @@ def _chain_pair(table, catalog: StateCatalog, tol: float):
 def canonical_pair(catalog: StateCatalog) -> tuple[PureState, PureState]:
     """The first distinct nonorthogonal (psi, phi) pair in catalog order."""
     for psi in catalog.states:
+        perp = orthogonal_complement(psi)
         for phi in catalog.states:
-            if psi.bloch != phi.bloch and born_probability(phi, psi) > ORTHO_TOL:
+            if not same_state(psi, phi) and not same_state(phi, perp):
                 return psi, phi
     raise PreconditionError("catalog has no distinct nonorthogonal pair")
 

@@ -31,12 +31,13 @@ from .checks import (
     triage_verdict,
 )
 from .errors import PreconditionError
-from .integrate import McConfig, QuadratureGrid
+from .integrate import MAX_N_AZIMUTH, MAX_N_POLAR, McConfig, QuadratureGrid
 from .models import MODEL_NAMES, StateCatalog, catalog_from_states, default_catalog, make_model
 from .qubit import (
     MeasurementBasis,
     half_half_mixture,
     orthogonal_complement,
+    same_state,
     state_from_catalog_entry,
 )
 
@@ -59,7 +60,7 @@ class RunConfig:
 
 def _basis_containing(catalog: StateCatalog, phi) -> MeasurementBasis:
     for basis in catalog.bases:
-        if any(outcome.bloch == phi.bloch for outcome in basis.outcomes):
+        if any(same_state(outcome, phi) for outcome in basis.outcomes):
             return basis
     return MeasurementBasis((phi, orthogonal_complement(phi)), phi.describe())
 
@@ -192,6 +193,12 @@ def run(config: RunConfig) -> tuple[int, list[CheckReport]]:
             )
         if not 0.0 < config.tolerance < 1.0:
             raise ValueError(f"--tol must be a finite number in (0, 1), got {config.tolerance!r}")
+        for flag, value, cap in (
+            ("--quad-polar", config.quad_polar, MAX_N_POLAR),
+            ("--quad-azimuth", config.quad_azimuth, MAX_N_AZIMUTH),
+        ):
+            if not 1 <= value <= cap:
+                raise ValueError(f"{flag} must be an integer in [1, {cap}], got {value!r}")
         catalog = load_catalog(config.catalog_path) if config.catalog_path else default_catalog()
         samples = config.samples
         if samples < MIN_SAMPLES:

@@ -20,6 +20,8 @@ from .qubit import BlochVector
 
 WEIGHT_SUM_TOL = 1e-10
 DENSITY_NORM_TOL = 1e-3
+MAX_N_POLAR = 512        # 16x the default grid's nodes at both caps
+MAX_N_AZIMUTH = 1024
 
 
 def substream_key(seed: int, *tags) -> int:
@@ -178,14 +180,17 @@ class QuadratureGrid:
     n_polar is the Gauss-Legendre order per hemisphere panel in u = cos(theta)
     (2 * n_polar polar nodes in total); n_azimuth is the uniform midpoint
     azimuth count.  Weights are positive and sum to the sphere area 4*pi.
+    n_polar is capped at MAX_N_POLAR and n_azimuth at MAX_N_AZIMUTH.
     """
 
     n_polar: int = 128
     n_azimuth: int = 256
 
     def __post_init__(self):
-        if self.n_polar < 1 or self.n_azimuth < 1:
-            raise ValueError("grid orders must be positive")
+        for name, cap in (("n_polar", MAX_N_POLAR), ("n_azimuth", MAX_N_AZIMUTH)):
+            value = getattr(self, name)
+            if not 1 <= value <= cap:
+                raise ValueError(f"grid order {name} must be in [1, {cap}], got {value!r}")
 
     @property
     def points(self) -> np.ndarray:

@@ -10,7 +10,7 @@ so the property checkers can be shown to fail.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,9 +26,10 @@ from .qubit import (
     MeasurementBasis,
     PureState,
     orthogonal_complement,
+    same_state,
+    same_state_rows,
 )
 
-SUPPORT_TOL = 1e-12      # distance fallback for point-measure support membership
 RELABEL_MARK = "*"       # marker used on checker-synthesized basis descriptors
 
 
@@ -46,16 +47,10 @@ class SinglePoint:
 
 @dataclass(frozen=True)
 class PairPoint:
-    """Ontic state of a two-sphere model.
-
-    `prepared` records which state the first component was pinned to when it
-    was set by a point measure; support membership checks use it before
-    falling back to a vector-distance test.
-    """
+    """Ontic state of a two-sphere model: one point on each of two spheres."""
 
     first: BlochVector
     second: BlochVector
-    prepared: PureState | None = field(default=None, compare=False)
 
 
 OnticState = SinglePoint | PairPoint
@@ -76,27 +71,16 @@ class SingleBatch:
 
 @dataclass(frozen=True)
 class PairBatch:
-    """Vectorized batch of PairPoint states.
-
-    `prepared` is a single PureState when every row was pinned to the same
-    preparation, a one-row tuple for a batch wrapping one scalar state, or
-    None for reference draws and mixture draws.
-    """
+    """Vectorized batch of PairPoint states: two (n, 3) arrays of unit rows."""
 
     first: np.ndarray
     second: np.ndarray
-    prepared: PureState | tuple[PureState | None, ...] | None = None
 
     def __len__(self) -> int:
         return len(self.first)
 
     def item(self, i: int) -> PairPoint:
-        tag = self.prepared[i] if isinstance(self.prepared, tuple) else self.prepared
-        return PairPoint(
-            BlochVector.from_array(self.first[i]),
-            BlochVector.from_array(self.second[i]),
-            tag,
-        )
+        return PairPoint(BlochVector.from_array(self.first[i]), BlochVector.from_array(self.second[i]))
 
 
 Batch = SingleBatch | PairBatch
@@ -139,8 +123,6 @@ class OntologicalModel(ABC):
         return self.reference_batch(seed, index, 1).item(0)
 
     def in_support(self, psi: PureState, lam: OnticState) -> bool:
-        if isinstance(lam, PairPoint) and lam.prepared is not None and lam.prepared == psi:
-            return True
         return bool(self.in_support_batch(psi, self._as_batch(lam))[0])
 
     def response(self, basis: MeasurementBasis, outcome_index: int, lam: OnticState) -> float:
@@ -154,11 +136,7 @@ class OntologicalModel(ABC):
     def _as_batch(lam: OnticState) -> Batch:
         if isinstance(lam, SinglePoint):
             return SingleBatch(lam.point.as_array()[None, :])
-        return PairBatch(
-            lam.first.as_array()[None, :],
-            lam.second.as_array()[None, :],
-            (lam.prepared,),
-        )
+        return PairBatch(lam.first.as_array()[None, :], lam.second.as_array()[None, :])
 
 
 def _require_single(batch: Batch) -> np.ndarray:
@@ -204,10 +182,6 @@ def _point_mass_rows(psi: PureState, count: int) -> np.ndarray:
     return np.tile(psi.vec(), (count, 1))
 
 
-def _distance_support(points: np.ndarray, psi: PureState) -> np.ndarray:
-    return np.abs(points - psi.vec()).max(axis=1) <= SUPPORT_TOL
-
-
 class KochenSpeckerModel(OntologicalModel):
     """Single-sphere model with cosine-cap preparations and step responses."""
 
@@ -244,18 +218,17 @@ class BellMerminModel(OntologicalModel):
         key = substream_key(seed, self.name, "prepare", psi.vec().tobytes())
         u = uniform_blocks(key, start, count)
         second = sphere_points_from_uniforms(u[:, 0], u[:, 1])
-        return PairBatch(_point_mass_rows(psi, count), second, psi)
+        return PairBatch(_point_mass_rows(psi, count), second)
 
     def reference_batch(self, seed, start, count):
         u = uniform_blocks(substream_key(seed, self.name, "reference"), start, count)
         return PairBatch(
             sphere_points_from_uniforms(u[:, 0], u[:, 1]),
             sphere_points_from_uniforms(u[:, 2], u[:, 3]),
-            None,
         )
 
     def in_support_batch(self, psi, batch):
-        return _distance_support(_require_pair(batch).first, psi)
+        return same_state_rows(_require_pair(batch).first, psi)
 
     def response_batch(self, basis, outcome_index, batch):
         b = _require_pair(batch)
@@ -274,7 +247,7 @@ class _PointMeasureFixture(OntologicalModel):
         return SingleBatch(sphere_points_from_uniforms(u[:, 0], u[:, 1]))
 
     def in_support_batch(self, psi, batch):
-        return _distance_support(_require_single(batch), psi)
+        return same_state_rows(_require_single(batch), psi)
 
 
 class ConstantResponseModel(_PointMeasureFixture):
@@ -306,6 +279,11 @@ class LabelReadingModel(_PointMeasureFixture):
         return vals
 
 
+def _index(states, psi: PureState) -> int:
+    """Position of the first of states that names psi under same_state, or -1."""
+    return next((i for i, s in enumerate(states) if same_state(s, psi)), -1)
+
+
 @dataclass(frozen=True)
 class StateCatalog:
     """The states that can be prepared and the bases that can be measured."""
@@ -314,18 +292,13 @@ class StateCatalog:
     bases: tuple[MeasurementBasis, ...]
 
     def __post_init__(self):
-        known = {s.bloch for s in self.states}
         for basis in self.bases:
             for outcome in basis.outcomes:
-                if outcome.bloch not in known:
+                if _index(self.states, outcome) < 0:
                     raise ValueError(f"basis outcome {outcome.describe()} missing from catalog states")
 
-    def closed_under_complements(self, tol: float = SUPPORT_TOL) -> bool:
-        vecs = np.array([s.vec() for s in self.states])
-        for s in self.states:
-            if np.abs(vecs + s.vec()).max(axis=1).min() > tol:
-                return False
-        return True
+    def closed_under_complements(self) -> bool:
+        return all(_index(self.states, orthogonal_complement(s)) >= 0 for s in self.states)
 
 
 def default_catalog() -> StateCatalog:
@@ -350,27 +323,23 @@ def random_states(seed: int, count: int) -> tuple[PureState, ...]:
 
 
 def catalog_from_states(states) -> StateCatalog:
-    """Build a catalog from bare states: close under complements, pair into bases."""
+    """Build a catalog from bare states: close under complements, pair into bases.
+
+    A state that names an earlier one under same_state merges into it, so
+    the catalog keeps the first of each.
+    """
     closed: list[PureState] = []
-    seen: set[BlochVector] = set()
     for s in states:
         for candidate in (s, orthogonal_complement(s)):
-            if candidate.bloch not in seen:
-                seen.add(candidate.bloch)
+            if _index(closed, candidate) < 0:
                 closed.append(candidate)
     bases = []
-    paired: set[BlochVector] = set()
-    for s in closed:
-        if s.bloch in paired:
-            continue
-        partner = orthogonal_complement(s)
-        for other in closed:
-            if other.bloch == partner.bloch:
-                partner = other
-                break
-        paired.add(s.bloch)
-        paired.add(partner.bloch)
-        bases.append(MeasurementBasis((s, partner), s.describe()))
+    paired: set[int] = set()
+    for i, s in enumerate(closed):
+        if i not in paired:
+            j = _index(closed, orthogonal_complement(s))
+            paired.update((i, j))
+            bases.append(MeasurementBasis((s, closed[j]), s.describe()))
     return StateCatalog(tuple(closed), tuple(bases))
 
 

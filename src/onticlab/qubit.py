@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 NORM_ACCEPT_TOL = 1e-9   # construction tolerance on the input norm
-ANTIPODAL_TOL = 1e-12
+STATE_TOL = 1e-12        # per Bloch component: vectors this close name one state
 
 
 @dataclass(frozen=True)
@@ -84,9 +85,8 @@ class MeasurementBasis:
 
     def __post_init__(self):
         a, b = self.outcomes
-        gap = max(abs(a.bloch.x + b.bloch.x), abs(a.bloch.y + b.bloch.y), abs(a.bloch.z + b.bloch.z))
-        if gap > ANTIPODAL_TOL:
-            raise ValueError(f"basis outcomes are not antipodal (gap {gap:g})")
+        if not same_state(b, orthogonal_complement(a)):
+            raise ValueError(f"basis outcomes {a.describe()} and {b.describe()} are not antipodal")
 
     def describe(self) -> str:
         if self.label is not None:
@@ -137,6 +137,21 @@ class DensityOperator:
             raise ValueError("density operator has a negative eigenvalue")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+
+
+def same_state(a: PureState, b: PureState) -> bool:
+    """True iff a and b name one state: every Bloch component within STATE_TOL.
+
+    The scalar form of same_state_rows, kept in plain Python because catalog
+    construction calls it for every pair of states.
+    """
+    p, q = a.bloch, b.bloch
+    return abs(p.x - q.x) <= STATE_TOL and abs(p.y - q.y) <= STATE_TOL and abs(p.z - q.z) <= STATE_TOL
+
+
+def same_state_rows(points: np.ndarray, psi: PureState) -> np.ndarray:
+    """Boolean mask of the rows of an (n, 3) array that name psi under same_state."""
+    return np.abs(points - psi.vec()).max(axis=1) <= STATE_TOL
 
 
 def born_probability(phi: PureState, psi: PureState) -> float:
@@ -209,7 +224,12 @@ MINUS_Y = PureState(BlochVector(0.0, -1.0, 0.0), "-y")
 
 
 def _finite(field_name: str, value) -> float:
-    x = float(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"catalog entry {field_name!r} must be a number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:   # an integer literal beyond the float range
+        x = math.inf
     if not math.isfinite(x):
         raise ValueError(f"catalog entry {field_name!r} must be finite, got {x!r}")
     return x
@@ -219,8 +239,11 @@ def state_from_catalog_entry(entry: dict) -> PureState:
     """Parse one state-catalog JSON entry.
 
     Accepted forms: {"bloch": [x, y, z], "label": ...} or
-    {"theta": t, "phi": p, "label": ...} with angles in radians.
+    {"theta": t, "phi": p, "label": ...} with angles in radians.  Every
+    number must be a finite JSON number (not a string or a boolean).
     """
+    if not isinstance(entry, dict):
+        raise ValueError(f"catalog entry must be a JSON object, got {entry!r}")
     label = entry.get("label")
     if label is not None and not isinstance(label, str):
         raise ValueError("catalog entry label must be a string")

@@ -11,6 +11,7 @@ from onticlab.checks import (
     VIOLATED,
     OmegaWitness,
     audit_implication_chain,
+    canonical_pair,
     check_born_reproduction,
     check_max_psi_epistemic,
     check_measurement_noncontextuality,
@@ -36,8 +37,10 @@ from onticlab.qubit import (
     PLUS_X,
     PLUS_Y,
     PLUS_Z,
+    BlochVector,
     Ensemble,
     MeasurementBasis,
+    PureState,
     born_probability,
     half_half_mixture,
 )
@@ -320,3 +323,30 @@ class TestImplicationChainAudit:
         )
         with pytest.raises(PreconditionError):
             audit_implication_chain(KS, cat, CFG)
+
+
+class TestCanonicalPair:
+    @staticmethod
+    def pair(*states):
+        return canonical_pair(StateCatalog(states, ()))
+
+    def test_first_distinct_nonorthogonal_pair(self):
+        assert self.pair(PLUS_Z, MINUS_Z, PLUS_X) == (PLUS_Z, PLUS_X)
+
+    def test_skips_a_pair_antipodal_within_state_tol(self):
+        near_minus_z = PureState(BlochVector(5e-13, 0.0, -1.0))
+        psi, phi = self.pair(PLUS_Z, near_minus_z, PLUS_X)
+        assert (psi, phi) == (PLUS_Z, PLUS_X)
+
+    def test_skips_a_pair_identical_within_state_tol(self):
+        near_plus_z = PureState(BlochVector(5e-13, 0.0, 1.0))
+        assert self.pair(PLUS_Z, near_plus_z, PLUS_X) == (PLUS_Z, PLUS_X)
+
+    def test_orthogonality_is_state_identity_with_the_complement(self):
+        # 1e-7 off the antipode is a different state, however small its Born weight
+        off_minus_z = PureState(BlochVector(1e-7, 0.0, -1.0))
+        assert self.pair(PLUS_Z, off_minus_z) == (PLUS_Z, off_minus_z)
+
+    def test_no_pair(self):
+        with pytest.raises(PreconditionError, match="no distinct nonorthogonal pair"):
+            self.pair(PLUS_Z, MINUS_Z)

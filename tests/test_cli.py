@@ -163,6 +163,32 @@ class TestCatalogIngestion:
         assert code == 2 and reports == []
         assert f"'{field}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ([1, 2], "must be a JSON object"),
+            ([{"theta": None, "phi": 0}], "'theta' must be a number"),
+            ([{"bloch": ["a", 0, 0]}], "'bloch' must be a number"),
+            ([{"bloch": [True, 0, 0]}], "'bloch' must be a number"),
+        ],
+    )
+    def test_malformed_entry_exits_2_naming_the_field(self, tmp_path, capsys, entries, message):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(entries))
+        code, reports = run(RunConfig(model_name="ks", catalog_path=str(path), **FAST))
+        assert code == 2 and reports == []
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("offset, triples", [(1e-13, 4), (2e-12, 16)])
+    def test_states_within_state_tol_merge(self, tmp_path, offset, triples):
+        path = tmp_path / "near.json"
+        path.write_text(json.dumps([{"bloch": [0, 0, 1]}, {"bloch": [offset, 0, 1]}]))
+        code, reports = run(
+            RunConfig(model_name="ks", check_names=("born",), catalog_path=str(path), **FAST)
+        )
+        assert code == 0
+        assert len(reports[0].estimates) == triples
+
     def test_missing_file_exits_2(self):
         code, reports = run(RunConfig(model_name="ks", catalog_path="/nonexistent.json"))
         assert code == 2
@@ -196,6 +222,19 @@ class TestMain:
         captured = capsys.readouterr()
         assert code == 2
         assert "--tol" in captured.err
+        assert captured.out == ""
+
+
+    @pytest.mark.parametrize(
+        "flag, value, bound",
+        [("--quad-polar", "100000", "[1, 512]"), ("--quad-polar", "0", "[1, 512]"),
+         ("--quad-azimuth", "1025", "[1, 1024]"), ("--quad-azimuth", "-3", "[1, 1024]")],
+    )
+    def test_grid_order_out_of_range_exits_2(self, capsys, flag, value, bound):
+        code = main(["--model", "ks", "--check", "born", "--samples", "100", flag, value])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert flag in captured.err and bound in captured.err
         assert captured.out == ""
 
 

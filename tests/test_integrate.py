@@ -147,6 +147,16 @@ class TestMcEstimateFromSums:
 
 
 class TestSphereQuadrature:
+    @pytest.mark.parametrize("orders", [(0, 256), (513, 256), (128, 0), (128, 1025)])
+    def test_grid_orders_outside_the_caps_rejected(self, orders):
+        with pytest.raises(ValueError, match="must be in"):
+            QuadratureGrid(*orders)
+
+    def test_grid_orders_at_the_caps_accepted(self):
+        # the nodes are built lazily, so constructing the largest grid is cheap
+        assert QuadratureGrid(512, 1024).n_polar == 512
+        assert QuadratureGrid(1, 1).points.shape == (2, 3)
+
     def test_weights(self):
         assert GRID.weights.min() > 0.0
         assert abs(GRID.weights.sum() - 4 * np.pi) <= 1e-10

@@ -157,7 +157,6 @@ class TestSpherePairModel:
     def test_first_component_pinned_exactly(self):
         batch = BM.prepare_batch(PLUS_Y, 5, 0, 1000)
         assert (batch.first == PLUS_Y.vec()).all()
-        assert batch.prepared == PLUS_Y
 
     def test_second_component_uniform(self):
         batch = BM.prepare_batch(PLUS_Z, 5, 0, 200_000)
@@ -202,13 +201,11 @@ class TestSpherePairModel:
             lam = BM.sample_prepared(PLUS_X, 9, 4 + i)
             np.testing.assert_array_equal(lam.first.as_array(), batch.first[i])
             np.testing.assert_array_equal(lam.second.as_array(), batch.second[i])
-            assert lam.prepared == PLUS_X
 
     def test_reference_measure_is_product_uniform(self):
         ref = BM.reference_batch(11, 0, 100_000)
         assert abs((ref.first[:, 2] ** 2).mean() - 1 / 3) <= 0.01
         assert abs((ref.second[:, 0] ** 2).mean() - 1 / 3) <= 0.01
-        assert ref.prepared is None
 
 
 class TestResponseCompleteness:
@@ -280,6 +277,29 @@ class TestCatalogs:
         for basis in cat.bases:
             a, b = basis.outcomes
             assert np.abs(a.vec() + b.vec()).max() <= 1e-12
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_catalog_from_states_is_idempotent(self, seed):
+        cat = catalog_from_states(random_states(seed, 10))
+        again = catalog_from_states(cat.states)
+        assert again.states == cat.states and again.bases == cat.bases
+        assert [s.label for s in again.states] == [s.label for s in cat.states]
+        assert [b.label for b in again.bases] == [b.label for b in cat.bases]
+
+    def test_states_within_state_tol_merge(self):
+        near = PureState(BlochVector(1e-13, 0.0, 1.0))
+        cat = catalog_from_states([PLUS_Z, near])
+        assert cat.states == (PLUS_Z, MINUS_Z) and len(cat.bases) == 1
+        apart = PureState(BlochVector(2e-12, 0.0, 1.0))
+        cat = catalog_from_states([PLUS_Z, apart])
+        assert len(cat.states) == 4 and len(cat.bases) == 2
+
+    def test_membership_and_closure_use_state_tol(self):
+        near_minus_z = PureState(BlochVector(5e-13, 0.0, -1.0))
+        cat = StateCatalog((PLUS_Z, near_minus_z), (Z_BASIS,))
+        assert cat.closed_under_complements()
+        with pytest.raises(ValueError, match="missing from catalog states"):
+            StateCatalog((PLUS_Z, PureState(BlochVector(2e-12, 0.0, -1.0))), (Z_BASIS,))
 
     def test_make_model_unknown(self):
         with pytest.raises(ValueError, match="valid names"):

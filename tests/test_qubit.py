@@ -18,7 +18,10 @@ from onticlab.qubit import (
     density_operators_equal,
     ensemble_density_operator,
     half_half_mixture,
+    STATE_TOL,
     orthogonal_complement,
+    same_state,
+    same_state_rows,
     state_from_catalog_entry,
 )
 
@@ -173,6 +176,57 @@ class TestMeasurementBasis:
         assert basis.describe() == "y"
 
 
+class TestSameState:
+    """same_state and same_state_rows are one rule: every component within STATE_TOL."""
+
+    @staticmethod
+    def offset(psi, k, delta):
+        v = psi.vec()
+        v[k] += delta
+        return PureState(BlochVector.from_array(v))
+
+    def test_scalar_and_row_forms_agree_on_random_pairs(self):
+        for seed in range(4):
+            states = random_pure_states(12, seed)
+            rows = np.array([s.vec() for s in states])
+            for psi in states:
+                expected = [same_state(s, psi) for s in states]
+                np.testing.assert_array_equal(same_state_rows(rows, psi), expected)
+                assert sum(expected) == 1
+
+    def test_forms_agree_at_offsets_around_the_tolerance(self):
+        deltas = [
+            sign * d
+            for d in (0.5 * STATE_TOL, np.nextafter(STATE_TOL, 0.0), STATE_TOL,
+                      np.nextafter(STATE_TOL, 1.0), 2.0 * STATE_TOL)
+            for sign in (1.0, -1.0)
+        ]
+        for seed in range(3):
+            for psi in random_pure_states(8, seed):
+                for k in range(3):
+                    for delta in deltas:
+                        phi = self.offset(psi, k, delta)
+                        row = bool(same_state_rows(phi.vec()[None, :], psi)[0])
+                        assert same_state(psi, phi) == same_state(phi, psi) == row
+
+    @pytest.mark.parametrize(
+        "delta, same",
+        [(0.5e-12, True), (np.nextafter(STATE_TOL, 0.0), True), (STATE_TOL, True),
+         (np.nextafter(STATE_TOL, 1.0), False), (2e-12, False)],
+    )
+    def test_threshold(self, delta, same):
+        # a tangential offset leaves the norm at 1, so the components are as written
+        phi = PureState(BlochVector(1.0, float(delta), 0.0))
+        assert phi.bloch.y == delta
+        assert same_state(PLUS_X, phi) is same
+        assert bool(same_state_rows(phi.vec()[None, :], PLUS_X)[0]) is same
+
+    def test_basis_outcomes_antipodal_within_the_tolerance(self):
+        MeasurementBasis((PLUS_X, PureState(BlochVector(-1.0, 0.5e-12, 0.0))))
+        with pytest.raises(ValueError, match="not antipodal"):
+            MeasurementBasis((PLUS_X, PureState(BlochVector(-1.0, 2e-12, 0.0))))
+
+
 class TestCatalogEntries:
     def test_bloch_form(self):
         s = state_from_catalog_entry({"bloch": [0, 0, 1], "label": "up"})
@@ -202,3 +256,22 @@ class TestCatalogEntries:
     def test_non_finite_entries_name_the_field(self, entry, field):
         with pytest.raises(ValueError, match=f"'{field}' must be finite"):
             state_from_catalog_entry(entry)
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ([0, 0, 1], "must be a JSON object"),
+            ({"theta": None, "phi": 0}, "'theta' must be a number"),
+            ({"bloch": ["a", 0, 0]}, "'bloch' must be a number"),
+            ({"bloch": [True, 0, 0]}, "'bloch' must be a number"),
+            ({"theta": 0.5, "phi": "0"}, "'phi' must be a number"),
+            ({"bloch": [10**400, 0, 0]}, "'bloch' must be finite"),
+        ],
+    )
+    def test_non_numeric_entries_name_the_field(self, entry, message):
+        with pytest.raises(ValueError, match=message):
+            state_from_catalog_entry(entry)
+
+    def test_integer_and_float_fields_accepted(self):
+        assert state_from_catalog_entry({"bloch": [0, 0, 1]}).bloch == PLUS_Z.bloch
+        assert state_from_catalog_entry({"theta": 0, "phi": 0.0}).bloch == PLUS_Z.bloch
