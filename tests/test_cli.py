@@ -1,16 +1,32 @@
 import csv
 import io
 import json
+import re
 from dataclasses import replace
 
 import pytest
 
 from onticlab.integrate import McConfig, QuadratureGrid
-from onticlab.models import MODEL_NAMES, default_catalog, make_model
+from onticlab.models import (
+    MODEL_NAMES,
+    LabelReadingModel,
+    StateCatalog,
+    default_catalog,
+    make_model,
+)
+from onticlab.qubit import BlochVector, MeasurementBasis, PureState
 
-from onticlab.checks import CheckReport, LabeledEstimate
+from onticlab.checks import (
+    CheckReport,
+    LabeledEstimate,
+    audit_implication_chain,
+    check_born_reproduction,
+    check_max_psi_epistemic,
+    classify_ontology,
+)
 from onticlab.cli import (
     CHECK_RUNNERS,
+    CheckRun,
     RunConfig,
     emit_report,
     expected_patterns,
@@ -193,6 +209,15 @@ class TestCatalogIngestion:
         code, reports = run(RunConfig(model_name="ks", catalog_path="/nonexistent.json"))
         assert code == 2
 
+    @pytest.mark.parametrize("content", ["", "[{\"bloch\": [0, 0, 1]", "{}"])
+    def test_unreadable_catalog_exits_2_naming_the_flag_and_path(self, tmp_path, capsys, content):
+        path = tmp_path / "broken.json"
+        path.write_text(content)
+        code, reports = run(RunConfig(model_name="ks", catalog_path=str(path), **FAST))
+        assert code == 2 and reports == []
+        err = capsys.readouterr().err
+        assert "--catalog" in err and str(path) in err
+
 
 class TestMain:
     def test_json_output_and_exit_code(self, capsys):
@@ -215,6 +240,14 @@ class TestMain:
 
     def test_unknown_model_exit_2(self, capsys):
         assert main(["--model", "zeta", "--samples", "20000"]) == 2
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_out_of_range_exits_2_naming_the_flag(self, capsys, seed):
+        code = main(["--model", "ks", "--check", "born", "--samples", "100", "--seed", seed])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "--seed" in captured.err and "[0, 2**64)" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-0.5", "0", "1", "2"])
     def test_tolerance_outside_unit_interval_exits_2(self, capsys, tol):
@@ -263,16 +296,16 @@ class TestBatchSizeInvariance:
     """
 
     CHECKS = ("born", "determinism", "measurement-nc", "max-epistemic", "classify",
-              "prep-nc", "omega")
+              "prep-nc", "omega", "audit")
 
     @staticmethod
     def reports(model_name, batch_size):
         cfg = McConfig(n_samples=20_000, seed=42, batch_size=batch_size)
-        model, catalog, grid = make_model(model_name), default_catalog(), QuadratureGrid()
-        return [
-            report_as_dict(CHECK_RUNNERS[name](model, catalog, cfg, 1e-2, grid))
-            for name in TestBatchSizeInvariance.CHECKS
-        ]
+        checks = TestBatchSizeInvariance.CHECKS
+        check_run = CheckRun(
+            make_model(model_name), default_catalog(), cfg, 1e-2, QuadratureGrid(), checks
+        )
+        return [report_as_dict(CHECK_RUNNERS[name](check_run)) for name in checks]
 
     @pytest.mark.parametrize("model_name", MODEL_NAMES)
     def test_reports_equal_across_batch_sizes(self, model_name):
@@ -280,3 +313,94 @@ class TestBatchSizeInvariance:
         assert [r["check_name"] for r in whole] == list(self.CHECKS)
         for batch_size in (7_000, 1_000):
             assert self.reports(model_name, batch_size) == whole
+
+
+class CountingLabelReader(LabelReadingModel):
+    """label-reader that counts the preparation rows it draws."""
+
+    drawn = 0
+
+    def prepare_batch(self, psi, seed, start, count):
+        self.drawn += count
+        return super().prepare_batch(psi, seed, start, count)
+
+
+def zeroed_json(reports):
+    return emit_report([replace(r, duration_ms=0.0) for r in reports], "json")
+
+
+class TestSharedStateTable:
+    """Checks of one run share one pass over each mu_psi, and nothing outlives the run."""
+
+    SHARING = ("born", "max-epistemic", "classify", "audit")
+
+    @pytest.mark.parametrize("model_name", MODEL_NAMES)
+    def test_shared_run_equals_separate_runs(self, model_name):
+        code, together = run(RunConfig(model_name=model_name, check_names=self.SHARING, **FAST))
+        assert code == 0
+        alone = []
+        for name in self.SHARING:
+            code, reports = run(RunConfig(model_name=model_name, check_names=(name,), **FAST))
+            assert code == 0
+            alone += reports
+        assert zeroed_json(together) == zeroed_json(alone)
+
+    def test_a_run_draws_each_stream_once_and_keeps_nothing(self):
+        model, catalog = CountingLabelReader(), default_catalog()
+        cfg = McConfig(n_samples=20_000, seed=42)
+
+        def drawn(checks):
+            before = model.drawn
+            check_run = CheckRun(model, catalog, cfg, 1e-2, QuadratureGrid(), checks)
+            for name in checks:
+                CHECK_RUNNERS[name](check_run)
+            return model.drawn - before
+
+        audit_alone = drawn(("audit",))
+        # born, max-epistemic and classify read audit's table and draw nothing more
+        assert drawn(self.SHARING) == audit_alone
+        # a later run on the very same objects draws every stream again
+        assert drawn(self.SHARING) == audit_alone
+        for check in (check_born_reproduction, check_max_psi_epistemic, classify_ontology):
+            for _ in range(2):
+                before = model.drawn
+                check(model, catalog, cfg)
+                assert model.drawn - before == len(catalog.states) * cfg.n_samples
+
+    @staticmethod
+    def axis_catalog(state_labels, basis_mark):
+        """The six axis states under the given labels, one basis per pair, marked or not."""
+        vectors = ((0, 0, 1), (0, 0, -1), (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0))
+        states = tuple(PureState(BlochVector(*v), label) for v, label in zip(vectors, state_labels))
+        bases = tuple(
+            MeasurementBasis(states[i:i + 2], states[i].label + basis_mark) for i in (0, 2, 4)
+        )
+        return StateCatalog(states, bases)
+
+    def test_catalogs_differing_in_labels_report_their_own(self):
+        plain = ("up", "down", "right", "left", "front", "back")
+        renamed = ("U", "D", "R", "L", "F", "B")
+        # labels are not part of state or basis equality
+        assert self.axis_catalog(plain, "") == self.axis_catalog(renamed, "*")
+        cfg = McConfig(n_samples=20_000, seed=42)
+        outputs = []
+        for names, mark in ((plain, ""), (renamed, "*"), (plain, "")):
+            model, catalog = make_model("label-reader"), self.axis_catalog(names, mark)
+            check_run = CheckRun(model, catalog, cfg, 1e-2, QuadratureGrid(), self.SHARING)
+            shared = [CHECK_RUNNERS[name](check_run) for name in self.SHARING]
+            api = [
+                check_born_reproduction(model, catalog, cfg),
+                check_max_psi_epistemic(model, catalog, cfg),
+                classify_ontology(model, catalog, cfg),
+                audit_implication_chain(model, catalog, cfg),
+            ]
+            assert zeroed_json(shared) == zeroed_json(api)
+            own = set(names) | {name + mark for name in names}
+            for report in shared[:3]:
+                parts = {p for e in report.estimates for p in re.split(r"\||->", e.label)}
+                assert parts and parts <= own
+            assert f"pair={names[0]}->" in shared[3].details
+            outputs.append((zeroed_json(shared), [e.mean for e in shared[0].estimates]))
+        assert outputs[0] == outputs[2]
+        # label-reader flips its responses on marked basis labels
+        assert [1.0 - m for m in outputs[1][1]] == outputs[0][1]

@@ -185,14 +185,24 @@ class TestSameState:
         v[k] += delta
         return PureState(BlochVector.from_array(v))
 
+    @staticmethod
+    def max_abs_rows(points, psi):
+        """same_state_rows as an axis-1 max reduction, the form the column test replaced."""
+        return np.abs(points - psi.vec()).max(axis=1) <= STATE_TOL
+
     def test_scalar_and_row_forms_agree_on_random_pairs(self):
         for seed in range(4):
             states = random_pure_states(12, seed)
             rows = np.array([s.vec() for s in states])
+            noise = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(500, 3))
             for psi in states:
                 expected = [same_state(s, psi) for s in states]
                 np.testing.assert_array_equal(same_state_rows(rows, psi), expected)
                 assert sum(expected) == 1
+                for points in (rows, noise, psi.vec() + STATE_TOL * noise):
+                    np.testing.assert_array_equal(
+                        same_state_rows(points, psi), self.max_abs_rows(points, psi)
+                    )
 
     def test_forms_agree_at_offsets_around_the_tolerance(self):
         deltas = [
@@ -203,11 +213,25 @@ class TestSameState:
         ]
         for seed in range(3):
             for psi in random_pure_states(8, seed):
+                rows, special = [], []
                 for k in range(3):
                     for delta in deltas:
                         phi = self.offset(psi, k, delta)
                         row = bool(same_state_rows(phi.vec()[None, :], psi)[0])
                         assert same_state(psi, phi) == same_state(phi, psi) == row
+                        raw = psi.vec()       # the offset row without renormalization
+                        raw[k] += delta
+                        rows += [phi.vec(), raw]
+                        special += [False, False]
+                    for value in (np.nan, np.inf, -np.inf):   # rows no BlochVector can hold
+                        bad = psi.vec()
+                        bad[k] = value
+                        rows.append(bad)
+                        special.append(True)
+                rows = np.array(rows)
+                got = same_state_rows(rows, psi)
+                np.testing.assert_array_equal(got, self.max_abs_rows(rows, psi))
+                assert not got[special].any()
 
     @pytest.mark.parametrize(
         "delta, same",
