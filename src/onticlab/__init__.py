@@ -5,7 +5,7 @@ other name lives in its submodule (qubit, integrate, models, checks, bell,
 cli).
 """
 
-from .checks import check_born_reproduction
+from .checks import CheckRun, check_born_reproduction
 from .integrate import McConfig
 from .models import default_catalog, make_model
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .checks import CheckReport, check_born_reproduction, check_preparation_noncontextuality
+from .checks import CheckReport, CheckRun, check_born_reproduction, check_preparation_noncontextuality
 from .errors import PreconditionError
 from .integrate import McConfig, QuadratureGrid
 from .models import OntologicalModel, catalog_from_states
@@ -139,7 +139,8 @@ def nonlocality_witness(
     and {phi, phi_perp} and delegates to the preparation-noncontextuality
     checker; verdict "violated" means the witness fires.
     """
-    born = check_born_reproduction(model, catalog_from_states((psi, phi)), cfg, tol)
+    steering_states = catalog_from_states((psi, phi))
+    born = check_born_reproduction(CheckRun(model, steering_states, cfg, ("born",), tol))
     if born.verdict != "satisfied":
         raise PreconditionError(
             f"model {model.name} does not reproduce the Born rule on the steering states"

@@ -9,7 +9,7 @@ call it either way); anything beyond both is "violated".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -52,6 +52,7 @@ PSI_ONTIC = "psi-ontic"
 PSI_EPISTEMIC = "psi-epistemic"
 
 DENSITY_OP_TOL = 1e-12
+OMEGA_EXAMPLES = 10      # exemplar ontic states an Omega witness keeps
 
 
 @dataclass(frozen=True)
@@ -130,64 +131,107 @@ def state_table(
     return StateTable(tuple(resp_rows) if responses else None, tuple(pair_rows) if overlaps else None)
 
 
-def _born_from_table(model, table, cfg, tol) -> CheckReport:
-    rows: list[LabeledEstimate] = []
-    verdicts: list[str] = []
-    worst_label, worst_disc = "", -1.0
-    for psi, basis, idx, est in table.responses:
-        outcome = basis.outcomes[idx]
-        label = f"{psi.describe()}|{basis.describe()}|{outcome.describe()}"
-        disc = abs(est.mean - born_probability(outcome, psi))
-        verdicts.append(triage_verdict(disc, tol, est.std_error))
-        rows.append(LabeledEstimate(label, est.mean, est.std_error))
-        if disc > worst_disc:
-            worst_label, worst_disc = label, disc
-    return CheckReport(
-        check_name="born",
-        model_name=model.name,
-        verdict=_combine(verdicts),
-        estimates=tuple(rows),
-        tolerance=tol,
-        n_samples=cfg.n_samples,
-        seed=cfg.seed,
-        details=f"{len(rows)} (state, basis, outcome) triples; worst {worst_label} off by {worst_disc:.3e}",
-    )
+# The checks that read each part of a run's shared StateTable.
+RESPONSE_CHECKS = frozenset({"born", "audit"})
+OVERLAP_CHECKS = frozenset({"max-epistemic", "classify", "audit"})
 
 
-def check_born_reproduction(
-    model: OntologicalModel, catalog: StateCatalog, cfg: McConfig, tol: float = 1e-2
-) -> CheckReport:
+@dataclass
+class CheckRun:
+    """The inputs of one run of checks and the state table they share.
+
+    Every check of a run is a function of this object.  The table is one pass
+    over every mu_psi, built by the first check that reads it, with the parts
+    any of check_names reads.  It lives as long as this object, so nothing
+    computed for one catalog can reach another.
+    """
+
+    model: OntologicalModel
+    catalog: StateCatalog
+    cfg: McConfig
+    check_names: tuple[str, ...]
+    tol: float = 1e-2
+    grid: QuadratureGrid = QuadratureGrid()
+    _table: StateTable | None = field(default=None, init=False, repr=False)
+
+    def rows(self, part: str, check_name: str) -> tuple:
+        """The "responses" or "overlaps" rows of the run's state table, for check_name.
+
+        A part that no check of the run declares is a PreconditionError naming
+        check_name, raised before any stream is drawn.
+        """
+        readers = RESPONSE_CHECKS if part == "responses" else OVERLAP_CHECKS
+        if readers.isdisjoint(self.check_names):
+            raise PreconditionError(
+                f"check {check_name!r} reads the state table's {part}, which none of the"
+                f" run's checks ({', '.join(self.check_names)}) declares"
+            )
+        if self._table is None:
+            self._table = state_table(
+                self.model, self.catalog, self.cfg,
+                responses=not RESPONSE_CHECKS.isdisjoint(self.check_names),
+                overlaps=not OVERLAP_CHECKS.isdisjoint(self.check_names),
+            )
+        return getattr(self._table, part)
+
+    def report(
+        self, check_name: str, verdict: str, estimates, details: str, tolerance: float | None = None
+    ) -> CheckReport:
+        """A report of this run; the tolerance is the run's unless given."""
+        return CheckReport(
+            check_name=check_name,
+            model_name=self.model.name,
+            verdict=verdict,
+            estimates=tuple(estimates),
+            tolerance=self.tol if tolerance is None else tolerance,
+            n_samples=self.cfg.n_samples,
+            seed=self.cfg.seed,
+            details=details,
+        )
+
+
+def check_born_reproduction(run: CheckRun) -> CheckReport:
     """Compare E[response] under every preparation against the Born probability.
 
     Samples for one preparation are shared across all of its (basis, outcome)
     triples; each estimate stays unbiased and the whole table is deterministic.
     """
-    table = state_table(model, catalog, cfg, responses=True, overlaps=False)
-    return _born_from_table(model, table, cfg, tol)
+    rows: list[LabeledEstimate] = []
+    verdicts: list[str] = []
+    worst_label, worst_disc = "", -1.0
+    for psi, basis, idx, est in run.rows("responses", "born"):
+        outcome = basis.outcomes[idx]
+        label = f"{psi.describe()}|{basis.describe()}|{outcome.describe()}"
+        disc = abs(est.mean - born_probability(outcome, psi))
+        verdicts.append(triage_verdict(disc, run.tol, est.std_error))
+        rows.append(LabeledEstimate(label, est.mean, est.std_error))
+        if disc > worst_disc:
+            worst_label, worst_disc = label, disc
+    return run.report(
+        "born", _combine(verdicts), rows,
+        f"{len(rows)} (state, basis, outcome) triples; worst {worst_label} off by {worst_disc:.3e}",
+    )
 
 
-def _sample_sources(model: OntologicalModel, catalog: StateCatalog):
-    sources = [(f"mu({s.describe()})", _prepare_sampler(model, s)) for s in catalog.states]
-    sources.append(("reference", model.reference_batch))
-    return sources
-
-
-def _scan_responses(model: OntologicalModel, catalog: StateCatalog, cfg: McConfig, probe):
+def _scan_responses(run: CheckRun, probe):
     """Count offending response values over every sample source, in index order.
 
-    The sample budget is split evenly over the sources (at least 100 each).
+    The sources are every mu_psi of the catalog and the reference measure;
+    the sample budget is split evenly over them (at least 100 each).
     probe(basis, batch) yields (offending mask, describe) pairs, where
     describe(source_label) words an offense; it is called before the probe
     resumes, and only the first offense seen is kept.
     Returns (values checked, offenses, first offense text, states sampled).
     """
-    sources = _sample_sources(model, catalog)
-    per_source = replace(cfg, n_samples=max(100, cfg.n_samples // len(sources)))
+    model = run.model
+    sources = [(f"mu({s.describe()})", _prepare_sampler(model, s)) for s in run.catalog.states]
+    sources.append(("reference", model.reference_batch))
+    per_source = replace(run.cfg, n_samples=max(100, run.cfg.n_samples // len(sources)))
     checked = bad = 0
     first_offense = ""
     for source_label, sampler in sources:
         for _, batch in sample_batches(sampler, per_source):
-            for basis in catalog.bases:
+            for basis in run.catalog.bases:
                 for off, describe in probe(basis, batch):
                     checked += len(off)
                     if off.any():
@@ -197,26 +241,22 @@ def _scan_responses(model: OntologicalModel, catalog: StateCatalog, cfg: McConfi
     return checked, bad, first_offense, per_source.n_samples * len(sources)
 
 
-def check_outcome_determinism(model: OntologicalModel, catalog: StateCatalog, cfg: McConfig) -> CheckReport:
+def check_outcome_determinism(run: CheckRun) -> CheckReport:
     """Assert every evaluated response value is exactly 0 or 1."""
 
     def probe(basis, batch):
         for idx in (0, 1):
-            vals = model.response_batch(basis, idx, batch)
+            vals = run.model.response_batch(basis, idx, batch)
             off = (vals != 0.0) & (vals != 1.0)
             yield off, lambda label: f"; first offense {label}|{basis.describe()} value {vals[off][0]!r}"
 
-    checked, bad, first_offense, n_states = _scan_responses(model, catalog, cfg, probe)
+    checked, bad, first_offense, n_states = _scan_responses(run, probe)
     fraction = bad / checked if checked else 0.0
-    return CheckReport(
-        check_name="determinism",
-        model_name=model.name,
-        verdict=SATISFIED if bad == 0 else VIOLATED,
-        estimates=(LabeledEstimate("non_binary_fraction", fraction, 0.0),),
+    return run.report(
+        "determinism", SATISFIED if bad == 0 else VIOLATED,
+        (LabeledEstimate("non_binary_fraction", fraction, 0.0),),
+        f"{checked} response values over {n_states} sampled ontic states{first_offense}",
         tolerance=0.0,
-        n_samples=cfg.n_samples,
-        seed=cfg.seed,
-        details=f"{checked} response values over {n_states} sampled ontic states{first_offense}",
     )
 
 
@@ -238,10 +278,9 @@ def _descriptor_variants(basis: MeasurementBasis) -> list[tuple[MeasurementBasis
     ]
 
 
-def check_measurement_noncontextuality(
-    model: OntologicalModel, catalog: StateCatalog, cfg: McConfig
-) -> CheckReport:
+def check_measurement_noncontextuality(run: CheckRun) -> CheckReport:
     """Assert responses depend only on the outcome state, not its descriptor."""
+    model = run.model
 
     def probe(basis, batch):
         base_vals = [model.response_batch(basis, idx, batch) for idx in (0, 1)]
@@ -251,17 +290,13 @@ def check_measurement_noncontextuality(
                 f"; first mismatch {label}|{basis.describe()} vs descriptor {variant.describe()}"
             )
 
-    compared, mismatches, first_offense, _ = _scan_responses(model, catalog, cfg, probe)
+    compared, mismatches, first_offense, _ = _scan_responses(run, probe)
     fraction = mismatches / compared if compared else 0.0
-    return CheckReport(
-        check_name="measurement-nc",
-        model_name=model.name,
-        verdict=SATISFIED if mismatches == 0 else VIOLATED,
-        estimates=(LabeledEstimate("mismatch_fraction", fraction, 0.0),),
+    return run.report(
+        "measurement-nc", SATISFIED if mismatches == 0 else VIOLATED,
+        (LabeledEstimate("mismatch_fraction", fraction, 0.0),),
+        f"{compared} descriptor comparisons{first_offense}",
         tolerance=0.0,
-        n_samples=cfg.n_samples,
-        seed=cfg.seed,
-        details=f"{compared} descriptor comparisons{first_offense}",
     )
 
 
@@ -271,40 +306,28 @@ def overlap_integral(model: OntologicalModel, psi: PureState, phi: PureState, cf
     return mc_expectation(f, _prepare_sampler(model, psi), cfg)
 
 
-def _max_epistemic_from_table(model, table, cfg, tol) -> CheckReport:
+def check_max_psi_epistemic(run: CheckRun) -> CheckReport:
+    """Check overlap_integral(psi, phi) = born_probability(phi, psi) for all pairs."""
     rows, verdicts = [], []
     worst = ("", -1.0, 0.0)
-    for psi, phi, est, born in table.overlaps:
+    for psi, phi, est, born in run.rows("overlaps", "max-epistemic"):
         disc = abs(est.mean - born)
-        verdicts.append(triage_verdict(disc, tol, est.std_error))
+        verdicts.append(triage_verdict(disc, run.tol, est.std_error))
         rows.append(LabeledEstimate(f"{psi.describe()}->{phi.describe()}", est.mean, est.std_error))
         if disc > worst[1]:
             worst = (f"{psi.describe()}->{phi.describe()}", disc, born - est.mean)
-    return CheckReport(
-        check_name="max-epistemic",
-        model_name=model.name,
-        verdict=_combine(verdicts),
-        estimates=tuple(rows),
-        tolerance=tol,
-        n_samples=cfg.n_samples,
-        seed=cfg.seed,
-        details=f"worst pair {worst[0]} deficit {worst[2]:.6f} (|overlap - born| = {worst[1]:.3e})",
+    return run.report(
+        "max-epistemic", _combine(verdicts), rows,
+        f"worst pair {worst[0]} deficit {worst[2]:.6f} (|overlap - born| = {worst[1]:.3e})",
     )
 
 
-def check_max_psi_epistemic(
-    model: OntologicalModel, catalog: StateCatalog, cfg: McConfig, tol: float = 1e-2
-) -> CheckReport:
-    """Check overlap_integral(psi, phi) = born_probability(phi, psi) for all pairs."""
-    table = state_table(model, catalog, cfg, responses=False, overlaps=True)
-    return _max_epistemic_from_table(model, table, cfg, tol)
-
-
-def _classify_from_table(model, table, cfg) -> CheckReport:
+def classify_ontology(run: CheckRun) -> CheckReport:
+    """Label the model psi-ontic or psi-epistemic from its support overlaps."""
     rows = []
     epistemic_witness = None
     max_overlap = 0.0
-    for psi, phi, est, _ in table.overlaps:
+    for psi, phi, est, _ in run.rows("overlaps", "classify"):
         if same_state(psi, phi):
             continue
         rows.append(LabeledEstimate(f"{psi.describe()}->{phi.describe()}", est.mean, est.std_error))
@@ -319,22 +342,7 @@ def _classify_from_table(model, table, cfg) -> CheckReport:
     else:
         verdict = PSI_ONTIC
         details = f"all nonorthogonal overlaps consistent with 0 (max {max_overlap:.3e})"
-    return CheckReport(
-        check_name="classify",
-        model_name=model.name,
-        verdict=verdict,
-        estimates=tuple(rows),
-        tolerance=0.0,
-        n_samples=cfg.n_samples,
-        seed=cfg.seed,
-        details=details,
-    )
-
-
-def classify_ontology(model: OntologicalModel, catalog: StateCatalog, cfg: McConfig) -> CheckReport:
-    """Label the model psi-ontic or psi-epistemic from its support overlaps."""
-    table = state_table(model, catalog, cfg, responses=False, overlaps=True)
-    return _classify_from_table(model, table, cfg)
+    return run.report("classify", verdict, rows, details, tolerance=0.0)
 
 
 @dataclass(frozen=True)
@@ -480,7 +488,6 @@ def find_omega_witness(
     phi: PureState,
     basis_containing_phi: MeasurementBasis,
     cfg: McConfig,
-    max_examples: int = 10,
 ) -> OmegaWitness:
     """Estimate the mass of Omega = {lambda outside supp(mu_phi) with response(phi) > 0}."""
     outcome_index = None
@@ -500,8 +507,8 @@ def find_omega_witness(
         s1_omega += float(omega.sum())
         s1_resp += float(masked.sum())
         s2_resp += float((masked * masked).sum())
-        if len(examples) < max_examples:
-            for i in np.flatnonzero(omega)[: max_examples - len(examples)]:
+        if len(examples) < OMEGA_EXAMPLES:
+            for i in np.flatnonzero(omega)[: OMEGA_EXAMPLES - len(examples)]:
                 examples.append(batch.item(int(i)))
 
     return OmegaWitness(
@@ -513,7 +520,30 @@ def find_omega_witness(
     )
 
 
-def _chain_pair(table, catalog: StateCatalog, tol: float):
+def _basis_containing(catalog: StateCatalog, phi: PureState) -> MeasurementBasis:
+    for basis in catalog.bases:
+        if any(same_state(outcome, phi) for outcome in basis.outcomes):
+            return basis
+    return MeasurementBasis((phi, orthogonal_complement(phi)), phi.describe())
+
+
+def check_omega_witness(run: CheckRun) -> CheckReport:
+    """Report the Omega masses of the catalog's canonical pair against the tolerance."""
+    psi, phi = canonical_pair(run.catalog)
+    witness = find_omega_witness(run.model, psi, phi, _basis_containing(run.catalog, phi), run.cfg)
+    mass, response = witness.mu_psi_mass, witness.response_mass
+    return run.report(
+        "omega", triage_verdict(mass.mean, run.tol, mass.std_error),
+        (
+            LabeledEstimate("mu_psi_mass", mass.mean, mass.std_error),
+            LabeledEstimate("response_mass", response.mean, response.std_error),
+        ),
+        f"pair {psi.describe()}->{phi.describe()};"
+        f" {len(witness.sample_points)} exemplar ontic states collected",
+    )
+
+
+def _chain_pair(run: CheckRun):
     """Pick the (psi, phi) pair for the preparation-contextuality construction.
 
     The pair with the largest significant overlap deficit, if any; otherwise
@@ -521,13 +551,13 @@ def _chain_pair(table, catalog: StateCatalog, tol: float):
     """
     best = None
     best_disc = 0.0
-    for psi, phi, est, born in table.overlaps:
+    for psi, phi, est, born in run.rows("overlaps", "audit"):
         if same_state(psi, phi):
             continue
         disc = abs(est.mean - born)
-        if triage_verdict(disc, tol, est.std_error) == VIOLATED and disc > best_disc:
+        if triage_verdict(disc, run.tol, est.std_error) == VIOLATED and disc > best_disc:
             best, best_disc = (psi, phi), disc
-    return best if best is not None else canonical_pair(catalog)
+    return best if best is not None else canonical_pair(run.catalog)
 
 
 def canonical_pair(catalog: StateCatalog) -> tuple[PureState, PureState]:
@@ -540,42 +570,26 @@ def canonical_pair(catalog: StateCatalog) -> tuple[PureState, PureState]:
     raise PreconditionError("catalog has no distinct nonorthogonal pair")
 
 
-def audit_implication_chain(
-    model: OntologicalModel,
-    catalog: StateCatalog,
-    cfg: McConfig,
-    tol: float = 1e-2,
-    grid: QuadratureGrid | None = None,
-) -> CheckReport:
+def audit_implication_chain(run: CheckRun) -> CheckReport:
     """Run every checker and test the two-step implication chain on the observed verdicts.
 
     The chain is: preparation noncontextual => maximally psi-epistemic =>
     outcome deterministic and measurement noncontextual.  The verdict is
     "violated" only when the observed verdicts form a counterexample to one
     of the implications.  This audits instantiations on the model under test,
-    not the general statements.
+    not the general statements.  The catalog precondition is checked before
+    the run's state table is read.
     """
-    get_table = lambda: state_table(model, catalog, cfg, responses=True, overlaps=True)
-    return _audit_from_table(model, catalog, get_table, cfg, tol, grid)
-
-
-def _audit_from_table(model, catalog, get_table, cfg, tol, grid) -> CheckReport:
-    """The audit, reading born, max-epistemic and classify from get_table().
-
-    get_table is called only once the catalog passes the precondition, and
-    its table must hold both responses and overlaps.
-    """
-    if not catalog.closed_under_complements():
+    if not run.catalog.closed_under_complements():
         raise PreconditionError("audit requires a catalog closed under orthogonal complements")
-    table = get_table()
-    born = _born_from_table(model, table, cfg, tol)
-    det = check_outcome_determinism(model, catalog, cfg)
-    mnc = check_measurement_noncontextuality(model, catalog, cfg)
-    maxe = _max_epistemic_from_table(model, table, cfg, tol)
-    cls = _classify_from_table(model, table, cfg)
-    psi, phi = _chain_pair(table, catalog, tol)
+    born = check_born_reproduction(run)
+    det = check_outcome_determinism(run)
+    mnc = check_measurement_noncontextuality(run)
+    maxe = check_max_psi_epistemic(run)
+    cls = classify_ontology(run)
+    psi, phi = _chain_pair(run)
     prep = check_preparation_noncontextuality(
-        model, half_half_mixture(psi), half_half_mixture(phi), cfg, tol, grid
+        run.model, half_half_mixture(psi), half_half_mixture(phi), run.cfg, run.tol, run.grid
     )
 
     if det.verdict == VIOLATED or mnc.verdict == VIOLATED:
@@ -609,13 +623,4 @@ def _audit_from_table(model, catalog, get_table, cfg, tol, grid) -> CheckReport:
             "chain=" + ("counterexample" if counterexample else "consistent"),
         ]
     )
-    return CheckReport(
-        check_name="audit",
-        model_name=model.name,
-        verdict=verdict,
-        estimates=prep.estimates,
-        tolerance=tol,
-        n_samples=cfg.n_samples,
-        seed=cfg.seed,
-        details=details,
-    )
+    return run.report("audit", verdict, prep.estimates, details)

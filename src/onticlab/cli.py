@@ -12,43 +12,28 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from importlib import resources
 
 from .bell import nonlocality_witness
 from .checks import (
     CheckReport,
+    CheckRun,
     LabeledEstimate,
-    StateTable,
-    _audit_from_table,
-    _born_from_table,
-    _classify_from_table,
-    _max_epistemic_from_table,
+    audit_implication_chain,
     canonical_pair,
+    check_born_reproduction,
+    check_max_psi_epistemic,
     check_measurement_noncontextuality,
+    check_omega_witness,
     check_outcome_determinism,
     check_preparation_noncontextuality,
-    find_omega_witness,
-    state_table,
-    triage_verdict,
+    classify_ontology,
 )
 from .errors import PreconditionError
 from .integrate import MAX_N_AZIMUTH, MAX_N_POLAR, McConfig, QuadratureGrid
-from .models import (
-    MODEL_NAMES,
-    OntologicalModel,
-    StateCatalog,
-    catalog_from_states,
-    default_catalog,
-    make_model,
-)
-from .qubit import (
-    MeasurementBasis,
-    half_half_mixture,
-    orthogonal_complement,
-    same_state,
-    state_from_catalog_entry,
-)
+from .models import MODEL_NAMES, StateCatalog, catalog_from_states, default_catalog, make_model
+from .qubit import half_half_mixture, state_from_catalog_entry
 
 MIN_SAMPLES = 100
 OUTPUT_FORMATS = ("json", "csv", "text")
@@ -56,6 +41,8 @@ OUTPUT_FORMATS = ("json", "csv", "text")
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One CLI invocation; its defaults are the command line's defaults."""
+
     model_name: str
     check_names: tuple[str, ...] = ("audit",)
     samples: int = 1_000_000
@@ -67,93 +54,10 @@ class RunConfig:
     output_format: str = "text"
 
 
-def _basis_containing(catalog: StateCatalog, phi) -> MeasurementBasis:
-    for basis in catalog.bases:
-        if any(same_state(outcome, phi) for outcome in basis.outcomes):
-            return basis
-    return MeasurementBasis((phi, orthogonal_complement(phi)), phi.describe())
-
-
-# The checks that read each part of a run's shared StateTable.
-RESPONSE_CHECKS = frozenset({"born", "audit"})
-OVERLAP_CHECKS = frozenset({"max-epistemic", "classify", "audit"})
-
-
-@dataclass
-class CheckRun:
-    """The inputs of one run and the state table its checks share.
-
-    The table is one pass over every mu_psi, built by the first check that
-    reads it, with the parts any of check_names reads.  It lives as long as
-    this object, so nothing computed for one catalog can reach another.
-    """
-
-    model: OntologicalModel
-    catalog: StateCatalog
-    cfg: McConfig
-    tol: float
-    grid: QuadratureGrid
-    check_names: tuple[str, ...]
-    _table: StateTable | None = field(default=None, init=False, repr=False)
-
-    def table(self) -> StateTable:
-        if self._table is None:
-            names = set(self.check_names)
-            self._table = state_table(
-                self.model, self.catalog, self.cfg,
-                responses=not RESPONSE_CHECKS.isdisjoint(names),
-                overlaps=not OVERLAP_CHECKS.isdisjoint(names),
-            )
-        return self._table
-
-
-def _run_born(run: CheckRun) -> CheckReport:
-    return _born_from_table(run.model, run.table(), run.cfg, run.tol)
-
-
-def _run_determinism(run: CheckRun) -> CheckReport:
-    return check_outcome_determinism(run.model, run.catalog, run.cfg)
-
-
-def _run_measurement_nc(run: CheckRun) -> CheckReport:
-    return check_measurement_noncontextuality(run.model, run.catalog, run.cfg)
-
-
-def _run_max_epistemic(run: CheckRun) -> CheckReport:
-    return _max_epistemic_from_table(run.model, run.table(), run.cfg, run.tol)
-
-
-def _run_classify(run: CheckRun) -> CheckReport:
-    return _classify_from_table(run.model, run.table(), run.cfg)
-
-
 def _run_prep_nc(run: CheckRun) -> CheckReport:
     psi, phi = canonical_pair(run.catalog)
     return check_preparation_noncontextuality(
         run.model, half_half_mixture(psi), half_half_mixture(phi), run.cfg, run.tol, run.grid
-    )
-
-
-def _run_omega(run: CheckRun) -> CheckReport:
-    model, catalog, cfg, tol = run.model, run.catalog, run.cfg, run.tol
-    psi, phi = canonical_pair(catalog)
-    witness = find_omega_witness(model, psi, phi, _basis_containing(catalog, phi), cfg)
-    mass = witness.mu_psi_mass
-    return CheckReport(
-        check_name="omega",
-        model_name=model.name,
-        verdict=triage_verdict(mass.mean, tol, mass.std_error),
-        estimates=(
-            LabeledEstimate("mu_psi_mass", mass.mean, mass.std_error),
-            LabeledEstimate("response_mass", witness.response_mass.mean, witness.response_mass.std_error),
-        ),
-        tolerance=tol,
-        n_samples=cfg.n_samples,
-        seed=cfg.seed,
-        details=(
-            f"pair {psi.describe()}->{phi.describe()};"
-            f" {len(witness.sample_points)} exemplar ontic states collected"
-        ),
     )
 
 
@@ -162,20 +66,16 @@ def _run_nonlocality(run: CheckRun) -> CheckReport:
     return nonlocality_witness(run.model, psi, phi, run.cfg, run.tol, run.grid)
 
 
-def _run_audit(run: CheckRun) -> CheckReport:
-    return _audit_from_table(run.model, run.catalog, run.table, run.cfg, run.tol, run.grid)
-
-
 CHECK_RUNNERS = {
-    "born": _run_born,
-    "determinism": _run_determinism,
-    "measurement-nc": _run_measurement_nc,
-    "max-epistemic": _run_max_epistemic,
-    "classify": _run_classify,
+    "born": check_born_reproduction,
+    "determinism": check_outcome_determinism,
+    "measurement-nc": check_measurement_noncontextuality,
+    "max-epistemic": check_max_psi_epistemic,
+    "classify": classify_ontology,
     "prep-nc": _run_prep_nc,
-    "omega": _run_omega,
+    "omega": check_omega_witness,
     "nonlocality": _run_nonlocality,
-    "audit": _run_audit,
+    "audit": audit_implication_chain,
 }
 
 
@@ -195,25 +95,9 @@ def load_catalog(path: str) -> StateCatalog:
     return catalog_from_states([state_from_catalog_entry(e) for e in entries])
 
 
-def report_as_dict(report: CheckReport) -> dict:
-    return {
-        "check_name": report.check_name,
-        "model_name": report.model_name,
-        "verdict": report.verdict,
-        "estimates": [
-            {"label": e.label, "mean": e.mean, "std_error": e.std_error} for e in report.estimates
-        ],
-        "tolerance": report.tolerance,
-        "n_samples": report.n_samples,
-        "seed": report.seed,
-        "duration_ms": report.duration_ms,
-        "details": report.details,
-    }
-
-
 def emit_report(reports: list[CheckReport], output_format: str) -> str:
     if output_format == "json":
-        return json.dumps([report_as_dict(r) for r in reports], indent=2, sort_keys=True) + "\n"
+        return json.dumps([asdict(r) for r in reports], indent=2, sort_keys=True) + "\n"
     if output_format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -272,7 +156,7 @@ def run(config: RunConfig) -> tuple[int, list[CheckReport]]:
             samples = MIN_SAMPLES
         cfg = McConfig(n_samples=samples, seed=config.seed)
         grid = QuadratureGrid(config.quad_polar, config.quad_azimuth)
-        check_run = CheckRun(model, catalog, cfg, config.tolerance, grid, config.check_names)
+        check_run = CheckRun(model, catalog, cfg, config.check_names, config.tolerance, grid)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2, reports
@@ -300,37 +184,38 @@ def run(config: RunConfig) -> tuple[int, list[CheckReport]]:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # An absent flag leaves its RunConfig field at the field's default.
     parser = argparse.ArgumentParser(
         prog="onticlab",
         description="Run property checks on hidden-variable models of a qubit.",
+        argument_default=argparse.SUPPRESS,
     )
-    parser.add_argument("--model", required=True, help=f"model name ({', '.join(MODEL_NAMES)})")
+    parser.add_argument(
+        "--model", dest="model_name", metavar="MODEL", required=True,
+        help=f"model name ({', '.join(MODEL_NAMES)})",
+    )
     parser.add_argument(
         "--check",
+        dest="check_names",
         action="append",
         metavar="NAME",
-        help=f"check to run, repeatable ({', '.join(sorted(CHECK_RUNNERS))}); default: audit",
+        help=f"check to run, repeatable ({', '.join(sorted(CHECK_RUNNERS))});"
+        f" default: {', '.join(RunConfig.check_names)}",
     )
-    parser.add_argument("--samples", type=int, default=1_000_000, help="Monte Carlo sample count")
-    parser.add_argument("--seed", type=int, default=42, help="base seed for all sampling")
-    parser.add_argument("--tol", type=float, default=1e-2, help="verdict tolerance")
-    parser.add_argument("--quad-polar", type=int, default=128, help="quadrature polar order per hemisphere")
-    parser.add_argument("--quad-azimuth", type=int, default=256, help="quadrature azimuth count")
-    parser.add_argument("--catalog", default=None, help="path to a JSON state-catalog file")
-    parser.add_argument("--format", default="text", choices=OUTPUT_FORMATS, help="report format")
-    args = parser.parse_args(argv)
+    parser.add_argument("--samples", type=int, help="Monte Carlo sample count")
+    parser.add_argument("--seed", type=int, help="base seed for all sampling")
+    parser.add_argument("--tol", dest="tolerance", metavar="TOL", type=float, help="verdict tolerance")
+    parser.add_argument("--quad-polar", type=int, help="quadrature polar order per hemisphere")
+    parser.add_argument("--quad-azimuth", type=int, help="quadrature azimuth count")
+    parser.add_argument(
+        "--catalog", dest="catalog_path", metavar="CATALOG", help="path to a JSON state-catalog file"
+    )
+    parser.add_argument("--format", dest="output_format", choices=OUTPUT_FORMATS, help="report format")
+    args = vars(parser.parse_args(argv))
+    if "check_names" in args:
+        args["check_names"] = tuple(args["check_names"])
 
-    config = RunConfig(
-        model_name=args.model,
-        check_names=tuple(args.check) if args.check else ("audit",),
-        samples=args.samples,
-        seed=args.seed,
-        tolerance=args.tol,
-        quad_polar=args.quad_polar,
-        quad_azimuth=args.quad_azimuth,
-        catalog_path=args.catalog,
-        output_format=args.format,
-    )
+    config = RunConfig(**args)
     code, reports = run(config)
     if reports:
         sys.stdout.write(emit_report(reports, config.output_format))

@@ -119,9 +119,6 @@ class OntologicalModel(ABC):
     def sample_prepared(self, psi: PureState, seed: int, index: int) -> OnticState:
         return self.prepare_batch(psi, seed, index, 1).item(0)
 
-    def sample_reference(self, seed: int, index: int) -> OnticState:
-        return self.reference_batch(seed, index, 1).item(0)
-
     def in_support(self, psi: PureState, lam: OnticState) -> bool:
         return bool(self.in_support_batch(psi, self._as_batch(lam))[0])
 
@@ -326,20 +323,16 @@ def catalog_from_states(states) -> StateCatalog:
     """Build a catalog from bare states: close under complements, pair into bases.
 
     A state that names an earlier one under same_state merges into it, so
-    the catalog keeps the first of each.
+    the catalog keeps the first of each.  A new state's complement is new
+    too, since the catalog already holds the complement of every state in it.
     """
     closed: list[PureState] = []
-    for s in states:
-        for candidate in (s, orthogonal_complement(s)):
-            if _index(closed, candidate) < 0:
-                closed.append(candidate)
     bases = []
-    paired: set[int] = set()
-    for i, s in enumerate(closed):
-        if i not in paired:
-            j = _index(closed, orthogonal_complement(s))
-            paired.update((i, j))
-            bases.append(MeasurementBasis((s, closed[j]), s.describe()))
+    for s in states:
+        if _index(closed, s) < 0:
+            perp = orthogonal_complement(s)
+            closed += (s, perp)
+            bases.append(MeasurementBasis((s, perp), s.describe()))
     return StateCatalog(tuple(closed), tuple(bases))
 
 

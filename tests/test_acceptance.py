@@ -16,6 +16,7 @@ from onticlab.bell import make_max_entangled, nonlocality_witness, steer, steeri
 from onticlab.checks import (
     SATISFIED,
     VIOLATED,
+    CheckRun,
     audit_implication_chain,
     check_born_reproduction,
     check_max_psi_epistemic,
@@ -74,7 +75,9 @@ def extended_catalog():
 def audits():
     catalog = default_catalog()
     return {
-        name: audit_implication_chain(make_model(name), catalog, FULL, TOL, GRID)
+        name: audit_implication_chain(
+            CheckRun(make_model(name), catalog, FULL, ("audit",), TOL, GRID)
+        )
         for name in ("ks", "bell-mermin", "const-half", "label-reader")
     }
 
@@ -82,7 +85,7 @@ def audits():
 def test_criterion_1_born_reproduction(extended_catalog):
     """Monte Carlo Born agreement for both models; quadrature cross-check for the cap model."""
     for model in (KS, BM):
-        report = check_born_reproduction(model, extended_catalog, FULL, TOL)
+        report = check_born_reproduction(CheckRun(model, extended_catalog, FULL, ("born",), TOL))
         assert report.verdict == SATISFIED
         assert len(report.estimates) == len(extended_catalog.states) * 6
         rows = iter(report.estimates)
@@ -106,7 +109,7 @@ def test_criterion_1_born_reproduction(extended_catalog):
 def test_criterion_2_cap_model_maximally_epistemic():
     """Support overlap equals the Born probability for every catalog pair."""
     catalog = default_catalog()
-    report = check_max_psi_epistemic(KS, catalog, FULL, TOL)
+    report = check_max_psi_epistemic(CheckRun(KS, catalog, FULL, ("max-epistemic",), TOL))
     assert report.verdict == SATISFIED
     for psi in catalog.states:
         for phi in catalog.states:
@@ -124,7 +127,7 @@ def test_criterion_2_cap_model_maximally_epistemic():
 def test_criterion_3_pair_model_fails_maximal_epistemicity():
     """Disjoint supports: overlap is exactly zero, so the deficit equals the Born probability."""
     catalog = default_catalog()
-    report = check_max_psi_epistemic(BM, catalog, FULL, TOL)
+    report = check_max_psi_epistemic(CheckRun(BM, catalog, FULL, ("max-epistemic",), TOL))
     assert report.verdict == VIOLATED
     for psi in catalog.states:
         for phi in catalog.states:
@@ -144,15 +147,14 @@ def test_criterion_4_determinism_and_noncontextuality():
     """Zero violations for both models; each negative control fails its targeted check."""
     catalog = default_catalog()
     for model in (KS, BM):
-        det = check_outcome_determinism(model, catalog, FULL)
+        det = check_outcome_determinism(CheckRun(model, catalog, FULL, ("determinism",)))
         assert det.verdict == SATISFIED and det.estimates[0].mean == 0.0
-        mnc = check_measurement_noncontextuality(model, catalog, FULL)
+        mnc = check_measurement_noncontextuality(CheckRun(model, catalog, FULL, ("measurement-nc",)))
         assert mnc.verdict == SATISFIED and mnc.estimates[0].mean == 0.0
-    assert check_outcome_determinism(make_model("const-half"), catalog, FULL).verdict == VIOLATED
-    assert (
-        check_measurement_noncontextuality(make_model("label-reader"), catalog, FULL).verdict
-        == VIOLATED
-    )
+    const_run = CheckRun(make_model("const-half"), catalog, FULL, ("determinism",))
+    assert check_outcome_determinism(const_run).verdict == VIOLATED
+    reader_run = CheckRun(make_model("label-reader"), catalog, FULL, ("measurement-nc",))
+    assert check_measurement_noncontextuality(reader_run).verdict == VIOLATED
 
 
 def test_criterion_5_preparation_contextuality_of_cap_model():

@@ -9,7 +9,7 @@ from onticlab.bell import (
     steer,
     steering_basis,
 )
-from onticlab.checks import SATISFIED, VIOLATED, check_max_psi_epistemic
+from onticlab.checks import SATISFIED, VIOLATED, CheckRun, check_max_psi_epistemic
 from onticlab.errors import PreconditionError
 from onticlab.integrate import McConfig
 from onticlab.models import default_catalog, make_model, random_states
@@ -153,8 +153,10 @@ class TestNonlocalityWitness:
 
     def test_fires_exactly_when_overlap_deficit_exists(self):
         catalog = default_catalog()
-        ks_rep = check_max_psi_epistemic(make_model("ks"), catalog, CFG)
-        bm_rep = check_max_psi_epistemic(make_model("bell-mermin"), catalog, CFG)
+        ks_rep, bm_rep = (
+            check_max_psi_epistemic(CheckRun(make_model(name), catalog, CFG, ("max-epistemic",)))
+            for name in ("ks", "bell-mermin")
+        )
         assert ks_rep.verdict == SATISFIED and bm_rep.verdict == VIOLATED
         # no deficit: the witness relies on distribution equality and stays quiet
         # for the deficit-free pair (psi, psi); with a deficit it must fire

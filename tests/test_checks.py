@@ -9,6 +9,7 @@ from onticlab.checks import (
     PSI_ONTIC,
     SATISFIED,
     VIOLATED,
+    CheckRun,
     OmegaWitness,
     audit_implication_chain,
     canonical_pair,
@@ -56,42 +57,48 @@ CONST = make_model("const-half")
 READER = make_model("label-reader")
 
 
+def run_of(model, check_name, catalog=CATALOG, cfg=CFG, tol=1e-2):
+    """A run of the one named check."""
+    return CheckRun(model, catalog, cfg, (check_name,), tol)
+
+
 class TestBornReproduction:
     def test_physical_models_reproduce(self):
         for model in (KS, BM):
-            rep = check_born_reproduction(model, CATALOG, CFG)
+            rep = check_born_reproduction(run_of(model, "born"))
             assert rep.verdict == SATISFIED
             assert len(rep.estimates) == 36
 
     def test_constant_response_fails_on_certain_outcomes(self):
-        rep = check_born_reproduction(CONST, CATALOG, CFG)
+        rep = check_born_reproduction(run_of(CONST, "born"))
         assert rep.verdict == VIOLATED
         by_label = {e.label: e for e in rep.estimates}
         row = by_label["+z|z|+z"]
         assert row.mean == 0.5 and row.std_error == 0.0   # Born probability is 1 here
 
     def test_label_reader_fails(self):
-        assert check_born_reproduction(READER, CATALOG, CFG).verdict == VIOLATED
+        assert check_born_reproduction(run_of(READER, "born")).verdict == VIOLATED
 
     def test_reports_are_reproducible(self):
-        a = check_born_reproduction(KS, CATALOG, CFG)
-        b = check_born_reproduction(KS, CATALOG, CFG)
+        a = check_born_reproduction(run_of(KS, "born"))
+        b = check_born_reproduction(run_of(KS, "born"))
         assert a == b
 
     def test_undersampled_runs_are_inconclusive(self):
-        rep = check_born_reproduction(KS, CATALOG, McConfig(n_samples=10_000, seed=3), tol=1e-6)
+        undersampled = McConfig(n_samples=10_000, seed=3)
+        rep = check_born_reproduction(run_of(KS, "born", cfg=undersampled, tol=1e-6))
         assert rep.verdict == INCONCLUSIVE
 
 
 class TestOutcomeDeterminism:
     def test_step_valued_models_pass(self):
         for model in (KS, BM, READER):
-            rep = check_outcome_determinism(model, CATALOG, CFG)
+            rep = check_outcome_determinism(run_of(model, "determinism"))
             assert rep.verdict == SATISFIED
             assert rep.estimates[0].mean == 0.0
 
     def test_constant_response_fails(self):
-        rep = check_outcome_determinism(CONST, CATALOG, CFG)
+        rep = check_outcome_determinism(run_of(CONST, "determinism"))
         assert rep.verdict == VIOLATED
         assert rep.estimates[0].mean == 1.0
 
@@ -99,10 +106,11 @@ class TestOutcomeDeterminism:
 class TestMeasurementNoncontextuality:
     def test_state_only_responses_pass(self):
         for model in (KS, BM, CONST):
-            assert check_measurement_noncontextuality(model, CATALOG, CFG).verdict == SATISFIED
+            rep = check_measurement_noncontextuality(run_of(model, "measurement-nc"))
+            assert rep.verdict == SATISFIED
 
     def test_label_reader_fails(self):
-        rep = check_measurement_noncontextuality(READER, CATALOG, CFG)
+        rep = check_measurement_noncontextuality(run_of(READER, "measurement-nc"))
         assert rep.verdict == VIOLATED
         assert rep.estimates[0].mean > 0.0
 
@@ -141,10 +149,10 @@ class TestOverlapIntegral:
 
 class TestMaxPsiEpistemic:
     def test_cap_model_is_maximally_epistemic(self):
-        assert check_max_psi_epistemic(KS, CATALOG, CFG).verdict == SATISFIED
+        assert check_max_psi_epistemic(run_of(KS, "max-epistemic")).verdict == SATISFIED
 
     def test_pair_model_deficit_equals_born(self):
-        rep = check_max_psi_epistemic(BM, CATALOG, CFG)
+        rep = check_max_psi_epistemic(run_of(BM, "max-epistemic"))
         assert rep.verdict == VIOLATED
         by_label = {e.label: e for e in rep.estimates}
         assert by_label["+z->+x"].mean == 0.0
@@ -153,21 +161,21 @@ class TestMaxPsiEpistemic:
     def test_orthogonal_only_catalog_vacuously_satisfied(self):
         cat = StateCatalog((PLUS_Z, MINUS_Z), (MeasurementBasis((PLUS_Z, MINUS_Z), "z"),))
         for model in (KS, BM, CONST):
-            assert check_max_psi_epistemic(model, cat, CFG).verdict == SATISFIED
+            assert check_max_psi_epistemic(run_of(model, "max-epistemic", cat)).verdict == SATISFIED
 
 
 class TestClassifyOntology:
     def test_cap_model_is_epistemic(self):
-        rep = classify_ontology(KS, CATALOG, CFG)
+        rep = classify_ontology(run_of(KS, "classify"))
         assert rep.verdict == PSI_EPISTEMIC
 
     def test_pair_model_is_ontic(self):
-        rep = classify_ontology(BM, CATALOG, CFG)
+        rep = classify_ontology(run_of(BM, "classify"))
         assert rep.verdict == PSI_ONTIC
 
     def test_fixtures_are_ontic(self):
         for model in (CONST, READER):
-            assert classify_ontology(model, CATALOG, CFG).verdict == PSI_ONTIC
+            assert classify_ontology(run_of(model, "classify")).verdict == PSI_ONTIC
 
 
 class TestEnsembleDistribution:
@@ -290,25 +298,25 @@ class TestOmegaWitness:
 class TestImplicationChainAudit:
     @pytest.mark.parametrize("name", ["ks", "bell-mermin", "const-half", "label-reader"])
     def test_chain_consistent_on_all_models(self, name):
-        rep = audit_implication_chain(make_model(name), CATALOG, CFG)
+        rep = audit_implication_chain(run_of(make_model(name), "audit"))
         assert rep.verdict == SATISFIED
         assert "chain=consistent" in rep.details
 
     def test_expected_subverdicts(self):
-        details = audit_implication_chain(KS, CATALOG, CFG).details
+        details = audit_implication_chain(run_of(KS, "audit")).details
         assert "prep-nc=violated" in details
         assert "max-epistemic=satisfied" in details
-        details = audit_implication_chain(BM, CATALOG, CFG).details
+        details = audit_implication_chain(run_of(BM, "audit")).details
         assert "prep-nc=violated" in details
         assert "max-epistemic=violated" in details
 
     def test_theorem_contrapositive_on_negative_controls(self):
         # a model failing determinism or noncontextuality must fail maximal epistemicity
         for model in (CONST, READER):
-            det = check_outcome_determinism(model, CATALOG, CFG)
-            mnc = check_measurement_noncontextuality(model, CATALOG, CFG)
+            det = check_outcome_determinism(run_of(model, "determinism"))
+            mnc = check_measurement_noncontextuality(run_of(model, "measurement-nc"))
             assert VIOLATED in (det.verdict, mnc.verdict)
-            assert check_max_psi_epistemic(model, CATALOG, CFG).verdict == VIOLATED
+            assert check_max_psi_epistemic(run_of(model, "max-epistemic")).verdict == VIOLATED
 
     def test_deficit_implies_preparation_contextuality(self):
         for model in (BM, CONST, READER):
@@ -322,7 +330,7 @@ class TestImplicationChainAudit:
             (PLUS_Z, MINUS_Z, PLUS_X), (MeasurementBasis((PLUS_Z, MINUS_Z), "z"),)
         )
         with pytest.raises(PreconditionError):
-            audit_implication_chain(KS, cat, CFG)
+            audit_implication_chain(run_of(KS, "audit", cat))
 
 
 class TestCanonicalPair:
@@ -350,3 +358,17 @@ class TestCanonicalPair:
     def test_no_pair(self):
         with pytest.raises(PreconditionError, match="no distinct nonorthogonal pair"):
             self.pair(PLUS_Z, MINUS_Z)
+
+
+class TestCheckRun:
+    @pytest.mark.parametrize(
+        "declared, check, name",
+        [
+            (("born",), check_max_psi_epistemic, "max-epistemic"),
+            (("classify",), check_born_reproduction, "born"),
+            (("determinism", "prep-nc"), classify_ontology, "classify"),
+        ],
+    )
+    def test_undeclared_table_part_is_a_precondition_error(self, declared, check, name):
+        with pytest.raises(PreconditionError, match=f"check '{name}' reads the state table"):
+            check(CheckRun(KS, CATALOG, CFG, declared))

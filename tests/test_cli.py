@@ -2,11 +2,11 @@ import csv
 import io
 import json
 import re
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 
-from onticlab.integrate import McConfig, QuadratureGrid
+from onticlab.integrate import McConfig
 from onticlab.models import (
     MODEL_NAMES,
     LabelReadingModel,
@@ -18,6 +18,7 @@ from onticlab.qubit import BlochVector, MeasurementBasis, PureState
 
 from onticlab.checks import (
     CheckReport,
+    CheckRun,
     LabeledEstimate,
     audit_implication_chain,
     check_born_reproduction,
@@ -26,13 +27,11 @@ from onticlab.checks import (
 )
 from onticlab.cli import (
     CHECK_RUNNERS,
-    CheckRun,
     RunConfig,
     emit_report,
     expected_patterns,
     load_catalog,
     main,
-    report_as_dict,
     run,
 )
 
@@ -121,7 +120,19 @@ class TestEmit:
     def test_json_round_trip(self):
         reports = [self.example_report()]
         parsed = json.loads(emit_report(reports, "json"))
-        assert parsed == [report_as_dict(reports[0])]
+        assert parsed == [
+            {
+                "check_name": "born",
+                "model_name": "ks",
+                "verdict": "satisfied",
+                "estimates": [{"label": "+z|z|+z", "mean": 1.0, "std_error": 0.0}],
+                "tolerance": 0.01,
+                "n_samples": 1000,
+                "seed": 42,
+                "details": "all good",
+                "duration_ms": 12.5,
+            }
+        ]
 
     def test_text_contains_verdict(self):
         text = emit_report([self.example_report()], "text")
@@ -302,10 +313,8 @@ class TestBatchSizeInvariance:
     def reports(model_name, batch_size):
         cfg = McConfig(n_samples=20_000, seed=42, batch_size=batch_size)
         checks = TestBatchSizeInvariance.CHECKS
-        check_run = CheckRun(
-            make_model(model_name), default_catalog(), cfg, 1e-2, QuadratureGrid(), checks
-        )
-        return [report_as_dict(CHECK_RUNNERS[name](check_run)) for name in checks]
+        check_run = CheckRun(make_model(model_name), default_catalog(), cfg, checks)
+        return [asdict(CHECK_RUNNERS[name](check_run)) for name in checks]
 
     @pytest.mark.parametrize("model_name", MODEL_NAMES)
     def test_reports_equal_across_batch_sizes(self, model_name):
@@ -351,7 +360,7 @@ class TestSharedStateTable:
 
         def drawn(checks):
             before = model.drawn
-            check_run = CheckRun(model, catalog, cfg, 1e-2, QuadratureGrid(), checks)
+            check_run = CheckRun(model, catalog, cfg, checks)
             for name in checks:
                 CHECK_RUNNERS[name](check_run)
             return model.drawn - before
@@ -361,10 +370,14 @@ class TestSharedStateTable:
         assert drawn(self.SHARING) == audit_alone
         # a later run on the very same objects draws every stream again
         assert drawn(self.SHARING) == audit_alone
-        for check in (check_born_reproduction, check_max_psi_epistemic, classify_ontology):
+        for check, name in (
+            (check_born_reproduction, "born"),
+            (check_max_psi_epistemic, "max-epistemic"),
+            (classify_ontology, "classify"),
+        ):
             for _ in range(2):
                 before = model.drawn
-                check(model, catalog, cfg)
+                check(CheckRun(model, catalog, cfg, (name,)))
                 assert model.drawn - before == len(catalog.states) * cfg.n_samples
 
     @staticmethod
@@ -386,13 +399,13 @@ class TestSharedStateTable:
         outputs = []
         for names, mark in ((plain, ""), (renamed, "*"), (plain, "")):
             model, catalog = make_model("label-reader"), self.axis_catalog(names, mark)
-            check_run = CheckRun(model, catalog, cfg, 1e-2, QuadratureGrid(), self.SHARING)
+            check_run = CheckRun(model, catalog, cfg, self.SHARING)
             shared = [CHECK_RUNNERS[name](check_run) for name in self.SHARING]
             api = [
-                check_born_reproduction(model, catalog, cfg),
-                check_max_psi_epistemic(model, catalog, cfg),
-                classify_ontology(model, catalog, cfg),
-                audit_implication_chain(model, catalog, cfg),
+                check_born_reproduction(CheckRun(model, catalog, cfg, ("born",))),
+                check_max_psi_epistemic(CheckRun(model, catalog, cfg, ("max-epistemic",))),
+                classify_ontology(CheckRun(model, catalog, cfg, ("classify",))),
+                audit_implication_chain(CheckRun(model, catalog, cfg, ("audit",))),
             ]
             assert zeroed_json(shared) == zeroed_json(api)
             own = set(names) | {name + mark for name in names}

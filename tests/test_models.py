@@ -288,7 +288,8 @@ class TestCatalogs:
 
     def test_states_within_state_tol_merge(self):
         near = PureState(BlochVector(1e-13, 0.0, 1.0))
-        cat = catalog_from_states([PLUS_Z, near])
+        near_complement = PureState(BlochVector(0.0, -5e-13, -1.0))   # near MINUS_Z
+        cat = catalog_from_states([PLUS_Z, near, near_complement])
         assert cat.states == (PLUS_Z, MINUS_Z) and len(cat.bases) == 1
         apart = PureState(BlochVector(2e-12, 0.0, 1.0))
         cat = catalog_from_states([PLUS_Z, apart])
