@@ -14,8 +14,7 @@ import numpy as np
 
 from .checks import CheckReport, CheckRun, check_born_reproduction, check_preparation_noncontextuality
 from .errors import PreconditionError
-from .integrate import McConfig, QuadratureGrid
-from .models import OntologicalModel, catalog_from_states
+from .models import catalog_from_states
 from .qubit import (
     DensityOperator,
     Ensemble,
@@ -125,25 +124,20 @@ def steering_basis(psi: PureState, phi: PureState) -> MeasurementBasis:
     return basis
 
 
-def nonlocality_witness(
-    model: OntologicalModel,
-    psi: PureState,
-    phi: PureState,
-    cfg: McConfig,
-    tol: float = 1e-2,
-    grid: QuadratureGrid | None = None,
-) -> CheckReport:
+def nonlocality_witness(run: CheckRun, psi: PureState, phi: PureState) -> CheckReport:
     """Check whether Bob's ontic distribution depends on Alice's basis choice.
 
-    Builds the two steered ensembles for Alice bases aimed at {psi, psi_perp}
-    and {phi, phi_perp} and delegates to the preparation-noncontextuality
-    checker; verdict "violated" means the witness fires.
+    The Born precondition runs on the run's model, budget and tolerance over
+    the catalog of psi and phi.  Then the two steered ensembles for Alice
+    bases aimed at {psi, psi_perp} and {phi, phi_perp} go to the
+    preparation-noncontextuality checker; verdict "violated" means the
+    witness fires.
     """
-    steering_states = catalog_from_states((psi, phi))
-    born = check_born_reproduction(CheckRun(model, steering_states, cfg, ("born",), tol))
+    steering_run = replace(run, catalog=catalog_from_states((psi, phi)), check_names=("born",))
+    born = check_born_reproduction(steering_run)
     if born.verdict != "satisfied":
         raise PreconditionError(
-            f"model {model.name} does not reproduce the Born rule on the steering states"
+            f"model {run.model.name} does not reproduce the Born rule on the steering states"
             f" (verdict {born.verdict})"
         )
     entangled = make_max_entangled(psi)
@@ -151,7 +145,7 @@ def nonlocality_witness(
     basis2 = steering_basis(psi, phi)
     e1 = steer(entangled, basis1).as_ensemble()
     e2 = steer(entangled, basis2).as_ensemble()
-    report = check_preparation_noncontextuality(model, e1, e2, cfg, tol, grid)
+    report = check_preparation_noncontextuality(run, e1, e2)
     return replace(
         report,
         check_name="nonlocality",

@@ -9,12 +9,14 @@ call it either way); anything beyond both is "violated".
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import FieldError, PreconditionError
 from .integrate import (
+    MIN_SAMPLES,
     McConfig,
     McEstimate,
     QuadratureGrid,
@@ -140,10 +142,12 @@ OVERLAP_CHECKS = frozenset({"max-epistemic", "classify", "audit"})
 class CheckRun:
     """The inputs of one run of checks and the state table they share.
 
-    Every check of a run is a function of this object.  The table is one pass
-    over every mu_psi, built by the first check that reads it, with the parts
-    any of check_names reads.  It lives as long as this object, so nothing
-    computed for one catalog can reach another.
+    Every check of a run is a function of this object, and construction
+    validates what the config objects do not: tol must be a finite number in
+    (0, 1) and check_names a non-empty tuple of strings.  The table is one
+    pass over every mu_psi, built by the first check that reads it, with the
+    parts any of check_names reads.  It lives as long as this object, so
+    nothing computed for one catalog can reach another.
     """
 
     model: OntologicalModel
@@ -153,6 +157,15 @@ class CheckRun:
     tol: float = 1e-2
     grid: QuadratureGrid = QuadratureGrid()
     _table: StateTable | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        tol = self.tol
+        # NaN and the infinities fail the range test
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0.0 < tol < 1.0:
+            raise FieldError("tol", "a finite number in (0, 1)", tol)
+        names = self.check_names
+        if not isinstance(names, tuple) or not names or not all(isinstance(n, str) for n in names):
+            raise FieldError("check_names", "a non-empty tuple of strings", names)
 
     def rows(self, part: str, check_name: str) -> tuple:
         """The "responses" or "overlaps" rows of the run's state table, for check_name.
@@ -190,12 +203,20 @@ class CheckRun:
         )
 
 
+def _require_bases(run: CheckRun) -> tuple[MeasurementBasis, ...]:
+    """The catalog's bases; a catalog without one leaves no response value to check."""
+    if not run.catalog.bases:
+        raise PreconditionError("the catalog has no measurement basis, so no response value to check")
+    return run.catalog.bases
+
+
 def check_born_reproduction(run: CheckRun) -> CheckReport:
     """Compare E[response] under every preparation against the Born probability.
 
     Samples for one preparation are shared across all of its (basis, outcome)
     triples; each estimate stays unbiased and the whole table is deterministic.
     """
+    _require_bases(run)
     rows: list[LabeledEstimate] = []
     verdicts: list[str] = []
     worst_label, worst_disc = "", -1.0
@@ -217,21 +238,21 @@ def _scan_responses(run: CheckRun, probe):
     """Count offending response values over every sample source, in index order.
 
     The sources are every mu_psi of the catalog and the reference measure;
-    the sample budget is split evenly over them (at least 100 each).
+    the sample budget is split evenly over them (at least MIN_SAMPLES each).
     probe(basis, batch) yields (offending mask, describe) pairs, where
     describe(source_label) words an offense; it is called before the probe
     resumes, and only the first offense seen is kept.
     Returns (values checked, offenses, first offense text, states sampled).
     """
-    model = run.model
+    model, bases = run.model, _require_bases(run)
     sources = [(f"mu({s.describe()})", _prepare_sampler(model, s)) for s in run.catalog.states]
     sources.append(("reference", model.reference_batch))
-    per_source = replace(run.cfg, n_samples=max(100, run.cfg.n_samples // len(sources)))
+    per_source = replace(run.cfg, n_samples=max(MIN_SAMPLES, run.cfg.n_samples // len(sources)))
     checked = bad = 0
     first_offense = ""
     for source_label, sampler in sources:
         for _, batch in sample_batches(sampler, per_source):
-            for basis in run.catalog.bases:
+            for basis in bases:
                 for off, describe in probe(basis, batch):
                     checked += len(off)
                     if off.any():
@@ -382,9 +403,6 @@ class EnsembleDistribution:
                 out[mask] = getattr(parts[k], name)[mask]
         return type(parts[0])(*rows)
 
-    def sample(self, seed: int, index: int) -> OnticState:
-        return self.sample_batch(seed, index, 1).item(0)
-
     def density_batch(self, batch: Batch) -> np.ndarray | None:
         total = None
         for w, s in self.ensemble.entries:
@@ -407,19 +425,13 @@ def ensemble_distribution(model: OntologicalModel, ensemble: Ensemble) -> Ensemb
     return EnsembleDistribution(model, ensemble)
 
 
-def check_preparation_noncontextuality(
-    model: OntologicalModel,
-    e1: Ensemble,
-    e2: Ensemble,
-    cfg: McConfig,
-    tol: float = 1e-2,
-    grid: QuadratureGrid | None = None,
-) -> CheckReport:
+def check_preparation_noncontextuality(run: CheckRun, e1: Ensemble, e2: Ensemble) -> CheckReport:
     """Compare the ontic distributions of two preparations of the same density operator.
 
     With densities available the comparison is the total-variation distance on
-    the quadrature grid; otherwise a support-membership witness is evaluated
-    under both ensembles.  Verdict "violated" means preparation contextual.
+    the run's quadrature grid; otherwise a support-membership witness is
+    evaluated under both ensembles.  Verdict "violated" means preparation
+    contextual.
     """
     if not density_operators_equal(
         ensemble_density_operator(e1), ensemble_density_operator(e2), DENSITY_OP_TOL
@@ -427,43 +439,32 @@ def check_preparation_noncontextuality(
         raise PreconditionError(
             "ensembles prepare different density operators; the comparison is meaningless"
         )
-    d1 = EnsembleDistribution(model, e1)
-    d2 = EnsembleDistribution(model, e2)
+    d1 = EnsembleDistribution(run.model, e1)
+    d2 = EnsembleDistribution(run.model, e2)
     pair = f"{e1.describe()} vs {e2.describe()}"
-    if model.has_density:
-        grid = grid or QuadratureGrid()
+    if run.model.has_density:
         dist = tv_distance(
             lambda pts: d1.density_batch(SingleBatch(pts)),
             lambda pts: d2.density_batch(SingleBatch(pts)),
-            grid,
+            run.grid,
         )
-        return CheckReport(
-            check_name="prep-nc",
-            model_name=model.name,
-            verdict=VIOLATED if dist > tol else SATISFIED,
-            estimates=(LabeledEstimate("tv_distance", dist, 0.0),),
-            tolerance=tol,
-            n_samples=cfg.n_samples,
-            seed=cfg.seed,
-            details=f"density route: total variation {dist:.6f} for {pair}",
+        return run.report(
+            "prep-nc", VIOLATED if dist > run.tol else SATISFIED,
+            (LabeledEstimate("tv_distance", dist, 0.0),),
+            f"density route: total variation {dist:.6f} for {pair}",
         )
     witness = lambda b: d1.support_batch(b).astype(float)
-    m1 = mc_expectation(witness, d1.sample_batch, cfg)
-    m2 = mc_expectation(witness, d2.sample_batch, cfg)
+    m1 = mc_expectation(witness, d1.sample_batch, run.cfg)
+    m2 = mc_expectation(witness, d2.sample_batch, run.cfg)
     disc = abs(m1.mean - m2.mean)
     se = math.hypot(m1.std_error, m2.std_error)
-    return CheckReport(
-        check_name="prep-nc",
-        model_name=model.name,
-        verdict=triage_verdict(disc, tol, se),
-        estimates=(
+    return run.report(
+        "prep-nc", triage_verdict(disc, run.tol, se),
+        (
             LabeledEstimate("witness_under_e1", m1.mean, m1.std_error),
             LabeledEstimate("witness_under_e2", m2.mean, m2.std_error),
         ),
-        tolerance=tol,
-        n_samples=cfg.n_samples,
-        seed=cfg.seed,
-        details=f"support-witness route: expectations differ by {disc:.6f} for {pair}",
+        f"support-witness route: expectations differ by {disc:.6f} for {pair}",
     )
 
 
@@ -588,9 +589,7 @@ def audit_implication_chain(run: CheckRun) -> CheckReport:
     maxe = check_max_psi_epistemic(run)
     cls = classify_ontology(run)
     psi, phi = _chain_pair(run)
-    prep = check_preparation_noncontextuality(
-        run.model, half_half_mixture(psi), half_half_mixture(phi), run.cfg, run.tol, run.grid
-    )
+    prep = check_preparation_noncontextuality(run, half_half_mixture(psi), half_half_mixture(phi))
 
     if det.verdict == VIOLATED or mnc.verdict == VIOLATED:
         ks_nc = VIOLATED

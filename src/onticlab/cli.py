@@ -30,13 +30,20 @@ from .checks import (
     check_preparation_noncontextuality,
     classify_ontology,
 )
-from .errors import PreconditionError
-from .integrate import MAX_N_AZIMUTH, MAX_N_POLAR, McConfig, QuadratureGrid
+from .errors import FieldError, PreconditionError
+from .integrate import MIN_SAMPLES, McConfig, QuadratureGrid
 from .models import MODEL_NAMES, StateCatalog, catalog_from_states, default_catalog, make_model
 from .qubit import half_half_mixture, state_from_catalog_entry
 
-MIN_SAMPLES = 100
 OUTPUT_FORMATS = ("json", "csv", "text")
+# The flag that sets each validated field of McConfig, QuadratureGrid and CheckRun.
+FIELD_FLAGS = {
+    "n_samples": "--samples",
+    "seed": "--seed",
+    "tol": "--tol",
+    "n_polar": "--quad-polar",
+    "n_azimuth": "--quad-azimuth",
+}
 
 
 @dataclass(frozen=True)
@@ -45,25 +52,22 @@ class RunConfig:
 
     model_name: str
     check_names: tuple[str, ...] = ("audit",)
-    samples: int = 1_000_000
-    seed: int = 42
-    tolerance: float = 1e-2
-    quad_polar: int = 128
-    quad_azimuth: int = 256
+    samples: int = McConfig.n_samples
+    seed: int = McConfig.seed
+    tolerance: float = CheckRun.tol
+    quad_polar: int = QuadratureGrid.n_polar
+    quad_azimuth: int = QuadratureGrid.n_azimuth
     catalog_path: str | None = None
     output_format: str = "text"
 
 
 def _run_prep_nc(run: CheckRun) -> CheckReport:
     psi, phi = canonical_pair(run.catalog)
-    return check_preparation_noncontextuality(
-        run.model, half_half_mixture(psi), half_half_mixture(phi), run.cfg, run.tol, run.grid
-    )
+    return check_preparation_noncontextuality(run, half_half_mixture(psi), half_half_mixture(phi))
 
 
 def _run_nonlocality(run: CheckRun) -> CheckReport:
-    psi, phi = canonical_pair(run.catalog)
-    return nonlocality_witness(run.model, psi, phi, run.cfg, run.tol, run.grid)
+    return nonlocality_witness(run, *canonical_pair(run.catalog))
 
 
 CHECK_RUNNERS = {
@@ -139,24 +143,17 @@ def run(config: RunConfig) -> tuple[int, list[CheckReport]]:
             raise ValueError(
                 f"unknown output format {config.output_format!r}; valid: {', '.join(OUTPUT_FORMATS)}"
             )
-        if not 0 <= config.seed < 2**64:
-            raise ValueError(f"--seed must be an integer in [0, 2**64), got {config.seed!r}")
-        if not 0.0 < config.tolerance < 1.0:
-            raise ValueError(f"--tol must be a finite number in (0, 1), got {config.tolerance!r}")
-        for flag, value, cap in (
-            ("--quad-polar", config.quad_polar, MAX_N_POLAR),
-            ("--quad-azimuth", config.quad_azimuth, MAX_N_AZIMUTH),
-        ):
-            if not 1 <= value <= cap:
-                raise ValueError(f"{flag} must be an integer in [1, {cap}], got {value!r}")
-        catalog = load_catalog(config.catalog_path) if config.catalog_path else default_catalog()
         samples = config.samples
         if samples < MIN_SAMPLES:
             print(f"note: samples raised to the minimum of {MIN_SAMPLES}", file=sys.stderr)
             samples = MIN_SAMPLES
         cfg = McConfig(n_samples=samples, seed=config.seed)
         grid = QuadratureGrid(config.quad_polar, config.quad_azimuth)
+        catalog = load_catalog(config.catalog_path) if config.catalog_path else default_catalog()
         check_run = CheckRun(model, catalog, cfg, config.check_names, config.tolerance, grid)
+    except FieldError as exc:
+        print(f"error: {exc.worded(FIELD_FLAGS.get(exc.field, exc.field))}", file=sys.stderr)
+        return 2, reports
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2, reports

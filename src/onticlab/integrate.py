@@ -9,17 +9,18 @@ in u = cos(theta), split at the equator, with a midpoint rule in azimuth.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import PreconditionError
-from .qubit import BlochVector
+from .errors import PreconditionError, require_int
 
 WEIGHT_SUM_TOL = 1e-10
 DENSITY_NORM_TOL = 1e-3
+MIN_SAMPLES = 100        # the smallest Monte Carlo budget, per run and per sample source
 MAX_N_POLAR = 512        # 16x the default grid's nodes at both caps
 MAX_N_AZIMUTH = 1024
 
@@ -60,32 +61,18 @@ def sphere_points_from_uniforms(u0: np.ndarray, u1: np.ndarray) -> np.ndarray:
     return out
 
 
-def uniform_sphere_batch(seed: int, start: int, count: int) -> np.ndarray:
-    """(count, 3) array of i.i.d. uniform sphere points for indices start..start+count-1."""
-    u = uniform_blocks(int(seed), start, count)
-    return sphere_points_from_uniforms(u[:, 0], u[:, 1])
-
-
-def uniform_sphere_sampler(seed: int, index: int) -> BlochVector:
-    """The uniform-on-S2 point assigned to (seed, index)."""
-    return BlochVector.from_array(uniform_sphere_batch(seed, index, 1)[0])
-
-
 @dataclass(frozen=True)
 class McConfig:
-    """Sampling budget for Monte Carlo estimates."""
+    """Sampling budget for Monte Carlo estimates; every field is an integer."""
 
     n_samples: int = 1_000_000
     seed: int = 42
     batch_size: int = 100_000
 
     def __post_init__(self):
-        if self.n_samples < 100:
-            raise ValueError("n_samples must be at least 100")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be positive")
-        if self.seed < 0 or self.seed >= 2**64:
-            raise ValueError("seed must fit in 64 unsigned bits")
+        require_int("n_samples", self.n_samples, MIN_SAMPLES, math.inf, f">= {MIN_SAMPLES}")
+        require_int("seed", self.seed, 0, 2**64 - 1, "in [0, 2**64)")
+        require_int("batch_size", self.batch_size, 1, math.inf, ">= 1")
 
 
 @dataclass(frozen=True)
@@ -180,17 +167,16 @@ class QuadratureGrid:
     n_polar is the Gauss-Legendre order per hemisphere panel in u = cos(theta)
     (2 * n_polar polar nodes in total); n_azimuth is the uniform midpoint
     azimuth count.  Weights are positive and sum to the sphere area 4*pi.
-    n_polar is capped at MAX_N_POLAR and n_azimuth at MAX_N_AZIMUTH.
+    Both are integers; n_polar is capped at MAX_N_POLAR and n_azimuth at
+    MAX_N_AZIMUTH.
     """
 
     n_polar: int = 128
     n_azimuth: int = 256
 
     def __post_init__(self):
-        for name, cap in (("n_polar", MAX_N_POLAR), ("n_azimuth", MAX_N_AZIMUTH)):
-            value = getattr(self, name)
-            if not 1 <= value <= cap:
-                raise ValueError(f"grid order {name} must be in [1, {cap}], got {value!r}")
+        require_int("n_polar", self.n_polar, 1, MAX_N_POLAR, f"in [1, {MAX_N_POLAR}]")
+        require_int("n_azimuth", self.n_azimuth, 1, MAX_N_AZIMUTH, f"in [1, {MAX_N_AZIMUTH}]")
 
     @property
     def points(self) -> np.ndarray:

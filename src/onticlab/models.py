@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import FieldError
 from .integrate import sphere_points_from_uniforms, substream_key, uniform_blocks
 from .qubit import (
     MINUS_X,
@@ -31,11 +32,6 @@ from .qubit import (
 )
 
 RELABEL_MARK = "*"       # marker used on checker-synthesized basis descriptors
-
-
-def step(x):
-    """Heaviside step with the convention step(0) = 0; accepts scalars or arrays."""
-    return np.heaviside(x, 0.0)
 
 
 @dataclass(frozen=True)
@@ -89,8 +85,7 @@ Batch = SingleBatch | PairBatch
 class OntologicalModel(ABC):
     """Sampler, support predicate and response function of one model.
 
-    All capabilities are pure functions of their arguments plus (seed, index),
-    and scalar variants agree bit-for-bit with the corresponding batch row.
+    All capabilities are pure functions of their arguments plus (seed, index).
     """
 
     name: str = "abstract"
@@ -115,25 +110,6 @@ class OntologicalModel(ABC):
     def density_batch(self, psi: PureState, batch: Batch) -> np.ndarray | None:
         """Density of mu_psi w.r.t. the reference measure, or None when singular."""
         return None
-
-    def sample_prepared(self, psi: PureState, seed: int, index: int) -> OnticState:
-        return self.prepare_batch(psi, seed, index, 1).item(0)
-
-    def in_support(self, psi: PureState, lam: OnticState) -> bool:
-        return bool(self.in_support_batch(psi, self._as_batch(lam))[0])
-
-    def response(self, basis: MeasurementBasis, outcome_index: int, lam: OnticState) -> float:
-        return float(self.response_batch(basis, outcome_index, self._as_batch(lam))[0])
-
-    def density(self, psi: PureState, lam: OnticState) -> float | None:
-        vals = self.density_batch(psi, self._as_batch(lam))
-        return None if vals is None else float(vals[0])
-
-    @staticmethod
-    def _as_batch(lam: OnticState) -> Batch:
-        if isinstance(lam, SinglePoint):
-            return SingleBatch(lam.point.as_array()[None, :])
-        return PairBatch(lam.first.as_array()[None, :], lam.second.as_array()[None, :])
 
 
 def _require_single(batch: Batch) -> np.ndarray:
@@ -283,12 +259,17 @@ def _index(states, psi: PureState) -> int:
 
 @dataclass(frozen=True)
 class StateCatalog:
-    """The states that can be prepared and the bases that can be measured."""
+    """The states that can be prepared and the bases that can be measured.
+
+    states must be non-empty; bases may be empty.
+    """
 
     states: tuple[PureState, ...]
     bases: tuple[MeasurementBasis, ...]
 
     def __post_init__(self):
+        if not self.states:
+            raise FieldError("states", "non-empty", self.states)
         for basis in self.bases:
             for outcome in basis.outcomes:
                 if _index(self.states, outcome) < 0:

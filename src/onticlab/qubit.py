@@ -112,9 +112,6 @@ class Ensemble:
     def weights(self) -> np.ndarray:
         return np.array([w for w, _ in self.entries])
 
-    def states(self) -> tuple[PureState, ...]:
-        return tuple(s for _, s in self.entries)
-
     def describe(self) -> str:
         return "+".join(f"{w:g}*{s.describe()}" for w, s in self.entries)
 

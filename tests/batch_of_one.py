@@ -1,0 +1,68 @@
+"""Scalar views of the package's batch API, for tests: every call is a batch of one row.
+
+The package evaluates models, samplers and mixtures on batches only.  These
+helpers let a test state a pointwise fact about one ontic state, and each one
+goes through the same batch method the checks call.
+"""
+
+import numpy as np
+
+from onticlab.integrate import sphere_points_from_uniforms, uniform_blocks
+from onticlab.models import KochenSpeckerModel, PairBatch, SingleBatch, SinglePoint
+from onticlab.qubit import MINUS_Z, PLUS_Z, BlochVector, MeasurementBasis
+
+_KS = KochenSpeckerModel()
+_Z_BASIS = MeasurementBasis((PLUS_Z, MINUS_Z), "z")
+
+
+def as_batch(lam):
+    """The batch whose one row is the ontic state lam."""
+    if isinstance(lam, SinglePoint):
+        return SingleBatch(lam.point.as_array()[None, :])
+    return PairBatch(lam.first.as_array()[None, :], lam.second.as_array()[None, :])
+
+
+def sample_one(sampler, seed, index):
+    """The ontic state a (seed, start, count) batch sampler draws for sample index."""
+    return sampler(seed, index, 1).item(0)
+
+
+def sample_prepared(model, psi, seed, index):
+    return model.prepare_batch(psi, seed, index, 1).item(0)
+
+
+def in_support(model, psi, lam) -> bool:
+    return bool(model.in_support_batch(psi, as_batch(lam))[0])
+
+
+def response(model, basis, outcome_index, lam) -> float:
+    return float(model.response_batch(basis, outcome_index, as_batch(lam))[0])
+
+
+def density(model, psi, lam):
+    vals = model.density_batch(psi, as_batch(lam))
+    return None if vals is None else float(vals[0])
+
+
+def uniform_sphere_batch(seed, start, count):
+    """(count, 3) uniform sphere points for indices start..start+count-1, keyed by the bare seed."""
+    u = uniform_blocks(int(seed), start, count)
+    return sphere_points_from_uniforms(u[:, 0], u[:, 1])
+
+
+def uniform_sphere_sampler(seed, index) -> BlochVector:
+    """The uniform sphere point assigned to (seed, index)."""
+    return BlochVector.from_array(uniform_sphere_batch(seed, index, 1)[0])
+
+
+def step(x):
+    """The step function of the ks responses, at the dot products x (scalar or array).
+
+    Row k is the ks response to +z at the point (0, 0, x[k]); the rows need
+    not be unit vectors, since the response only tests the sign of the dot
+    product.  Its convention is step(0) = step(-0.0) = 0.
+    """
+    z = np.atleast_1d(np.asarray(x, dtype=float))
+    points = np.column_stack([np.zeros_like(z), np.zeros_like(z), z])
+    vals = _KS.response_batch(_Z_BASIS, 0, SingleBatch(points))
+    return vals if np.ndim(x) else float(vals[0])

@@ -167,7 +167,8 @@ def test_criterion_5_preparation_contextuality_of_cap_model():
     assert np.abs(rho_z.matrix - half_eye).max() <= 1e-12
     assert np.abs(rho_x.matrix - half_eye).max() <= 1e-12
 
-    report = check_preparation_noncontextuality(KS, e_z, e_x, FULL, TOL, GRID)
+    prep_run = CheckRun(KS, default_catalog(), FULL, ("prep-nc",), TOL, GRID)
+    report = check_preparation_noncontextuality(prep_run, e_z, e_x)
     assert report.verdict == VIOLATED
     tv = report.estimates[0].mean
     assert tv > 0.1
@@ -222,9 +223,10 @@ def test_criterion_7_steering_construction():
         rho = ensemble_density_operator(ens.as_ensemble())
         assert np.abs(rho.matrix - np.eye(2) / 2).max() <= 1e-12
     for name in ("ks", "bell-mermin"):
-        fired = nonlocality_witness(make_model(name), PLUS_Z, PLUS_X, FULL, TOL, GRID)
+        witness_run = CheckRun(make_model(name), default_catalog(), FULL, ("nonlocality",), TOL, GRID)
+        fired = nonlocality_witness(witness_run, PLUS_Z, PLUS_X)
         assert fired.verdict == VIOLATED
-        quiet = nonlocality_witness(make_model(name), PLUS_Z, PLUS_Z, FULL, TOL, GRID)
+        quiet = nonlocality_witness(witness_run, PLUS_Z, PLUS_Z)
         assert quiet.verdict == SATISFIED
 
 

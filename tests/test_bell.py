@@ -33,6 +33,11 @@ X_BASIS = MeasurementBasis((PLUS_X, MINUS_X), "x")
 HALF_EYE = np.eye(2) / 2
 
 
+def witness_run(name):
+    """A run of the nonlocality check on the named model."""
+    return CheckRun(make_model(name), default_catalog(), CFG, ("nonlocality",))
+
+
 def random_pairs(n, seed):
     states = random_states(seed, 2 * n)
     return list(zip(states[:n], states[n:]))
@@ -136,19 +141,19 @@ class TestSteeringBasis:
 
 class TestNonlocalityWitness:
     def test_fires_on_cap_model(self):
-        rep = nonlocality_witness(make_model("ks"), PLUS_Z, PLUS_X, CFG)
+        rep = nonlocality_witness(witness_run("ks"), PLUS_Z, PLUS_X)
         assert rep.verdict == VIOLATED
         assert rep.check_name == "nonlocality"
         assert rep.estimates[0].mean > 0.1
 
     def test_fires_on_pair_model(self):
-        rep = nonlocality_witness(make_model("bell-mermin"), PLUS_Z, PLUS_X, CFG)
+        rep = nonlocality_witness(witness_run("bell-mermin"), PLUS_Z, PLUS_X)
         assert rep.verdict == VIOLATED
         assert "support-witness" in rep.details
 
     def test_does_not_fire_for_identical_targets(self):
         for name in ("ks", "bell-mermin"):
-            rep = nonlocality_witness(make_model(name), PLUS_Z, PLUS_Z, CFG)
+            rep = nonlocality_witness(witness_run(name), PLUS_Z, PLUS_Z)
             assert rep.verdict == SATISFIED
 
     def test_fires_exactly_when_overlap_deficit_exists(self):
@@ -160,9 +165,9 @@ class TestNonlocalityWitness:
         assert ks_rep.verdict == SATISFIED and bm_rep.verdict == VIOLATED
         # no deficit: the witness relies on distribution equality and stays quiet
         # for the deficit-free pair (psi, psi); with a deficit it must fire
-        fired = nonlocality_witness(make_model("bell-mermin"), PLUS_Z, PLUS_X, CFG)
+        fired = nonlocality_witness(witness_run("bell-mermin"), PLUS_Z, PLUS_X)
         assert fired.verdict == VIOLATED
 
     def test_born_precondition(self):
         with pytest.raises(PreconditionError):
-            nonlocality_witness(make_model("const-half"), PLUS_Z, PLUS_X, CFG)
+            nonlocality_witness(witness_run("const-half"), PLUS_Z, PLUS_X)

@@ -23,7 +23,7 @@ from onticlab.checks import (
     find_omega_witness,
     overlap_integral,
 )
-from onticlab.errors import PreconditionError
+from onticlab.errors import FieldError, PreconditionError
 from onticlab.integrate import McConfig, McEstimate, QuadratureGrid, sphere_quadrature
 from onticlab.models import (
     KochenSpeckerModel,
@@ -45,6 +45,8 @@ from onticlab.qubit import (
     born_probability,
     half_half_mixture,
 )
+
+from batch_of_one import sample_one
 
 CFG = McConfig(n_samples=50_000, seed=19)
 GRID = QuadratureGrid()
@@ -214,7 +216,7 @@ class TestEnsembleDistribution:
         dist = ensemble_distribution(BM, half_half_mixture(PLUS_Z))
         batch = dist.sample_batch(4, 0, 6)
         for i in range(6):
-            lam = dist.sample(4, i)
+            lam = sample_one(dist.sample_batch, 4, i)
             np.testing.assert_array_equal(lam.first.as_array(), batch.first[i])
             np.testing.assert_array_equal(lam.second.as_array(), batch.second[i])
 
@@ -226,7 +228,7 @@ class TestEnsembleDistribution:
 class TestPreparationNoncontextuality:
     def test_cap_model_is_contextual(self):
         rep = check_preparation_noncontextuality(
-            KS, half_half_mixture(PLUS_Z), half_half_mixture(PLUS_X), CFG
+            run_of(KS, "prep-nc"), half_half_mixture(PLUS_Z), half_half_mixture(PLUS_X)
         )
         assert rep.verdict == VIOLATED
         tv = rep.estimates[0].mean
@@ -236,7 +238,7 @@ class TestPreparationNoncontextuality:
     def test_same_ensemble_is_noncontextual(self):
         for model in (KS, BM):
             rep = check_preparation_noncontextuality(
-                model, half_half_mixture(PLUS_Z), half_half_mixture(PLUS_Z), CFG
+                run_of(model, "prep-nc"), half_half_mixture(PLUS_Z), half_half_mixture(PLUS_Z)
             )
             assert rep.verdict == SATISFIED
             if model is KS:
@@ -244,7 +246,7 @@ class TestPreparationNoncontextuality:
 
     def test_pair_model_support_witness(self):
         rep = check_preparation_noncontextuality(
-            BM, half_half_mixture(PLUS_Z), half_half_mixture(PLUS_X), CFG
+            run_of(BM, "prep-nc"), half_half_mixture(PLUS_Z), half_half_mixture(PLUS_X)
         )
         assert rep.verdict == VIOLATED
         assert rep.estimates[0].mean == 1.0   # witness under its own ensemble
@@ -254,7 +256,7 @@ class TestPreparationNoncontextuality:
     def test_density_operator_precondition(self):
         with pytest.raises(PreconditionError):
             check_preparation_noncontextuality(
-                KS, half_half_mixture(PLUS_Z), Ensemble(((1.0, PLUS_Z),)), CFG
+                run_of(KS, "prep-nc"), half_half_mixture(PLUS_Z), Ensemble(((1.0, PLUS_Z),))
             )
 
 
@@ -321,7 +323,7 @@ class TestImplicationChainAudit:
     def test_deficit_implies_preparation_contextuality(self):
         for model in (BM, CONST, READER):
             rep = check_preparation_noncontextuality(
-                model, half_half_mixture(PLUS_Z), half_half_mixture(PLUS_X), CFG
+                run_of(model, "prep-nc"), half_half_mixture(PLUS_Z), half_half_mixture(PLUS_X)
             )
             assert rep.verdict == VIOLATED
 
@@ -372,3 +374,37 @@ class TestCheckRun:
     def test_undeclared_table_part_is_a_precondition_error(self, declared, check, name):
         with pytest.raises(PreconditionError, match=f"check '{name}' reads the state table"):
             check(CheckRun(KS, CATALOG, CFG, declared))
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, 0.0, 1.0])
+    def test_tolerance_outside_unit_interval_names_tol(self, tol):
+        with pytest.raises(FieldError, match=r"^tol must be a finite number in \(0, 1\)") as info:
+            CheckRun(KS, CATALOG, CFG, ("born",), tol)
+        assert info.value.field == "tol"
+
+    def test_no_check_runs_on_a_nan_tolerance(self):
+        # a NaN tolerance made every `dist > tol` false: ks prep-nc read "satisfied" at TV 0.414
+        with pytest.raises(FieldError, match="^tol"):
+            check_preparation_noncontextuality(
+                run_of(KS, "prep-nc", tol=math.nan), half_half_mixture(PLUS_Z), half_half_mixture(PLUS_X)
+            )
+
+    @pytest.mark.parametrize("names", [(), ["born"], "born", ("born", 1)])
+    def test_check_names_must_be_a_non_empty_tuple_of_strings(self, names):
+        with pytest.raises(FieldError, match="^check_names must be a non-empty tuple of strings"):
+            CheckRun(KS, CATALOG, CFG, names)
+
+
+class TestNoVacuousVerdicts:
+    """A check with nothing to examine raises instead of reporting "satisfied"."""
+
+    @pytest.mark.parametrize(
+        "check",
+        [check_born_reproduction, check_outcome_determinism, check_measurement_noncontextuality],
+    )
+    def test_response_checks_need_a_basis(self, check):
+        # states but no bases is a legal catalog; max-epistemic gives the shared table rows
+        catalog = StateCatalog((PLUS_Z, MINUS_Z), ())
+        run = CheckRun(KS, catalog, CFG, ("born", "determinism", "measurement-nc", "max-epistemic"))
+        with pytest.raises(PreconditionError, match="no measurement basis"):
+            check(run)
+        assert check_max_psi_epistemic(run).verdict == SATISFIED

@@ -2,11 +2,11 @@ import csv
 import io
 import json
 import re
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import pytest
 
-from onticlab.integrate import McConfig
+from onticlab.integrate import McConfig, QuadratureGrid
 from onticlab.models import (
     MODEL_NAMES,
     LabelReadingModel,
@@ -27,6 +27,7 @@ from onticlab.checks import (
 )
 from onticlab.cli import (
     CHECK_RUNNERS,
+    FIELD_FLAGS,
     RunConfig,
     emit_report,
     expected_patterns,
@@ -280,6 +281,28 @@ class TestMain:
         assert code == 2
         assert flag in captured.err and bound in captured.err
         assert captured.out == ""
+
+
+    @pytest.mark.parametrize(
+        "field, value, flag",
+        [("seed", 1.5, "--seed"), ("quad_polar", True, "--quad-polar"),
+         ("quad_azimuth", 8.0, "--quad-azimuth"), ("tolerance", float("nan"), "--tol")],
+    )
+    def test_run_config_value_of_the_wrong_type_exits_2_naming_the_flag(
+        self, capsys, field, value, flag
+    ):
+        config = RunConfig(model_name="ks", check_names=("born",), samples=100, **{field: value})
+        code, reports = run(config)
+        assert code == 2 and reports == []
+        assert f"error: {flag} must be" in capsys.readouterr().err
+
+    def test_field_flags_name_validated_fields_and_real_flags(self, capsys):
+        validated = {f.name for cls in (McConfig, QuadratureGrid, CheckRun) for f in fields(cls)}
+        assert set(FIELD_FLAGS) <= validated
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        usage = capsys.readouterr().out
+        assert all(flag in usage for flag in FIELD_FLAGS.values())
 
 
 class TestDeterminism:

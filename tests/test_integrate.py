@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from onticlab.errors import PreconditionError
+from onticlab.errors import FieldError, PreconditionError
 from onticlab.integrate import (
     McConfig,
     McEstimate,
@@ -13,9 +13,9 @@ from onticlab.integrate import (
     substream_key,
     tv_distance,
     uniform_blocks,
-    uniform_sphere_batch,
-    uniform_sphere_sampler,
 )
+
+from batch_of_one import uniform_sphere_batch, uniform_sphere_sampler
 
 CFG = McConfig(n_samples=200_000, seed=11)
 GRID = QuadratureGrid()
@@ -115,6 +115,34 @@ class TestMcExpectation:
             McConfig(batch_size=0)
         with pytest.raises(ValueError):
             mc_expectations([], uniform_sphere_batch, CFG)
+
+
+class TestConfigFields:
+    """A config field of the wrong type fails at construction with an error naming it."""
+
+    @pytest.mark.parametrize(
+        "field, value", [("n_samples", 1e3), ("seed", 1.5), ("seed", True), ("batch_size", 2.0)]
+    )
+    def test_mc_config_rejects_non_integers(self, field, value):
+        with pytest.raises(FieldError, match=f"^{field} must be an integer, got") as info:
+            McConfig(**{field: value})
+        assert info.value.field == field
+
+    @pytest.mark.parametrize("value", [4.5, True])
+    def test_grid_rejects_non_integers(self, value):
+        with pytest.raises(FieldError, match="^n_polar must be an integer, got") as info:
+            QuadratureGrid(n_polar=value)
+        assert info.value.field == "n_polar"
+
+    def test_ranges_keep_their_wording(self):
+        for build, text in (
+            (lambda: McConfig(seed=2**64), r"^seed must be in \[0, 2\*\*64\), got"),
+            (lambda: McConfig(n_samples=99), "^n_samples must be >= 100, got 99$"),
+            (lambda: QuadratureGrid(n_polar=513), r"^n_polar must be in \[1, 512\], got 513$"),
+            (lambda: QuadratureGrid(n_azimuth=0), r"^n_azimuth must be in \[1, 1024\], got 0$"),
+        ):
+            with pytest.raises(FieldError, match=text):
+                build()
 
 
 class TestSampleBatches:

@@ -1,13 +1,8 @@
 import numpy as np
 import pytest
 
-from onticlab.integrate import (
-    McConfig,
-    QuadratureGrid,
-    mc_expectation,
-    sphere_quadrature,
-    uniform_sphere_batch,
-)
+from onticlab.errors import FieldError
+from onticlab.integrate import McConfig, QuadratureGrid, mc_expectation, sphere_quadrature
 from onticlab.models import (
     RELABEL_MARK,
     BellMerminModel,
@@ -22,7 +17,6 @@ from onticlab.models import (
     default_catalog,
     make_model,
     random_states,
-    step,
 )
 from onticlab.qubit import (
     MINUS_X,
@@ -36,6 +30,8 @@ from onticlab.qubit import (
     born_probability,
     orthogonal_complement,
 )
+
+from batch_of_one import density, in_support, response, sample_prepared, step, uniform_sphere_batch
 
 CFG = McConfig(n_samples=100_000, seed=13)
 GRID = QuadratureGrid()
@@ -68,16 +64,16 @@ class TestStep:
 
 class TestCapDensity:
     def test_at_the_prepared_vector(self):
-        assert KS.density(PLUS_Z, SinglePoint(PLUS_Z.bloch)) == 1.0 / np.pi
+        assert density(KS, PLUS_Z, SinglePoint(PLUS_Z.bloch)) == 1.0 / np.pi
 
     def test_boundary_and_antipode(self):
-        assert KS.density(PLUS_Z, SinglePoint(PLUS_X.bloch)) == 0.0
-        assert KS.density(PLUS_Z, SinglePoint(MINUS_Z.bloch)) == 0.0
+        assert density(KS, PLUS_Z, SinglePoint(PLUS_X.bloch)) == 0.0
+        assert density(KS, PLUS_Z, SinglePoint(MINUS_Z.bloch)) == 0.0
 
     def test_rejects_pair_states(self):
         lam = PairPoint(PLUS_Z.bloch, PLUS_X.bloch)
         with pytest.raises(ValueError):
-            KS.density(PLUS_Z, lam)
+            density(KS, PLUS_Z, lam)
 
     def test_normalization_on_default_grid(self):
         # polar-aligned states hit the panel boundary and are near exact
@@ -117,7 +113,7 @@ class TestCapSampler:
     def test_determinism_and_scalar_batch_agreement(self):
         batch = KS.prepare_batch(PLUS_X, 21, 10, 6)
         for i in range(6):
-            lam = KS.sample_prepared(PLUS_X, 21, 10 + i)
+            lam = sample_prepared(KS, PLUS_X, 21, 10 + i)
             np.testing.assert_array_equal(lam.point.as_array(), batch.points[i])
         again = KS.prepare_batch(PLUS_X, 21, 10, 6)
         np.testing.assert_array_equal(batch.points, again.points)
@@ -138,9 +134,9 @@ class TestCapSampler:
 
 class TestCapResponse:
     def test_pointwise_cases(self):
-        assert KS.response(X_BASIS, 0, SinglePoint(PLUS_X.bloch)) == 1.0
-        assert KS.response(X_BASIS, 0, SinglePoint(MINUS_X.bloch)) == 0.0
-        assert KS.response(X_BASIS, 0, SinglePoint(PLUS_Z.bloch)) == 0.0  # boundary
+        assert response(KS, X_BASIS, 0, SinglePoint(PLUS_X.bloch)) == 1.0
+        assert response(KS, X_BASIS, 0, SinglePoint(MINUS_X.bloch)) == 0.0
+        assert response(KS, X_BASIS, 0, SinglePoint(PLUS_Z.bloch)) == 0.0  # boundary
 
     def test_outcomes_sum_to_one_off_boundary(self):
         batch = KS.prepare_batch(PLUS_Y, 3, 0, 50_000)
@@ -149,7 +145,7 @@ class TestCapResponse:
 
     def test_boundary_sums_to_zero(self):
         boundary = SinglePoint(PLUS_Z.bloch)   # equator of the x basis
-        total = KS.response(X_BASIS, 0, boundary) + KS.response(X_BASIS, 1, boundary)
+        total = response(KS, X_BASIS, 0, boundary) + response(KS, X_BASIS, 1, boundary)
         assert total == 0.0
 
 
@@ -166,16 +162,16 @@ class TestSpherePairModel:
         batch = BM.prepare_batch(PLUS_Z, 5, 0, 100)
         assert BM.in_support_batch(PLUS_Z, batch).all()
         assert not BM.in_support_batch(PLUS_X, batch).any()
-        lam = BM.sample_prepared(PLUS_Z, 5, 0)
-        assert BM.in_support(PLUS_Z, lam)
-        assert not BM.in_support(PLUS_X, lam)
+        lam = sample_prepared(BM, PLUS_Z, 5, 0)
+        assert in_support(BM, PLUS_Z, lam)
+        assert not in_support(BM, PLUS_X, lam)
 
     def test_point_response_cases(self):
-        assert BM.response(X_BASIS, 0, PairPoint(PLUS_X.bloch, PLUS_X.bloch)) == 1.0
+        assert response(BM, X_BASIS, 0, PairPoint(PLUS_X.bloch, PLUS_X.bloch)) == 1.0
         for basis, idx in ((X_BASIS, 0), (X_BASIS, 1), (Z_BASIS, 0), (Z_BASIS, 1)):
             lam = PairPoint(PLUS_Y.bloch, MINUS_Z.bloch.antipode().antipode())
             lam = PairPoint(PLUS_Y.bloch, orthogonal_complement(PLUS_Y).bloch)
-            assert BM.response(basis, idx, lam) == 0.0   # summed vector is zero
+            assert response(BM, basis, idx, lam) == 0.0   # summed vector is zero
 
     def test_reproduces_born_rule_in_expectation(self):
         for psi, alpha_basis, idx in (
@@ -192,13 +188,13 @@ class TestSpherePairModel:
             assert abs(est.mean - target) <= 5 * est.std_error
 
     def test_density_absent(self):
-        assert BM.density(PLUS_Z, BM.sample_prepared(PLUS_Z, 1, 0)) is None
+        assert density(BM, PLUS_Z, sample_prepared(BM, PLUS_Z, 1, 0)) is None
         assert BM.density_batch(PLUS_Z, BM.prepare_batch(PLUS_Z, 1, 0, 10)) is None
 
     def test_scalar_batch_agreement(self):
         batch = BM.prepare_batch(PLUS_X, 9, 4, 5)
         for i in range(5):
-            lam = BM.sample_prepared(PLUS_X, 9, 4 + i)
+            lam = sample_prepared(BM, PLUS_X, 9, 4 + i)
             np.testing.assert_array_equal(lam.first.as_array(), batch.first[i])
             np.testing.assert_array_equal(lam.second.as_array(), batch.second[i])
 
@@ -257,6 +253,11 @@ class TestCatalogs:
     def test_outcome_must_be_listed(self):
         with pytest.raises(ValueError):
             StateCatalog((PLUS_Z, MINUS_Z), (X_BASIS,))
+
+    def test_empty_catalog_rejected_naming_states(self):
+        with pytest.raises(FieldError, match="^states must be non-empty") as info:
+            StateCatalog((), ())
+        assert info.value.field == "states"
 
     def test_closure_detection(self):
         cat = StateCatalog((PLUS_Z, MINUS_Z, PLUS_X), (Z_BASIS,))

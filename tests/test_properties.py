@@ -1,0 +1,114 @@
+"""Property tests over random inputs.
+
+Every test runs with derandomize=True, so the examples are a fixed function
+of the test and the suite stays reproducible.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from onticlab.bell import make_max_entangled, steer, steering_basis
+from onticlab.checks import CheckRun
+from onticlab.errors import FieldError
+from onticlab.integrate import MAX_N_AZIMUTH, MAX_N_POLAR, MIN_SAMPLES, McConfig, QuadratureGrid
+from onticlab.models import catalog_from_states, default_catalog, make_model
+from onticlab.qubit import BlochVector, PureState, orthogonal_complement, same_state
+
+FAST = settings(derandomize=True, max_examples=60, deadline=None)
+
+# Every value of these fails an integer field, whatever its range.
+NOT_INTEGERS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True), st.booleans(), st.text(max_size=3), st.none()
+)
+
+INTEGER_FIELDS = {
+    "n_samples": (McConfig, st.integers(max_value=MIN_SAMPLES - 1)),
+    "seed": (McConfig, st.one_of(st.integers(max_value=-1), st.integers(min_value=2**64))),
+    "batch_size": (McConfig, st.integers(max_value=0)),
+    "n_polar": (QuadratureGrid, st.one_of(st.integers(max_value=0), st.integers(min_value=MAX_N_POLAR + 1))),
+    "n_azimuth": (
+        QuadratureGrid, st.one_of(st.integers(max_value=0), st.integers(min_value=MAX_N_AZIMUTH + 1))
+    ),
+}
+
+STATES = st.builds(
+    lambda theta, phi: PureState(BlochVector.from_angles(theta, phi)),
+    st.floats(0.0, math.pi),
+    st.floats(0.0, 2.0 * math.pi),
+)
+
+
+def assert_rejected(build, field):
+    with pytest.raises(FieldError) as info:
+        build()
+    assert info.value.field == field
+    assert str(info.value).startswith(f"{field} must be ")
+
+
+class TestValidators:
+    @pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
+    def test_integer_fields_reject_non_integers_and_out_of_range(self, field):
+        cls, out_of_range = INTEGER_FIELDS[field]
+
+        @FAST
+        @given(st.one_of(NOT_INTEGERS, out_of_range))
+        def check(value):
+            assert_rejected(lambda: cls(**{field: value}), field)
+
+        check()
+
+    @FAST
+    @given(
+        st.integers(MIN_SAMPLES, 10**9), st.integers(0, 2**64 - 1), st.integers(1, 10**9),
+        st.integers(1, MAX_N_POLAR), st.integers(1, MAX_N_AZIMUTH),
+    )
+    def test_integers_in_range_accepted(self, n_samples, seed, batch_size, n_polar, n_azimuth):
+        cfg = McConfig(n_samples, seed, batch_size)
+        assert (cfg.n_samples, cfg.seed, cfg.batch_size) == (n_samples, seed, batch_size)
+        grid = QuadratureGrid(n_polar, n_azimuth)
+        assert (grid.n_polar, grid.n_azimuth) == (n_polar, n_azimuth)
+
+    @FAST
+    @given(
+        st.one_of(
+            st.floats(max_value=0.0), st.floats(min_value=1.0), st.just(math.nan),
+            st.booleans(), st.text(max_size=3), st.none(),
+        )
+    )
+    def test_tolerance_outside_the_open_unit_interval_rejected(self, tol):
+        assert_rejected(lambda: CheckRun(make_model("ks"), default_catalog(), McConfig(), ("born",), tol), "tol")
+
+    @FAST
+    @given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_tolerance_inside_the_open_unit_interval_accepted(self, tol):
+        assert CheckRun(make_model("ks"), default_catalog(), McConfig(), ("born",), tol).tol == tol
+
+
+class TestCatalogFromStates:
+    @FAST
+    @given(st.lists(STATES, min_size=1, max_size=6), st.data())
+    def test_closed_under_complements_and_idempotent(self, states, data):
+        # repeats and complements of inputs must merge into the states already there
+        extra = data.draw(st.lists(st.sampled_from(states), max_size=3))
+        inputs = states + extra + [orthogonal_complement(s) for s in extra]
+        cat = catalog_from_states(inputs)
+        assert cat.closed_under_complements()
+        assert all(any(same_state(s, c) for c in cat.states) for s in inputs)
+        assert len(cat.states) == 2 * len(cat.bases)
+        again = catalog_from_states(cat.states)
+        assert again.states == cat.states and again.bases == cat.bases
+
+
+class TestSteeringRoundTrip:
+    @FAST
+    @given(STATES, STATES)
+    def test_steered_halves_are_phi_and_its_complement(self, psi, phi):
+        ens = steer(make_max_entangled(psi), steering_basis(psi, phi))
+        (p0, bob0), (p1, bob1) = ens.outcomes
+        assert abs(p0 - 0.5) <= 1e-10 and abs(p1 - 0.5) <= 1e-10
+        assert np.abs(bob0.vec() - phi.vec()).max() <= 1e-10
+        assert np.abs(bob1.vec() + phi.vec()).max() <= 1e-10
