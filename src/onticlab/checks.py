@@ -20,6 +20,7 @@ from .integrate import (
     McConfig,
     McEstimate,
     QuadratureGrid,
+    batch_sums,
     mc_expectation,
     mc_expectations,
     sample_batches,
@@ -124,7 +125,7 @@ def state_table(
     resp_rows, pair_rows = [], []
     for psi in catalog.states:
         fs = [lambda b, basis=basis, idx=idx: model.response_batch(basis, idx, b) for basis, idx in outcomes]
-        fs += [lambda b, phi=phi: model.in_support_batch(phi, b).astype(float) for phi in phis]
+        fs += [lambda b, phi=phi: model.in_support_batch(phi, b) for phi in phis]
         ests = mc_expectations(fs, _prepare_sampler(model, psi), cfg)
         resp_rows += [(psi, basis, idx, est) for (basis, idx), est in zip(outcomes, ests)]
         pair_rows += [
@@ -323,7 +324,7 @@ def check_measurement_noncontextuality(run: CheckRun) -> CheckReport:
 
 def overlap_integral(model: OntologicalModel, psi: PureState, phi: PureState, cfg: McConfig) -> McEstimate:
     """Probability that a mu_psi draw lands in the support of mu_phi."""
-    f = lambda b: model.in_support_batch(phi, b).astype(float)
+    f = lambda b: model.in_support_batch(phi, b)
     return mc_expectation(f, _prepare_sampler(model, psi), cfg)
 
 
@@ -453,7 +454,7 @@ def check_preparation_noncontextuality(run: CheckRun, e1: Ensemble, e2: Ensemble
             (LabeledEstimate("tv_distance", dist, 0.0),),
             f"density route: total variation {dist:.6f} for {pair}",
         )
-    witness = lambda b: d1.support_batch(b).astype(float)
+    witness = d1.support_batch
     m1 = mc_expectation(witness, d1.sample_batch, run.cfg)
     m2 = mc_expectation(witness, d2.sample_batch, run.cfg)
     disc = abs(m1.mean - m2.mean)
@@ -499,24 +500,24 @@ def find_omega_witness(
     if outcome_index is None:
         raise PreconditionError("phi is not an outcome of the given basis")
 
-    s1_omega = s1_resp = s2_resp = 0.0
+    omega_sums, resp_sums = [0.0, 0.0], [0.0, 0.0]
     examples: list[OnticState] = []
-    for _, batch in sample_batches(_prepare_sampler(model, psi), cfg):
+    for count, batch in sample_batches(_prepare_sampler(model, psi), cfg):
         resp = model.response_batch(basis_containing_phi, outcome_index, batch)
         omega = (~model.in_support_batch(phi, batch)) & (resp > 0.0)
-        masked = resp * omega
-        s1_omega += float(omega.sum())
-        s1_resp += float(masked.sum())
-        s2_resp += float((masked * masked).sum())
+        # resp * omega keeps a bool response bool, so both indicators are counted
+        for sums, vals in ((omega_sums, omega), (resp_sums, resp * omega)):
+            s1, s2 = batch_sums(vals, count, "omega witness")
+            sums[0] += s1
+            sums[1] += s2
         if len(examples) < OMEGA_EXAMPLES:
             for i in np.flatnonzero(omega)[: OMEGA_EXAMPLES - len(examples)]:
                 examples.append(batch.item(int(i)))
 
     return OmegaWitness(
         pair=(psi, phi),
-        # omega is an indicator, so its sum of squares equals its sum
-        mu_psi_mass=McEstimate.from_sums(s1_omega, s1_omega, cfg.n_samples, cfg.seed),
-        response_mass=McEstimate.from_sums(s1_resp, s2_resp, cfg.n_samples, cfg.seed),
+        mu_psi_mass=McEstimate.from_sums(*omega_sums, cfg.n_samples, cfg.seed),
+        response_mass=McEstimate.from_sums(*resp_sums, cfg.n_samples, cfg.seed),
         sample_points=tuple(examples),
     )
 

@@ -144,7 +144,9 @@ def run(config: RunConfig) -> tuple[int, list[CheckReport]]:
                 f"unknown output format {config.output_format!r}; valid: {', '.join(OUTPUT_FORMATS)}"
             )
         samples = config.samples
-        if samples < MIN_SAMPLES:
+        # only an int count of 1..99 is raised; anything else reaches McConfig,
+        # which rejects zero, negative, boolean and non-integer counts
+        if type(samples) is int and 0 < samples < MIN_SAMPLES:
             print(f"note: samples raised to the minimum of {MIN_SAMPLES}", file=sys.stderr)
             samples = MIN_SAMPLES
         cfg = McConfig(n_samples=samples, seed=config.seed)

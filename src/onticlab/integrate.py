@@ -107,6 +107,26 @@ def sample_batches(
         yield count, sampler(cfg.seed, start, count)
 
 
+def batch_sums(values, count: int, name: str) -> tuple[float, float]:
+    """The sum and the sum of squares of one integrand's values over one batch.
+
+    values must have shape (count,).  A bool array is an indicator, so its
+    count is both sums; any other array is cast to float and must be finite.
+    A float sum of 0/1 values below 2**53 is the exact count, so the two
+    paths give the same doubles for the same 0/1 values.
+    """
+    vals = np.asarray(values)
+    if vals.shape != (count,):
+        raise ValueError(f"{name} returned shape {vals.shape}, expected ({count},)")
+    if vals.dtype == np.bool_:
+        hits = float(np.count_nonzero(vals))
+        return hits, hits
+    vals = vals.astype(float, copy=False)
+    if not np.isfinite(vals).all():
+        raise ValueError(f"{name} produced non-finite values")
+    return float(vals.sum()), float((vals * vals).sum())
+
+
 def mc_expectations(
     fs: Sequence[Callable],
     sampler: Callable[[int, int, int], object],
@@ -115,9 +135,10 @@ def mc_expectations(
     """Estimate E[f] for several integrands over one shared sample stream.
 
     sampler(seed, start, count) must return a batch covering sample indices
-    start..start+count-1; each f maps a batch to a float array of the same
-    length.  Batches are reduced in index order, so results are a pure
-    function of (fs, sampler, cfg).
+    start..start+count-1; each f maps a batch to an array of the same length:
+    bool for an indicator, which is counted, or numbers, which are summed as
+    floats (see batch_sums).  Batches are reduced in index order, so results
+    are a pure function of (fs, sampler, cfg).
     """
     if not fs:
         raise ValueError("need at least one integrand")
@@ -125,13 +146,9 @@ def mc_expectations(
     s2 = [0.0] * len(fs)
     for count, batch in sample_batches(sampler, cfg):
         for k, f in enumerate(fs):
-            vals = np.asarray(f(batch), dtype=float)
-            if vals.shape != (count,):
-                raise ValueError(f"integrand {k} returned shape {vals.shape}, expected ({count},)")
-            if not np.isfinite(vals).all():
-                raise ValueError(f"integrand {k} produced non-finite values")
-            s1[k] += float(vals.sum())
-            s2[k] += float((vals * vals).sum())
+            a, b = batch_sums(f(batch), count, f"integrand {k}")
+            s1[k] += a
+            s2[k] += b
     return [McEstimate.from_sums(a, b, cfg.n_samples, cfg.seed) for a, b in zip(s1, s2)]
 
 

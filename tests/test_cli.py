@@ -63,6 +63,25 @@ class TestRun:
         assert reports[0].verdict == "inconclusive"
         assert reports[0].n_samples == 100
 
+    def test_small_positive_sample_count_is_raised_with_a_note(self, capsys):
+        code, reports = run(RunConfig(model_name="ks", check_names=("born",), samples=50))
+        assert "note: samples raised to the minimum of 100" in capsys.readouterr().err
+        assert code == 1 and reports[0].n_samples == 100
+
+    @pytest.mark.parametrize("samples", ["-5", "0"])
+    def test_non_positive_sample_count_exits_2_naming_the_flag(self, capsys, samples):
+        code = main(["--model", "ks", "--check", "born", "--samples", samples])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"error: --samples must be >= 100, got {samples}" in captured.err
+        assert "raised" not in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("samples", [50.5, 50.0, True])
+    def test_non_integer_sample_count_is_not_raised(self, capsys, samples):
+        code, reports = run(RunConfig(model_name="ks", check_names=("born",), samples=samples))
+        assert code == 2 and reports == []
+        assert capsys.readouterr().err == f"error: --samples must be an integer, got {samples!r}\n"
+
     def test_unknown_model_fails_fast(self, capsys):
         code, reports = run(RunConfig(model_name="mystery"))
         assert code == 2 and reports == []

@@ -6,6 +6,7 @@ from onticlab.integrate import (
     McConfig,
     McEstimate,
     QuadratureGrid,
+    batch_sums,
     mc_expectation,
     mc_expectations,
     sample_batches,
@@ -14,6 +15,9 @@ from onticlab.integrate import (
     tv_distance,
     uniform_blocks,
 )
+
+from onticlab.models import MODEL_NAMES, RELABEL_MARK, default_catalog, make_model
+from onticlab.qubit import MeasurementBasis
 
 from batch_of_one import uniform_sphere_batch, uniform_sphere_sampler
 
@@ -115,6 +119,42 @@ class TestMcExpectation:
             McConfig(batch_size=0)
         with pytest.raises(ValueError):
             mc_expectations([], uniform_sphere_batch, CFG)
+
+
+class TestCountPath:
+    """A bool integrand is an indicator: its count is both sums of the reduction."""
+
+    def test_bool_values_are_counted(self):
+        vals = np.array([True, False, True, True])
+        assert batch_sums(vals, 4, "f") == (3.0, 3.0)
+        assert batch_sums(vals.astype(float), 4, "f") == (3.0, 3.0)
+
+    def test_bool_integrand_of_the_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match=r"integrand 0 returned shape \(3,\)"):
+            mc_expectation(lambda p: np.ones(3, dtype=bool), uniform_sphere_batch, CFG)
+        with pytest.raises(ValueError, match="shape"):
+            mc_expectation(lambda p: (p > 0.0), uniform_sphere_batch, CFG)
+
+    def test_float_nan_integrand_still_rejected(self):
+        with pytest.raises(ValueError, match="integrand 1 produced non-finite values"):
+            mc_expectations(
+                [lambda p: p[:, 2] > 0, lambda p: np.full(len(p), np.nan)], uniform_sphere_batch, CFG
+            )
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_shipped_responses_and_supports_are_bool(self, name):
+        # const-half's 1/2 is the one response that is not an indicator
+        model, catalog = make_model(name), default_catalog()
+        relabeled = tuple(MeasurementBasis(b.outcomes, b.label + RELABEL_MARK) for b in catalog.bases)
+        batches = [model.prepare_batch(s, 3, 0, 50) for s in catalog.states]
+        batches.append(model.reference_batch(3, 0, 50))
+        for batch in batches:
+            for psi in catalog.states:
+                assert model.in_support_batch(psi, batch).dtype == np.bool_
+            for basis in catalog.bases + relabeled:
+                for idx in (0, 1):
+                    vals = model.response_batch(basis, idx, batch)
+                    assert vals.dtype == (np.float64 if name == "const-half" else np.bool_)
 
 
 class TestConfigFields:
