@@ -30,7 +30,7 @@ from .checks import (
     check_preparation_noncontextuality,
     classify_ontology,
 )
-from .errors import FieldError, PreconditionError
+from .errors import FieldError, PreconditionError, is_integer
 from .integrate import MIN_SAMPLES, McConfig, QuadratureGrid
 from .models import MODEL_NAMES, StateCatalog, catalog_from_states, default_catalog, make_model
 from .qubit import half_half_mixture, state_from_catalog_entry
@@ -144,9 +144,9 @@ def run(config: RunConfig) -> tuple[int, list[CheckReport]]:
                 f"unknown output format {config.output_format!r}; valid: {', '.join(OUTPUT_FORMATS)}"
             )
         samples = config.samples
-        # only an int count of 1..99 is raised; anything else reaches McConfig,
-        # which rejects zero, negative, boolean and non-integer counts
-        if type(samples) is int and 0 < samples < MIN_SAMPLES:
+        # only an integer count of 1..99 is raised; anything else reaches
+        # McConfig, which rejects zero, negative, boolean and non-integer counts
+        if is_integer(samples) and 0 < samples < MIN_SAMPLES:
             print(f"note: samples raised to the minimum of {MIN_SAMPLES}", file=sys.stderr)
             samples = MIN_SAMPLES
         cfg = McConfig(n_samples=samples, seed=config.seed)

@@ -9,8 +9,6 @@ so the property checkers can be shown to fail.
 
 from __future__ import annotations
 
-import itertools
-import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -25,7 +23,6 @@ from .qubit import (
     PLUS_X,
     PLUS_Y,
     PLUS_Z,
-    STATE_TOL,
     BlochVector,
     MeasurementBasis,
     PureState,
@@ -259,47 +256,9 @@ class LabelReadingModel(_PointMeasureFixture):
         return vals
 
 
-_REACH = 2.0 * STATE_TOL   # lookup half-width: STATE_TOL, and as much again for rounding
-_CELL = 4.0 * _REACH       # twice the lookup box: it meets one or two cells per component
-
-
-def _cell(c: float) -> int:
-    return math.floor(c / _CELL)
-
-
-class StateIndex:
-    """States in insertion order, looked up under same_state through a dict of cells.
-
-    Each state sits in one cell of a grid over its Bloch components.  A lookup
-    visits the cells that meet the box of half-width _REACH around its query.
-    The cell of a component is monotone in it, so the box's cells hold every
-    state within STATE_TOL of the query, however c +- _REACH rounds.
-    It returns the earliest that same_state accepts: the answer of a scan in
-    insertion order, in a time that does not grow with the number of states.
-    """
-
-    def __init__(self, states=()):
-        self.states: list[PureState] = []
-        self._cells: dict[tuple[int, int, int], list[int]] = {}
-        for s in states:
-            self.add(s)
-
-    def add(self, psi: PureState) -> None:
-        b = psi.bloch
-        self._cells.setdefault((_cell(b.x), _cell(b.y), _cell(b.z)), []).append(len(self.states))
-        self.states.append(psi)
-
-    def find(self, psi: PureState) -> int:
-        """Position of the first state that names psi under same_state, or -1."""
-        b = psi.bloch
-        spans = [range(_cell(c - _REACH), _cell(c + _REACH) + 1) for c in (b.x, b.y, b.z)]
-        hits = [
-            i
-            for key in itertools.product(*spans)
-            for i in self._cells.get(key, ())
-            if same_state(self.states[i], psi)
-        ]
-        return min(hits, default=-1)
+def _index(states, psi: PureState) -> int:
+    """Position of the first of states that names psi under same_state, or -1."""
+    return next((i for i, s in enumerate(states) if same_state(s, psi)), -1)
 
 
 @dataclass(frozen=True)
@@ -315,15 +274,13 @@ class StateCatalog:
     def __post_init__(self):
         if not self.states:
             raise FieldError("states", "non-empty", self.states)
-        index = StateIndex(self.states)
         for basis in self.bases:
             for outcome in basis.outcomes:
-                if index.find(outcome) < 0:
+                if _index(self.states, outcome) < 0:
                     raise ValueError(f"basis outcome {outcome.describe()} missing from catalog states")
 
     def closed_under_complements(self) -> bool:
-        index = StateIndex(self.states)
-        return all(index.find(orthogonal_complement(s)) >= 0 for s in self.states)
+        return all(_index(self.states, orthogonal_complement(s)) >= 0 for s in self.states)
 
 
 def default_catalog() -> StateCatalog:
@@ -354,15 +311,14 @@ def catalog_from_states(states) -> StateCatalog:
     the catalog keeps the first of each.  A new state's complement is new
     too, since the catalog already holds the complement of every state in it.
     """
-    closed = StateIndex()
+    closed: list[PureState] = []
     bases = []
     for s in states:
-        if closed.find(s) < 0:
+        if _index(closed, s) < 0:
             perp = orthogonal_complement(s)
-            closed.add(s)
-            closed.add(perp)
+            closed += (s, perp)
             bases.append(MeasurementBasis((s, perp), s.describe()))
-    return StateCatalog(tuple(closed.states), tuple(bases))
+    return StateCatalog(tuple(closed), tuple(bases))
 
 
 MODEL_NAMES = ("ks", "bell-mermin", "const-half", "label-reader")

@@ -140,7 +140,7 @@ def same_state(a: PureState, b: PureState) -> bool:
     """True iff a and b name one state: every Bloch component within STATE_TOL.
 
     The scalar form of same_state_rows, kept in plain Python because catalog
-    lookups call it on one pair of states at a time.
+    construction calls it for every pair of states.
     """
     p, q = a.bloch, b.bloch
     return abs(p.x - q.x) <= STATE_TOL and abs(p.y - q.y) <= STATE_TOL and abs(p.z - q.z) <= STATE_TOL

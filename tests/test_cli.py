@@ -4,6 +4,7 @@ import json
 import re
 from dataclasses import asdict, fields, replace
 
+import numpy as np
 import pytest
 
 from onticlab.integrate import McConfig, QuadratureGrid
@@ -63,8 +64,9 @@ class TestRun:
         assert reports[0].verdict == "inconclusive"
         assert reports[0].n_samples == 100
 
-    def test_small_positive_sample_count_is_raised_with_a_note(self, capsys):
-        code, reports = run(RunConfig(model_name="ks", check_names=("born",), samples=50))
+    @pytest.mark.parametrize("samples", [50, np.int64(50)])
+    def test_small_positive_sample_count_is_raised_with_a_note(self, capsys, samples):
+        code, reports = run(RunConfig(model_name="ks", check_names=("born",), samples=samples))
         assert "note: samples raised to the minimum of 100" in capsys.readouterr().err
         assert code == 1 and reports[0].n_samples == 100
 

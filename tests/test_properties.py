@@ -24,8 +24,8 @@ from onticlab.integrate import (
     substream_key,
     uniform_blocks,
 )
-from onticlab.models import StateIndex, catalog_from_states, default_catalog, make_model
-from onticlab.qubit import STATE_TOL, BlochVector, PureState, orthogonal_complement, same_state
+from onticlab.models import catalog_from_states, default_catalog, make_model
+from onticlab.qubit import BlochVector, PureState, orthogonal_complement, same_state
 
 FAST = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -110,47 +110,6 @@ class TestCatalogFromStates:
         assert len(cat.states) == 2 * len(cat.bases)
         again = catalog_from_states(cat.states)
         assert again.states == cat.states and again.bases == cat.bases
-
-
-def scan_index(states, psi) -> int:
-    """The reference lookup: the first of states that names psi under same_state, or -1."""
-    return next((i for i, s in enumerate(states) if same_state(s, psi)), -1)
-
-
-AXIS_STATES = st.sampled_from(default_catalog().states)
-
-# Per-component offsets of 0 to 2 x STATE_TOL, the exact multiples included.
-OFFSETS = st.one_of(
-    st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]), st.floats(-2.0, 2.0)
-).map(lambda m: m * STATE_TOL)
-
-
-@st.composite
-def near_states(draw, bases):
-    """A base state or its complement, moved by up to 2 x STATE_TOL per component.
-
-    Half of the draws first round one component to a multiple of STATE_TOL,
-    and the axis states' zero components sit on a cell boundary whatever the
-    cell width, so index cell boundaries fall between near neighbours.
-    """
-    base = draw(st.sampled_from(bases))
-    v = (orthogonal_complement(base) if draw(st.booleans()) else base).vec()
-    if draw(st.booleans()):
-        axis = draw(st.integers(0, 2))
-        v[axis] = round(v[axis] / STATE_TOL) * STATE_TOL
-    return PureState(BlochVector.from_array(v + [draw(OFFSETS) for _ in range(3)]))
-
-
-class TestStateIndex:
-    @FAST
-    @given(st.lists(st.one_of(STATES, AXIS_STATES), min_size=1, max_size=4), st.data())
-    def test_lookup_equals_a_linear_scan(self, bases, data):
-        states = data.draw(st.lists(near_states(bases), min_size=1, max_size=12))
-        states += data.draw(st.lists(st.sampled_from(states), max_size=4))   # exact repeats
-        index = StateIndex(states)
-        assert index.states == states
-        for query in states + data.draw(st.lists(near_states(bases), max_size=12)):
-            assert index.find(query) == scan_index(states, query)
 
 
 class TestIndicatorReduction:
