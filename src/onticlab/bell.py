@@ -59,23 +59,7 @@ def bob_reduced_density(state: BipartiteState) -> DensityOperator:
     return DensityOperator(v.T @ v.conj())
 
 
-@dataclass(frozen=True)
-class SteeredEnsemble:
-    """Bob's conditional states and probabilities for one Alice basis."""
-
-    alice_basis: MeasurementBasis
-    outcomes: tuple[tuple[float, PureState], ...]
-
-    def __post_init__(self):
-        total = sum(p for p, _ in self.outcomes)
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"steered probabilities sum to {total!r}, expected 1")
-
-    def as_ensemble(self) -> Ensemble:
-        return Ensemble(self.outcomes)
-
-
-def steer(state: BipartiteState, alice_basis: MeasurementBasis) -> SteeredEnsemble:
+def steer(state: BipartiteState, alice_basis: MeasurementBasis) -> Ensemble:
     """Collapse Bob's side for each Alice outcome via the partial inner product."""
     results = []
     for outcome in alice_basis.outcomes:
@@ -87,7 +71,7 @@ def steer(state: BipartiteState, alice_basis: MeasurementBasis) -> SteeredEnsemb
                 f"Alice outcome {outcome.describe()} has probability {p:.3e}; Bob state undefined"
             )
         results.append((p, PureState(amplitudes_to_bloch(v / np.sqrt(p)))))
-    return SteeredEnsemble(alice_basis, tuple(results))
+    return Ensemble(tuple(results))
 
 
 def steering_basis(psi: PureState, phi: PureState) -> MeasurementBasis:
@@ -108,8 +92,7 @@ def steering_basis(psi: PureState, phi: PureState) -> MeasurementBasis:
         (alice, orthogonal_complement(alice)),
         f"steer({psi.describe()}->{phi.describe()})",
     )
-    steered = steer(make_max_entangled(psi), basis)
-    (p0, bob0), (p1, bob1) = steered.outcomes
+    (p0, bob0), (p1, bob1) = steer(make_max_entangled(psi), basis).entries
     errs = (
         abs(p0 - 0.5),
         abs(p1 - 0.5),
@@ -143,8 +126,8 @@ def nonlocality_witness(run: CheckRun, psi: PureState, phi: PureState) -> CheckR
     entangled = make_max_entangled(psi)
     basis1 = steering_basis(psi, psi)
     basis2 = steering_basis(psi, phi)
-    e1 = steer(entangled, basis1).as_ensemble()
-    e2 = steer(entangled, basis2).as_ensemble()
+    e1 = steer(entangled, basis1)
+    e2 = steer(entangled, basis2)
     report = check_preparation_noncontextuality(run, e1, e2)
     return replace(
         report,

@@ -101,25 +101,17 @@ def _prepare_sampler(model: OntologicalModel, psi: PureState):
     return lambda seed, start, count: model.prepare_batch(psi, seed, start, count)
 
 
-@dataclass(frozen=True)
-class StateTable:
-    """Estimates from one pass over the stream of every preparation in a catalog.
-
-    responses holds (psi, basis, outcome index, estimate) for every response
-    integrand, overlaps holds (psi, phi, estimate, Born probability) for every
-    ordered pair of states; either is None when the pass skipped it.  Each
-    estimate builds up on its own in index order, so it does not depend on
-    which other integrands share the pass.
-    """
-
-    responses: tuple[tuple[PureState, MeasurementBasis, int, McEstimate], ...] | None
-    overlaps: tuple[tuple[PureState, PureState, McEstimate, float], ...] | None
-
-
 def state_table(
     model: OntologicalModel, catalog: StateCatalog, cfg: McConfig, responses: bool, overlaps: bool
-) -> StateTable:
-    """Draw each mu_psi once and evaluate the asked-for response and support integrands on it."""
+) -> dict[str, tuple | None]:
+    """Draw each mu_psi once and evaluate the asked-for response and support integrands on it.
+
+    "responses" holds (psi, basis, outcome index, estimate) for every response
+    integrand, "overlaps" holds (psi, phi, estimate, Born probability) for
+    every ordered pair of states; either is None when the pass skipped it.
+    Each estimate builds up on its own in index order, so it does not depend
+    on which other integrands share the pass.
+    """
     outcomes = [(basis, idx) for basis in catalog.bases for idx in (0, 1)] if responses else []
     phis = catalog.states if overlaps else ()
     resp_rows, pair_rows = [], []
@@ -131,24 +123,27 @@ def state_table(
         pair_rows += [
             (psi, phi, est, born_probability(phi, psi)) for phi, est in zip(phis, ests[len(outcomes):])
         ]
-    return StateTable(tuple(resp_rows) if responses else None, tuple(pair_rows) if overlaps else None)
+    return {
+        "responses": tuple(resp_rows) if responses else None,
+        "overlaps": tuple(pair_rows) if overlaps else None,
+    }
 
 
-# The checks that read each part of a run's shared StateTable.
+# The checks that read each part of a run's shared state table.
 RESPONSE_CHECKS = frozenset({"born", "audit"})
 OVERLAP_CHECKS = frozenset({"max-epistemic", "classify", "audit"})
 
 
 @dataclass
 class CheckRun:
-    """The inputs of one run of checks and the state table they share.
+    """The inputs of one run of checks and the work its checks share.
 
     Every check of a run is a function of this object, and construction
     validates what the config objects do not: tol must be a finite number in
-    (0, 1) and check_names a non-empty tuple of strings.  The table is one
-    pass over every mu_psi, built by the first check that reads it, with the
-    parts any of check_names reads.  It lives as long as this object, so
-    nothing computed for one catalog can reach another.
+    (0, 1) and check_names a non-empty tuple of strings.  Shared work (the
+    state table, and the reports audit reads) goes through once(), whose memo
+    lives as long as this object, so nothing computed for one catalog can
+    reach another.
     """
 
     model: OntologicalModel
@@ -157,7 +152,7 @@ class CheckRun:
     check_names: tuple[str, ...]
     tol: float = 1e-2
     grid: QuadratureGrid = QuadratureGrid()
-    _table: StateTable | None = field(default=None, init=False, repr=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         tol = self.tol
@@ -168,11 +163,19 @@ class CheckRun:
         if not isinstance(names, tuple) or not names or not all(isinstance(n, str) for n in names):
             raise FieldError("check_names", "a non-empty tuple of strings", names)
 
+    def once(self, key, compute):
+        """compute() once per key in this run; the key holds all it depends on beyond the run."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
+
     def rows(self, part: str, check_name: str) -> tuple:
         """The "responses" or "overlaps" rows of the run's state table, for check_name.
 
-        A part that no check of the run declares is a PreconditionError naming
-        check_name, raised before any stream is drawn.
+        The table is one pass over every mu_psi, built by the first check that
+        reads it, with the parts any of check_names reads.  A part that no
+        check of the run declares is a PreconditionError naming check_name,
+        raised before any stream is drawn.
         """
         readers = RESPONSE_CHECKS if part == "responses" else OVERLAP_CHECKS
         if readers.isdisjoint(self.check_names):
@@ -180,13 +183,12 @@ class CheckRun:
                 f"check {check_name!r} reads the state table's {part}, which none of the"
                 f" run's checks ({', '.join(self.check_names)}) declares"
             )
-        if self._table is None:
-            self._table = state_table(
-                self.model, self.catalog, self.cfg,
-                responses=not RESPONSE_CHECKS.isdisjoint(self.check_names),
-                overlaps=not OVERLAP_CHECKS.isdisjoint(self.check_names),
-            )
-        return getattr(self._table, part)
+        table = self.once("table", lambda: state_table(
+            self.model, self.catalog, self.cfg,
+            responses=not RESPONSE_CHECKS.isdisjoint(self.check_names),
+            overlaps=not OVERLAP_CHECKS.isdisjoint(self.check_names),
+        ))
+        return table[part]
 
     def report(
         self, check_name: str, verdict: str, estimates, details: str, tolerance: float | None = None
@@ -346,6 +348,7 @@ def check_max_psi_epistemic(run: CheckRun) -> CheckReport:
 
 def classify_ontology(run: CheckRun) -> CheckReport:
     """Label the model psi-ontic or psi-epistemic from its support overlaps."""
+    canonical_pair(run.catalog)   # without a nonorthogonal pair no overlap can tell
     rows = []
     epistemic_witness = None
     max_overlap = 0.0
@@ -469,6 +472,16 @@ def check_preparation_noncontextuality(run: CheckRun, e1: Ensemble, e2: Ensemble
     )
 
 
+def prep_nc_report(run: CheckRun, psi: PureState, phi: PureState) -> CheckReport:
+    """The prep-nc report on the half-half mixtures of psi and phi, made once per run."""
+    # PureState equality ignores the labels and signs of zero that the details
+    # and stream keys carry, so the key holds the exact Bloch bytes and labels
+    key = ("prep-nc",) + tuple((s.vec().tobytes(), s.label) for s in (psi, phi))
+    return run.once(
+        key, lambda: check_preparation_noncontextuality(run, half_half_mixture(psi), half_half_mixture(phi))
+    )
+
+
 @dataclass(frozen=True)
 class OmegaWitness:
     """Mass reached by mu_psi outside the support of mu_phi where phi still responds."""
@@ -580,24 +593,20 @@ def audit_implication_chain(run: CheckRun) -> CheckReport:
     "violated" only when the observed verdicts form a counterexample to one
     of the implications.  This audits instantiations on the model under test,
     not the general statements.  The catalog precondition is checked before
-    the run's state table is read.
+    the run's state table is read.  Each sub-check's report is taken from the
+    run's memo, so a report the run already made is not made again.
     """
     if not run.catalog.closed_under_complements():
         raise PreconditionError("audit requires a catalog closed under orthogonal complements")
-    born = check_born_reproduction(run)
-    det = check_outcome_determinism(run)
-    mnc = check_measurement_noncontextuality(run)
-    maxe = check_max_psi_epistemic(run)
-    cls = classify_ontology(run)
+    born = run.once("born", lambda: check_born_reproduction(run))
+    det = run.once("determinism", lambda: check_outcome_determinism(run))
+    mnc = run.once("measurement-nc", lambda: check_measurement_noncontextuality(run))
+    maxe = run.once("max-epistemic", lambda: check_max_psi_epistemic(run))
+    cls = run.once("classify", lambda: classify_ontology(run))
     psi, phi = _chain_pair(run)
-    prep = check_preparation_noncontextuality(run, half_half_mixture(psi), half_half_mixture(phi))
-
-    if det.verdict == VIOLATED or mnc.verdict == VIOLATED:
-        ks_nc = VIOLATED
-    elif det.verdict == SATISFIED and mnc.verdict == SATISFIED:
-        ks_nc = SATISFIED
-    else:
-        ks_nc = INCONCLUSIVE
+    prep = prep_nc_report(run, psi, phi)
+    # determinism and measurement-nc are exact: each is satisfied or violated
+    ks_nc = _combine((det.verdict, mnc.verdict))
 
     counterexample = (prep.verdict == SATISFIED and maxe.verdict == VIOLATED) or (
         maxe.verdict == SATISFIED and ks_nc == VIOLATED
@@ -605,7 +614,7 @@ def audit_implication_chain(run: CheckRun) -> CheckReport:
     sub = [born, det, mnc, maxe, prep, cls]
     if counterexample:
         verdict = VIOLATED
-    elif INCONCLUSIVE in {r.verdict for r in sub} or ks_nc == INCONCLUSIVE:
+    elif INCONCLUSIVE in {r.verdict for r in sub}:
         verdict = INCONCLUSIVE
     else:
         verdict = SATISFIED

@@ -27,13 +27,13 @@ from .checks import (
     check_measurement_noncontextuality,
     check_omega_witness,
     check_outcome_determinism,
-    check_preparation_noncontextuality,
     classify_ontology,
+    prep_nc_report,
 )
 from .errors import FieldError, PreconditionError, is_integer
 from .integrate import MIN_SAMPLES, McConfig, QuadratureGrid
 from .models import MODEL_NAMES, StateCatalog, catalog_from_states, default_catalog, make_model
-from .qubit import half_half_mixture, state_from_catalog_entry
+from .qubit import state_from_catalog_entry
 
 OUTPUT_FORMATS = ("json", "csv", "text")
 # The flag that sets each validated field of McConfig, QuadratureGrid and CheckRun.
@@ -62,8 +62,7 @@ class RunConfig:
 
 
 def _run_prep_nc(run: CheckRun) -> CheckReport:
-    psi, phi = canonical_pair(run.catalog)
-    return check_preparation_noncontextuality(run, half_half_mixture(psi), half_half_mixture(phi))
+    return prep_nc_report(run, *canonical_pair(run.catalog))
 
 
 def _run_nonlocality(run: CheckRun) -> CheckReport:
@@ -165,7 +164,8 @@ def run(config: RunConfig) -> tuple[int, list[CheckReport]]:
     for name in config.check_names:
         started = time.perf_counter()
         try:
-            report = CHECK_RUNNERS[name](check_run)
+            # audit and its sub-checks share reports: whichever comes first makes them
+            report = check_run.once(name, lambda: CHECK_RUNNERS[name](check_run))
         except (PreconditionError, ValueError) as exc:
             print(f"error: check {name!r}: {exc}", file=sys.stderr)
             return 2, reports

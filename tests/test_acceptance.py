@@ -216,11 +216,11 @@ def test_criterion_7_steering_construction():
     for psi, phi in pairs:
         basis = steering_basis(psi, phi)   # internally verified at 1e-10
         ens = steer(make_max_entangled(psi), basis)
-        (p0, bob0), (p1, bob1) = ens.outcomes
+        (p0, bob0), (p1, bob1) = ens.entries
         assert abs(p0 - 0.5) <= 1e-10 and abs(p1 - 0.5) <= 1e-10
         assert np.abs(bob0.vec() - phi.vec()).max() <= 1e-10
         assert np.abs(bob1.vec() + phi.vec()).max() <= 1e-10
-        rho = ensemble_density_operator(ens.as_ensemble())
+        rho = ensemble_density_operator(ens)
         assert np.abs(rho.matrix - np.eye(2) / 2).max() <= 1e-12
     for name in ("ks", "bell-mermin"):
         witness_run = CheckRun(make_model(name), default_catalog(), FULL, ("nonlocality",), TOL, GRID)

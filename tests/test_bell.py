@@ -79,14 +79,14 @@ class TestMaxEntangled:
 class TestSteer:
     def test_z_measurement_on_z_pair(self):
         ens = steer(make_max_entangled(PLUS_Z), Z_BASIS)
-        (p0, bob0), (p1, bob1) = ens.outcomes
+        (p0, bob0), (p1, bob1) = ens.entries
         assert abs(p0 - 0.5) <= 1e-12 and abs(p1 - 0.5) <= 1e-12
         assert np.abs(bob0.vec() - PLUS_Z.vec()).max() <= 1e-12
         assert np.abs(bob1.vec() - MINUS_Z.vec()).max() <= 1e-12
 
     def test_x_measurement_on_z_pair(self):
         ens = steer(make_max_entangled(PLUS_Z), X_BASIS)
-        (p0, bob0), (p1, bob1) = ens.outcomes
+        (p0, bob0), (p1, bob1) = ens.entries
         assert abs(p0 - 0.5) <= 1e-12
         assert np.abs(bob0.vec() - PLUS_X.vec()).max() <= 1e-12
         assert np.abs(bob1.vec() - MINUS_X.vec()).max() <= 1e-12
@@ -96,7 +96,7 @@ class TestSteer:
             state = make_max_entangled(psi)
             basis = MeasurementBasis((alice, orthogonal_complement(alice)))
             ens = steer(state, basis)
-            for (p, bob), outcome in zip(ens.outcomes, basis.outcomes):
+            for (p, bob), outcome in zip(ens.entries, basis.outcomes):
                 p_ref, rho_ref = oracle_steer(state.amplitudes, outcome)
                 assert abs(p - p_ref) <= 1e-12
                 rho_bob = ensemble_density_operator(Ensemble(((1.0, bob),)))
@@ -106,7 +106,7 @@ class TestSteer:
         for psi, alice in random_pairs(10, 4):
             basis = MeasurementBasis((alice, orthogonal_complement(alice)))
             ens = steer(make_max_entangled(psi), basis)
-            rho = ensemble_density_operator(ens.as_ensemble())
+            rho = ensemble_density_operator(ens)
             assert np.abs(rho.matrix - HALF_EYE).max() <= 1e-12
 
     def test_degenerate_outcome_rejected(self):
@@ -133,7 +133,7 @@ class TestSteeringBasis:
         for psi, phi in random_pairs(20, 6):
             basis = steering_basis(psi, phi)
             ens = steer(make_max_entangled(psi), basis)
-            (p0, bob0), (p1, bob1) = ens.outcomes
+            (p0, bob0), (p1, bob1) = ens.entries
             assert abs(p0 - 0.5) <= 1e-10 and abs(p1 - 0.5) <= 1e-10
             assert np.abs(bob0.vec() - phi.vec()).max() <= 1e-10
             assert np.abs(bob1.vec() + phi.vec()).max() <= 1e-10

@@ -22,6 +22,7 @@ from onticlab.checks import (
     ensemble_distribution,
     find_omega_witness,
     overlap_integral,
+    prep_nc_report,
 )
 from onticlab.errors import FieldError, PreconditionError
 from onticlab.integrate import McConfig, McEstimate, QuadratureGrid, sphere_quadrature
@@ -29,6 +30,7 @@ from onticlab.models import (
     KochenSpeckerModel,
     SingleBatch,
     StateCatalog,
+    catalog_from_states,
     default_catalog,
     make_model,
 )
@@ -253,6 +255,15 @@ class TestPreparationNoncontextuality:
         assert rep.estimates[1].mean == 0.0   # witness under the other ensemble
         assert "support-witness" in rep.details
 
+    def test_run_keeps_reports_of_equal_states_with_other_labels_or_zero_signs_apart(self):
+        # each equals PLUS_X, but its label or signed zero shows in the details
+        phis = (PLUS_X, PureState(PLUS_X.bloch, "x"), PureState(PLUS_X.bloch),
+                PureState(BlochVector(1.0, -0.0, 0.0)))
+        run = run_of(KS, "prep-nc")
+        shared = [prep_nc_report(run, PLUS_Z, phi) for phi in phis]
+        assert shared == [prep_nc_report(run_of(KS, "prep-nc"), PLUS_Z, phi) for phi in phis]
+        assert len({r.details for r in shared}) == len(phis)
+
     def test_density_operator_precondition(self):
         with pytest.raises(PreconditionError):
             check_preparation_noncontextuality(
@@ -408,3 +419,9 @@ class TestNoVacuousVerdicts:
         with pytest.raises(PreconditionError, match="no measurement basis"):
             check(run)
         assert check_max_psi_epistemic(run).verdict == SATISFIED
+
+    def test_classify_needs_a_nonorthogonal_pair(self):
+        # +z and its complement only: with no nonorthogonal overlap, psi-ontic would be vacuous
+        run = CheckRun(KS, catalog_from_states((PLUS_Z,)), CFG, ("classify",))
+        with pytest.raises(PreconditionError, match="no distinct nonorthogonal pair"):
+            classify_ontology(run)

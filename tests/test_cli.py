@@ -238,6 +238,15 @@ class TestCatalogIngestion:
         assert code == 0
         assert len(reports[0].estimates) == triples
 
+    def test_classify_on_a_one_state_catalog_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps([{"bloch": [0, 0, 1]}]))
+        code, reports = run(
+            RunConfig(model_name="ks", check_names=("classify",), catalog_path=str(path), **FAST)
+        )
+        assert code == 2 and reports == []
+        assert "no distinct nonorthogonal pair" in capsys.readouterr().err
+
     def test_missing_file_exits_2(self):
         code, reports = run(RunConfig(model_name="ks", catalog_path="/nonexistent.json"))
         assert code == 2
@@ -383,7 +392,10 @@ def zeroed_json(reports):
 
 
 class TestSharedStateTable:
-    """Checks of one run share one pass over each mu_psi, and nothing outlives the run."""
+    """Checks of one run share one pass over each mu_psi and the reports audit reads.
+
+    Nothing outlives the run.
+    """
 
     SHARING = ("born", "max-epistemic", "classify", "audit")
 
@@ -397,6 +409,32 @@ class TestSharedStateTable:
             assert code == 0
             alone += reports
         assert zeroed_json(together) == zeroed_json(alone)
+
+    @pytest.mark.parametrize("model_name", MODEL_NAMES)
+    def test_audit_first_or_last_equals_each_check_alone(self, model_name):
+        others = tuple(name for name in expected_patterns()[model_name] if name != "audit")
+        alone = {}
+        for name in others + ("audit",):
+            code, reports = run(RunConfig(model_name=model_name, check_names=(name,), **FAST))
+            assert code == 0
+            alone[name] = reports
+        for names in (("audit",) + others, others + ("audit",)):
+            code, together = run(RunConfig(model_name=model_name, check_names=names, **FAST))
+            assert code == 0
+            assert zeroed_json(together) == zeroed_json([r for n in names for r in alone[n]])
+
+    def test_audit_reuses_the_reports_its_run_made(self, monkeypatch):
+        model = CountingLabelReader()
+        monkeypatch.setattr("onticlab.cli.make_model", lambda name: model)
+
+        def drawn(checks):
+            before = model.drawn
+            code, reports = run(RunConfig(model_name="label-reader", check_names=checks, **FAST))
+            assert code == 0 and len(reports) == len(checks)
+            return model.drawn - before
+
+        audit_alone = drawn(("audit",))
+        assert drawn(("determinism", "measurement-nc", "prep-nc", "audit")) == audit_alone
 
     def test_a_run_draws_each_stream_once_and_keeps_nothing(self):
         model, catalog = CountingLabelReader(), default_catalog()

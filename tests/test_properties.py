@@ -131,7 +131,7 @@ class TestSteeringRoundTrip:
     @given(STATES, STATES)
     def test_steered_halves_are_phi_and_its_complement(self, psi, phi):
         ens = steer(make_max_entangled(psi), steering_basis(psi, phi))
-        (p0, bob0), (p1, bob1) = ens.outcomes
+        (p0, bob0), (p1, bob1) = ens.entries
         assert abs(p0 - 0.5) <= 1e-10 and abs(p1 - 0.5) <= 1e-10
         assert np.abs(bob0.vec() - phi.vec()).max() <= 1e-10
         assert np.abs(bob1.vec() + phi.vec()).max() <= 1e-10
