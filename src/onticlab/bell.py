@@ -14,7 +14,7 @@ import numpy as np
 
 from .checks import CheckReport, CheckRun, check_born_reproduction, check_preparation_noncontextuality
 from .errors import PreconditionError
-from .models import catalog_from_states
+from .models import _index
 from .qubit import (
     DensityOperator,
     Ensemble,
@@ -110,17 +110,19 @@ def steering_basis(psi: PureState, phi: PureState) -> MeasurementBasis:
 def nonlocality_witness(run: CheckRun, psi: PureState, phi: PureState) -> CheckReport:
     """Check whether Bob's ontic distribution depends on Alice's basis choice.
 
-    The Born precondition runs on the run's model, budget and tolerance over
-    the catalog of psi and phi.  Then the two steered ensembles for Alice
+    psi and phi must be catalog states: the Born precondition is the run's
+    born report, made once per run.  Then the two steered ensembles for Alice
     bases aimed at {psi, psi_perp} and {phi, phi_perp} go to the
     preparation-noncontextuality checker; verdict "violated" means the
     witness fires.
     """
-    steering_run = replace(run, catalog=catalog_from_states((psi, phi)), check_names=("born",))
-    born = check_born_reproduction(steering_run)
+    for s in (psi, phi):
+        if _index(run.catalog.states, s) < 0:
+            raise PreconditionError(f"steering state {s.describe()} is not a state of the run's catalog")
+    born = run.once("born", lambda: check_born_reproduction(run))
     if born.verdict != "satisfied":
         raise PreconditionError(
-            f"model {run.model.name} does not reproduce the Born rule on the steering states"
+            f"model {run.model.name} does not reproduce the Born rule on the catalog"
             f" (verdict {born.verdict})"
         )
     entangled = make_max_entangled(psi)

@@ -130,7 +130,7 @@ def state_table(
 
 
 # The checks that read each part of a run's shared state table.
-RESPONSE_CHECKS = frozenset({"born", "audit"})
+RESPONSE_CHECKS = frozenset({"born", "nonlocality", "audit"})
 OVERLAP_CHECKS = frozenset({"max-epistemic", "classify", "audit"})
 
 
@@ -140,10 +140,11 @@ class CheckRun:
 
     Every check of a run is a function of this object, and construction
     validates what the config objects do not: tol must be a finite number in
-    (0, 1) and check_names a non-empty tuple of strings.  Shared work (the
-    state table, and the reports audit reads) goes through once(), whose memo
-    lives as long as this object, so nothing computed for one catalog can
-    reach another.
+    (0, 1) and check_names a non-empty tuple of strings.  All shared work (the
+    state table, the response scan of determinism and measurement-nc, and the
+    reports audit and nonlocality read) goes through once(), whose memo lives
+    as long as this object: no check builds a run of its own, and nothing
+    computed for one catalog can reach another.
     """
 
     model: OntologicalModel
@@ -237,51 +238,28 @@ def check_born_reproduction(run: CheckRun) -> CheckReport:
     )
 
 
-def _scan_responses(run: CheckRun, probe):
-    """Count offending response values over every sample source, in index order.
+@dataclass
+class _Tally:
+    """Values an exact check compared, the offenses among them and the first offense's text."""
 
-    The sources are every mu_psi of the catalog and the reference measure;
-    the sample budget is split evenly over them (at least MIN_SAMPLES each).
-    probe(basis, batch) yields (offending mask, describe) pairs, where
-    describe(source_label) words an offense; it is called before the probe
-    resumes, and only the first offense seen is kept.
-    Returns (values checked, offenses, first offense text, states sampled).
-    """
-    model, bases = run.model, _require_bases(run)
-    sources = [(f"mu({s.describe()})", _prepare_sampler(model, s)) for s in run.catalog.states]
-    sources.append(("reference", model.reference_batch))
-    per_source = replace(run.cfg, n_samples=max(MIN_SAMPLES, run.cfg.n_samples // len(sources)))
-    checked = bad = 0
-    first_offense = ""
-    for source_label, sampler in sources:
-        for _, batch in sample_batches(sampler, per_source):
-            for basis in bases:
-                for off, describe in probe(basis, batch):
-                    checked += len(off)
-                    if off.any():
-                        bad += int(off.sum())
-                        if not first_offense:
-                            first_offense = describe(source_label)
-    return checked, bad, first_offense, per_source.n_samples * len(sources)
+    checked: int = 0
+    bad: int = 0
+    first: str = ""
 
+    def add(self, off: np.ndarray, describe) -> None:
+        bad = np.count_nonzero(off)
+        if bad and not self.first:
+            self.first = describe()
+        self.checked += len(off)
+        self.bad += bad
 
-def check_outcome_determinism(run: CheckRun) -> CheckReport:
-    """Assert every evaluated response value is exactly 0 or 1."""
-
-    def probe(basis, batch):
-        for idx in (0, 1):
-            vals = run.model.response_batch(basis, idx, batch)
-            off = (vals != 0.0) & (vals != 1.0)
-            yield off, lambda label: f"; first offense {label}|{basis.describe()} value {vals[off][0]!r}"
-
-    checked, bad, first_offense, n_states = _scan_responses(run, probe)
-    fraction = bad / checked if checked else 0.0
-    return run.report(
-        "determinism", SATISFIED if bad == 0 else VIOLATED,
-        (LabeledEstimate("non_binary_fraction", fraction, 0.0),),
-        f"{checked} response values over {n_states} sampled ontic states{first_offense}",
-        tolerance=0.0,
-    )
+    def report(self, run: CheckRun, name: str, label: str, what: str) -> CheckReport:
+        """Satisfied only when the scan saw no offense; the estimate is the offending fraction."""
+        fraction = self.bad / self.checked if self.checked else 0.0
+        return run.report(
+            name, SATISFIED if self.bad == 0 else VIOLATED,
+            (LabeledEstimate(label, fraction, 0.0),), what + self.first, tolerance=0.0,
+        )
 
 
 def _descriptor_variants(basis: MeasurementBasis) -> list[tuple[MeasurementBasis, int, int]]:
@@ -302,26 +280,47 @@ def _descriptor_variants(basis: MeasurementBasis) -> list[tuple[MeasurementBasis
     ]
 
 
+def _response_scan(run: CheckRun) -> tuple[_Tally, _Tally, int]:
+    """Tally determinism and measurement-nc in one pass over every sample source.
+
+    The sources are every mu_psi of the catalog, then the reference measure,
+    each with an even share of the budget (at least MIN_SAMPLES).  Per batch
+    and basis the two responses are evaluated once; determinism counts their
+    values other than 0 and 1, then measurement-nc compares them with every
+    descriptor variant's.  Returns (determinism, measurement-nc, states sampled).
+    """
+    model, bases = run.model, _require_bases(run)
+    sources = [(f"mu({s.describe()})", _prepare_sampler(model, s)) for s in run.catalog.states]
+    sources.append(("reference", model.reference_batch))
+    per_source = replace(run.cfg, n_samples=max(MIN_SAMPLES, run.cfg.n_samples // len(sources)))
+    det, mnc = _Tally(), _Tally()
+    for label, sampler in sources:
+        for _, batch in sample_batches(sampler, per_source):
+            for basis in bases:
+                vals = [model.response_batch(basis, idx, batch) for idx in (0, 1)]
+                for v in vals:
+                    off = (v != 0.0) & (v != 1.0)
+                    det.add(off, lambda: f"; first offense {label}|{basis.describe()} value {v[off][0]!r}")
+                for variant, v_idx, b_idx in _descriptor_variants(basis):
+                    diff = model.response_batch(variant, v_idx, batch) != vals[b_idx]
+                    mnc.add(diff, lambda: f"; first mismatch {label}|{basis.describe()}"
+                                          f" vs descriptor {variant.describe()}")
+    return det, mnc, per_source.n_samples * len(sources)
+
+
+def check_outcome_determinism(run: CheckRun) -> CheckReport:
+    """Assert every evaluated response value is exactly 0 or 1."""
+    det, _, n_states = run.once("response-scan", lambda: _response_scan(run))
+    return det.report(
+        run, "determinism", "non_binary_fraction",
+        f"{det.checked} response values over {n_states} sampled ontic states",
+    )
+
+
 def check_measurement_noncontextuality(run: CheckRun) -> CheckReport:
     """Assert responses depend only on the outcome state, not its descriptor."""
-    model = run.model
-
-    def probe(basis, batch):
-        base_vals = [model.response_batch(basis, idx, batch) for idx in (0, 1)]
-        for variant, v_idx, b_idx in _descriptor_variants(basis):
-            diff = model.response_batch(variant, v_idx, batch) != base_vals[b_idx]
-            yield diff, lambda label: (
-                f"; first mismatch {label}|{basis.describe()} vs descriptor {variant.describe()}"
-            )
-
-    compared, mismatches, first_offense, _ = _scan_responses(run, probe)
-    fraction = mismatches / compared if compared else 0.0
-    return run.report(
-        "measurement-nc", SATISFIED if mismatches == 0 else VIOLATED,
-        (LabeledEstimate("mismatch_fraction", fraction, 0.0),),
-        f"{compared} descriptor comparisons{first_offense}",
-        tolerance=0.0,
-    )
+    _, mnc, _ = run.once("response-scan", lambda: _response_scan(run))
+    return mnc.report(run, "measurement-nc", "mismatch_fraction", f"{mnc.checked} descriptor comparisons")
 
 
 def overlap_integral(model: OntologicalModel, psi: PureState, phi: PureState, cfg: McConfig) -> McEstimate:
@@ -394,11 +393,8 @@ class EnsembleDistribution:
         return np.minimum(np.searchsorted(cum, u, side="right"), len(self.ensemble.entries) - 1)
 
     def sample_batch(self, seed: int, start: int, count: int) -> Batch:
-        entries = self.ensemble.entries
-        if len(entries) == 1:
-            return self.model.prepare_batch(entries[0][1], seed, start, count)
         j = self._choices(seed, start, count)
-        parts = [self.model.prepare_batch(s, seed, start, count) for _, s in entries]
+        parts = [self.model.prepare_batch(s, seed, start, count) for _, s in self.ensemble.entries]
         names = [f.name for f in fields(parts[0])]
         rows = [getattr(parts[0], name).copy() for name in names]
         for k in range(1, len(parts)):

@@ -115,6 +115,10 @@ class OntologicalModel(ABC):
         """Density of mu_psi w.r.t. the reference measure, or None when singular."""
         return None
 
+    def _prepare_key(self, psi: PureState, seed: int) -> int:
+        """The Philox key of mu_psi's stream, from the exact bytes of psi's Bloch vector."""
+        return substream_key(seed, self.name, "prepare", psi.vec().tobytes())
+
 
 def _require_single(batch: Batch) -> np.ndarray:
     if not isinstance(batch, SingleBatch):
@@ -166,8 +170,7 @@ class KochenSpeckerModel(OntologicalModel):
     has_density = True
 
     def prepare_batch(self, psi, seed, start, count):
-        key = substream_key(seed, self.name, "prepare", psi.vec().tobytes())
-        return SingleBatch(_cap_points(psi.vec(), key, start, count))
+        return SingleBatch(_cap_points(psi.vec(), self._prepare_key(psi, seed), start, count))
 
     def reference_batch(self, seed, start, count):
         u = uniform_blocks(substream_key(seed, self.name, "reference"), start, count)
@@ -192,8 +195,7 @@ class BellMerminModel(OntologicalModel):
     has_density = False   # the point-measure factor admits no density
 
     def prepare_batch(self, psi, seed, start, count):
-        key = substream_key(seed, self.name, "prepare", psi.vec().tobytes())
-        u = uniform_blocks(key, start, count)
+        u = uniform_blocks(self._prepare_key(psi, seed), start, count)
         second = sphere_points_from_uniforms(u[:, 0], u[:, 1])
         return PairBatch(_point_mass_rows(psi, count), second)
 
@@ -219,9 +221,8 @@ class _PointMeasureFixture(OntologicalModel):
     def prepare_batch(self, psi, seed, start, count):
         return SingleBatch(_point_mass_rows(psi, count))
 
-    def reference_batch(self, seed, start, count):
-        u = uniform_blocks(substream_key(seed, self.name, "reference"), start, count)
-        return SingleBatch(sphere_points_from_uniforms(u[:, 0], u[:, 1]))
+    # the cap model's uniform reference on the one sphere, keyed by each fixture's name
+    reference_batch = KochenSpeckerModel.reference_batch
 
     def in_support_batch(self, psi, batch):
         return same_state_rows(_require_single(batch), psi)

@@ -26,7 +26,6 @@ from onticlab.checks import (
     classify_ontology,
     ensemble_distribution,
     find_omega_witness,
-    overlap_integral,
 )
 from onticlab.cli import RunConfig, emit_report, expected_patterns, run
 from onticlab.integrate import McConfig, QuadratureGrid, sphere_quadrature
@@ -63,6 +62,18 @@ def gauss_1d(f, a, b, n=600):
     x, w = np.polynomial.legendre.leggauss(n)
     xm = 0.5 * (b - a) * x + 0.5 * (a + b)
     return float(0.5 * (b - a) * (w @ f(xm)))
+
+
+def overlap_rows(report, catalog):
+    """The max-epistemic rows, one per ordered pair in catalog order.
+
+    Each row is overlap_integral of its pair bit for bit
+    (test_checks.py::TestMaxPsiEpistemic::test_rows_are_the_overlap_integrals),
+    so the criteria read the overlaps from the report instead of drawing them again.
+    """
+    pairs = [f"{psi.describe()}->{phi.describe()}" for psi in catalog.states for phi in catalog.states]
+    assert [row.label for row in report.estimates] == pairs
+    return report.estimates
 
 
 @pytest.fixture(scope="module")
@@ -111,9 +122,10 @@ def test_criterion_2_cap_model_maximally_epistemic():
     catalog = default_catalog()
     report = check_max_psi_epistemic(CheckRun(KS, catalog, FULL, ("max-epistemic",), TOL))
     assert report.verdict == SATISFIED
+    rows = iter(overlap_rows(report, catalog))
     for psi in catalog.states:
         for phi in catalog.states:
-            est = overlap_integral(KS, psi, phi, FULL)
+            est = next(rows)
             born = born_probability(phi, psi)
             assert abs(est.mean - born) <= 5 * est.std_error
             quad = sphere_quadrature(
@@ -129,9 +141,10 @@ def test_criterion_3_pair_model_fails_maximal_epistemicity():
     catalog = default_catalog()
     report = check_max_psi_epistemic(CheckRun(BM, catalog, FULL, ("max-epistemic",), TOL))
     assert report.verdict == VIOLATED
+    rows = iter(overlap_rows(report, catalog))
     for psi in catalog.states:
         for phi in catalog.states:
-            est = overlap_integral(BM, psi, phi, FULL)
+            est = next(rows)
             born = born_probability(phi, psi)
             if psi.bloch == phi.bloch:
                 assert est.mean == 1.0

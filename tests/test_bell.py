@@ -9,10 +9,22 @@ from onticlab.bell import (
     steer,
     steering_basis,
 )
-from onticlab.checks import SATISFIED, VIOLATED, CheckRun, check_max_psi_epistemic
+from onticlab.checks import (
+    SATISFIED,
+    VIOLATED,
+    CheckRun,
+    check_born_reproduction,
+    check_max_psi_epistemic,
+)
 from onticlab.errors import PreconditionError
 from onticlab.integrate import McConfig
-from onticlab.models import default_catalog, make_model, random_states
+from onticlab.models import (
+    KochenSpeckerModel,
+    catalog_from_states,
+    default_catalog,
+    make_model,
+    random_states,
+)
 from onticlab.qubit import (
     MINUS_X,
     MINUS_Y,
@@ -20,8 +32,10 @@ from onticlab.qubit import (
     PLUS_X,
     PLUS_Y,
     PLUS_Z,
+    BlochVector,
     Ensemble,
     MeasurementBasis,
+    PureState,
     bloch_to_amplitudes,
     ensemble_density_operator,
     orthogonal_complement,
@@ -139,7 +153,37 @@ class TestSteeringBasis:
             assert np.abs(bob1.vec() + phi.vec()).max() <= 1e-10
 
 
+class CountingCapModel(KochenSpeckerModel):
+    """The cap model, counting the preparation rows it draws."""
+
+    drawn = 0
+
+    def prepare_batch(self, psi, seed, start, count):
+        self.drawn += count
+        return super().prepare_batch(psi, seed, start, count)
+
+
 class TestNonlocalityWitness:
+    def test_reads_the_born_report_of_its_run(self):
+        model, catalog = CountingCapModel(), default_catalog()
+        run = CheckRun(model, catalog, CFG, ("born", "nonlocality"))
+        check_born_reproduction(run)
+        assert model.drawn == len(catalog.states) * CFG.n_samples
+        # the density route draws nothing, and the Born precondition reads the run's table
+        assert nonlocality_witness(run, PLUS_Z, PLUS_X).verdict == VIOLATED
+        assert model.drawn == len(catalog.states) * CFG.n_samples
+
+    def test_steering_states_must_be_catalog_states(self):
+        model = CountingCapModel()
+        run = CheckRun(model, catalog_from_states((PLUS_Z, PLUS_X)), CFG, ("nonlocality",))
+        for psi, phi in ((PLUS_Z, PLUS_Y), (PLUS_Y, PLUS_Z)):
+            with pytest.raises(PreconditionError, match="not a state of the run's catalog"):
+                nonlocality_witness(run, psi, phi)
+        assert model.drawn == 0
+        # same_state decides membership, so a state 1e-16 off a catalog state is in it
+        near_x = PureState(BlochVector(1.0, 1e-16, 0.0))
+        assert nonlocality_witness(run, PLUS_Z, near_x).verdict == VIOLATED
+
     def test_fires_on_cap_model(self):
         rep = nonlocality_witness(witness_run("ks"), PLUS_Z, PLUS_X)
         assert rep.verdict == VIOLATED

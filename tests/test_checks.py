@@ -152,6 +152,18 @@ class TestOverlapIntegral:
 
 
 class TestMaxPsiEpistemic:
+    @pytest.mark.parametrize("model", (KS, BM), ids=lambda m: m.name)
+    def test_rows_are_the_overlap_integrals(self, model):
+        """Each row is overlap_integral of its ordered pair, bit for bit, in catalog order."""
+        cfg = McConfig(n_samples=20_000, seed=42)
+        rows = check_max_psi_epistemic(CheckRun(model, CATALOG, cfg, ("max-epistemic",))).estimates
+        pairs = [(psi, phi) for psi in CATALOG.states for phi in CATALOG.states]
+        assert len(rows) == len(pairs)
+        for row, (psi, phi) in zip(rows, pairs):
+            est = overlap_integral(model, psi, phi, cfg)
+            assert row.label == f"{psi.describe()}->{phi.describe()}"
+            assert (row.mean, row.std_error) == (est.mean, est.std_error)
+
     def test_cap_model_is_maximally_epistemic(self):
         assert check_max_psi_epistemic(run_of(KS, "max-epistemic")).verdict == SATISFIED
 

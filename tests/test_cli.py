@@ -378,13 +378,17 @@ class TestBatchSizeInvariance:
 
 
 class CountingLabelReader(LabelReadingModel):
-    """label-reader that counts the preparation rows it draws."""
+    """label-reader that counts the preparation and reference rows it draws."""
 
     drawn = 0
 
     def prepare_batch(self, psi, seed, start, count):
         self.drawn += count
         return super().prepare_batch(psi, seed, start, count)
+
+    def reference_batch(self, seed, start, count):
+        self.drawn += count
+        return super().reference_batch(seed, start, count)
 
 
 def zeroed_json(reports):
@@ -423,7 +427,9 @@ class TestSharedStateTable:
             assert code == 0
             assert zeroed_json(together) == zeroed_json([r for n in names for r in alone[n]])
 
-    def test_audit_reuses_the_reports_its_run_made(self, monkeypatch):
+    @pytest.fixture
+    def drawn(self, monkeypatch):
+        """Rows a counting label-reader draws in one CLI run of the given checks."""
         model = CountingLabelReader()
         monkeypatch.setattr("onticlab.cli.make_model", lambda name: model)
 
@@ -433,8 +439,19 @@ class TestSharedStateTable:
             assert code == 0 and len(reports) == len(checks)
             return model.drawn - before
 
+        return drawn
+
+    def test_audit_reuses_the_reports_its_run_made(self, drawn):
         audit_alone = drawn(("audit",))
         assert drawn(("determinism", "measurement-nc", "prep-nc", "audit")) == audit_alone
+
+    def test_exact_checks_share_one_response_scan(self, drawn):
+        # every mu_psi and the reference, each at the per-source budget
+        sources = len(default_catalog().states) + 1
+        scan = sources * (FAST["samples"] // sources)
+        assert drawn(("determinism",)) == drawn(("measurement-nc",)) == scan
+        assert drawn(("determinism", "measurement-nc")) == scan
+        assert drawn(("measurement-nc", "determinism")) == scan
 
     def test_a_run_draws_each_stream_once_and_keeps_nothing(self):
         model, catalog = CountingLabelReader(), default_catalog()
