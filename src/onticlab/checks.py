@@ -112,12 +112,13 @@ def state_table(
     Each estimate builds up on its own in index order, so it does not depend
     on which other integrands share the pass.
     """
-    outcomes = [(basis, idx) for basis in catalog.bases for idx in (0, 1)] if responses else []
+    bases = catalog.bases if responses else ()
+    outcomes = [(basis, idx) for basis in bases for idx in (0, 1)]
     phis = catalog.states if overlaps else ()
     resp_rows, pair_rows = [], []
     for psi in catalog.states:
-        fs = [lambda b, basis=basis, idx=idx: model.response_batch(basis, idx, b) for basis, idx in outcomes]
-        fs += [lambda b, phi=phi: model.in_support_batch(phi, b) for phi in phis]
+        fs = [lambda b, basis=basis: model.response_batch(basis, b) for basis in bases]
+        fs += [lambda b, phi=phi: (model.in_support_batch(phi, b),) for phi in phis]
         ests = mc_expectations(fs, _prepare_sampler(model, psi), cfg)
         resp_rows += [(psi, basis, idx, est) for (basis, idx), est in zip(outcomes, ests)]
         pair_rows += [
@@ -262,22 +263,18 @@ class _Tally:
         )
 
 
-def _descriptor_variants(basis: MeasurementBasis) -> list[tuple[MeasurementBasis, int, int]]:
+def _descriptor_variants(basis: MeasurementBasis) -> list[tuple[MeasurementBasis, tuple[int, int]]]:
     """Synthesized descriptors sharing outcome states with `basis`.
 
-    Returns (variant, index in variant, index in basis) for every outcome of
-    the swapped-order and relabeled copies.  For a qubit no two genuinely
-    distinct bases share an outcome, so noncontextuality is probed through
-    descriptor relabeling and permutation instead.
+    Returns (variant, outcome map) for the swapped-order and the relabeled
+    copy, where the map's entry i is the index in basis of the variant's
+    outcome i.  For a qubit no two genuinely distinct bases share an
+    outcome, so noncontextuality is probed through descriptor relabeling
+    and permutation instead.
     """
     swapped = MeasurementBasis((basis.outcomes[1], basis.outcomes[0]), basis.label)
     relabeled = MeasurementBasis(basis.outcomes, (basis.label or "M") + RELABEL_MARK)
-    return [
-        (swapped, 0, 1),
-        (swapped, 1, 0),
-        (relabeled, 0, 0),
-        (relabeled, 1, 1),
-    ]
+    return [(swapped, (1, 0)), (relabeled, (0, 1))]
 
 
 def _response_scan(run: CheckRun) -> tuple[_Tally, _Tally, int]:
@@ -285,9 +282,10 @@ def _response_scan(run: CheckRun) -> tuple[_Tally, _Tally, int]:
 
     The sources are every mu_psi of the catalog, then the reference measure,
     each with an even share of the budget (at least MIN_SAMPLES).  Per batch
-    and basis the two responses are evaluated once; determinism counts their
+    and basis the two responses come from one call; determinism counts their
     values other than 0 and 1, then measurement-nc compares them with every
-    descriptor variant's.  Returns (determinism, measurement-nc, states sampled).
+    descriptor variant's, one call per variant.  Returns (determinism,
+    measurement-nc, states sampled).
     """
     model, bases = run.model, _require_bases(run)
     sources = [(f"mu({s.describe()})", _prepare_sampler(model, s)) for s in run.catalog.states]
@@ -297,14 +295,15 @@ def _response_scan(run: CheckRun) -> tuple[_Tally, _Tally, int]:
     for label, sampler in sources:
         for _, batch in sample_batches(sampler, per_source):
             for basis in bases:
-                vals = [model.response_batch(basis, idx, batch) for idx in (0, 1)]
+                vals = model.response_batch(basis, batch)
                 for v in vals:
                     off = (v != 0.0) & (v != 1.0)
                     det.add(off, lambda: f"; first offense {label}|{basis.describe()} value {v[off][0]!r}")
-                for variant, v_idx, b_idx in _descriptor_variants(basis):
-                    diff = model.response_batch(variant, v_idx, batch) != vals[b_idx]
-                    mnc.add(diff, lambda: f"; first mismatch {label}|{basis.describe()}"
-                                          f" vs descriptor {variant.describe()}")
+                for variant, outcome_map in _descriptor_variants(basis):
+                    variant_vals = model.response_batch(variant, batch)
+                    for v, b_idx in zip(variant_vals, outcome_map):
+                        mnc.add(v != vals[b_idx], lambda: f"; first mismatch {label}|{basis.describe()}"
+                                                          f" vs descriptor {variant.describe()}")
     return det, mnc, per_source.n_samples * len(sources)
 
 
@@ -512,7 +511,7 @@ def find_omega_witness(
     omega_sums, resp_sums = [0.0, 0.0], [0.0, 0.0]
     examples: list[OnticState] = []
     for count, batch in sample_batches(_prepare_sampler(model, psi), cfg):
-        resp = model.response_batch(basis_containing_phi, outcome_index, batch)
+        resp = model.response_batch(basis_containing_phi, batch)[outcome_index]
         omega = (~model.in_support_batch(phi, batch)) & (resp > 0.0)
         # resp * omega keeps a bool response bool, so both indicators are counted
         for sums, vals in ((omega_sums, omega), (resp_sums, resp * omega)):

@@ -88,11 +88,13 @@ def expected_patterns() -> dict:
 
 
 def load_catalog(path: str) -> StateCatalog:
-    with open(path, encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             entries = json.load(fh)
-        except ValueError as exc:   # a JSON syntax error or bytes that are not UTF-8
-            raise ValueError(f"--catalog {path!r} is not valid JSON: {exc}") from exc
+    except OSError as exc:   # a missing file, a directory, no read permission
+        raise ValueError(f"--catalog {path!r} cannot be read: {exc.strerror or exc}") from exc
+    except ValueError as exc:   # a JSON syntax error or bytes that are not UTF-8
+        raise ValueError(f"--catalog {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(entries, list) or not entries:
         raise ValueError(f"--catalog {path!r} must hold a non-empty JSON array of state entries")
     return catalog_from_states([state_from_catalog_entry(e) for e in entries])

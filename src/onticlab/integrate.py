@@ -132,29 +132,35 @@ def mc_expectations(
     sampler: Callable[[int, int, int], object],
     cfg: McConfig,
 ) -> list[McEstimate]:
-    """Estimate E[f] for several integrands over one shared sample stream.
+    """Estimate several expectations over one shared sample stream.
 
     sampler(seed, start, count) must return a batch covering sample indices
-    start..start+count-1; each f maps a batch to an array of the same length:
-    bool for an indicator, which is counted, or numbers, which are summed as
-    floats (see batch_sums).  Batches are reduced in index order, so results
-    are a pure function of (fs, sampler, cfg).
+    start..start+count-1; each f maps a batch to a tuple of arrays of the
+    same length, one per estimate: bool for an indicator, which is counted,
+    or numbers, which are summed as floats (see batch_sums).  Each f must
+    return the same number of arrays on every batch.  The estimates come
+    back flattened in order: those of fs[0], then those of fs[1], and so
+    on.  Batches are reduced in index order, so results are a pure function
+    of (fs, sampler, cfg).
     """
     if not fs:
         raise ValueError("need at least one integrand")
-    s1 = [0.0] * len(fs)
-    s2 = [0.0] * len(fs)
+    sums: dict[int, list] = {}   # estimate index -> [sum, sum of squares, rows reduced]
     for count, batch in sample_batches(sampler, cfg):
-        for k, f in enumerate(fs):
-            a, b = batch_sums(f(batch), count, f"integrand {k}")
-            s1[k] += a
-            s2[k] += b
-    return [McEstimate.from_sums(a, b, cfg.n_samples, cfg.seed) for a, b in zip(s1, s2)]
+        for k, vals in enumerate(v for f in fs for v in f(batch)):
+            a, b = batch_sums(vals, count, f"integrand {k}")
+            acc = sums.setdefault(k, [0.0, 0.0, 0])
+            acc[0] += a
+            acc[1] += b
+            acc[2] += count
+    if any(rows != cfg.n_samples for _, _, rows in sums.values()):
+        raise ValueError("the integrands returned a different number of arrays on some batch")
+    return [McEstimate.from_sums(a, b, cfg.n_samples, cfg.seed) for a, b, _ in sums.values()]
 
 
 def mc_expectation(f: Callable, sampler: Callable, cfg: McConfig) -> McEstimate:
-    """Estimate E[f] under the sampler's distribution; see mc_expectations."""
-    return mc_expectations([f], sampler, cfg)[0]
+    """Estimate E[f] under the sampler's distribution, for f returning one array; see mc_expectations."""
+    return mc_expectations([lambda batch: (f(batch),)], sampler, cfg)[0]
 
 
 @lru_cache(maxsize=8)

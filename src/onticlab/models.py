@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -78,6 +79,11 @@ class PairBatch:
     def item(self, i: int) -> PairPoint:
         return PairPoint(BlochVector.from_array(self.first[i]), BlochVector.from_array(self.second[i]))
 
+    @cached_property
+    def total(self) -> np.ndarray:
+        """first + second, the summed vector the two-sphere responses read; computed once per batch."""
+        return self.first + self.second
+
 
 Batch = SingleBatch | PairBatch
 
@@ -104,11 +110,18 @@ class OntologicalModel(ABC):
         """Boolean membership of each batch row in the support of mu_psi."""
 
     @abstractmethod
-    def response_batch(self, basis: MeasurementBasis, outcome_index: int, batch: Batch) -> np.ndarray:
-        """Response probability of the selected outcome at each batch row.
+    def response_batch(self, basis: MeasurementBasis, batch: Batch) -> tuple[np.ndarray, np.ndarray]:
+        """Response probabilities of the basis's two outcomes at each batch row, as (r0, r1).
 
         A deterministic response is a bool array (the outcome fires or not);
-        any other response is a float array of probabilities.
+        any other response is a float array of probabilities.  The step
+        models project once onto outcome 0's Bloch vector v and answer
+        outcome 1 from the opposite half-space, d < 0, which is bitwise the
+        projection onto -v tested for > 0.  So every basis whose outcome 1
+        is the exact antipode (all that orthogonal_complement and the axis
+        constants build) gets a projection per outcome's values, and a basis
+        antipodal only within STATE_TOL is answered from outcome 0's
+        half-space.
         """
 
     def density_batch(self, psi: PureState, batch: Batch) -> np.ndarray | None:
@@ -163,6 +176,12 @@ def _point_mass_rows(psi: PureState, count: int) -> np.ndarray:
     return np.tile(psi.vec(), (count, 1))
 
 
+def _half_spaces(rows: np.ndarray, basis: MeasurementBasis) -> tuple[np.ndarray, np.ndarray]:
+    """The step responses (d > 0, d < 0) of the rows' projection d onto outcome 0's vector."""
+    d = rows @ basis.outcomes[0].vec()
+    return d > 0.0, d < 0.0
+
+
 class KochenSpeckerModel(OntologicalModel):
     """Single-sphere model with cosine-cap preparations and step responses."""
 
@@ -183,9 +202,8 @@ class KochenSpeckerModel(OntologicalModel):
     def in_support_batch(self, psi, batch):
         return _require_single(batch) @ psi.vec() > 0.0
 
-    def response_batch(self, basis, outcome_index, batch):
-        pts = _require_single(batch)
-        return pts @ basis.outcomes[outcome_index].vec() > 0.0
+    def response_batch(self, basis, batch):
+        return _half_spaces(_require_single(batch), basis)
 
 
 class BellMerminModel(OntologicalModel):
@@ -209,10 +227,8 @@ class BellMerminModel(OntologicalModel):
     def in_support_batch(self, psi, batch):
         return same_state_rows(_require_pair(batch).first, psi)
 
-    def response_batch(self, basis, outcome_index, batch):
-        b = _require_pair(batch)
-        total = b.first + b.second
-        return total @ basis.outcomes[outcome_index].vec() > 0.0
+    def response_batch(self, basis, batch):
+        return _half_spaces(_require_pair(batch).total, basis)
 
 
 class _PointMeasureFixture(OntologicalModel):
@@ -233,8 +249,9 @@ class ConstantResponseModel(_PointMeasureFixture):
 
     name = "const-half"
 
-    def response_batch(self, basis, outcome_index, batch):
-        return np.full(len(batch), 0.5)
+    def response_batch(self, basis, batch):
+        half = np.full(len(batch), 0.5)
+        return half, half
 
 
 class LabelReadingModel(_PointMeasureFixture):
@@ -248,13 +265,11 @@ class LabelReadingModel(_PointMeasureFixture):
 
     name = "label-reader"
 
-    def response_batch(self, basis, outcome_index, batch):
-        pts = _require_single(batch)
-        hit = pts @ basis.outcomes[0].vec() > 0.0
-        vals = hit if outcome_index == 0 else ~hit
+    def response_batch(self, basis, batch):
+        hit = _require_single(batch) @ basis.outcomes[0].vec() > 0.0
         if basis.label is not None and RELABEL_MARK in basis.label:
-            return ~vals
-        return vals
+            return ~hit, hit
+        return hit, ~hit
 
 
 def _index(states, psi: PureState) -> int:

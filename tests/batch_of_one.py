@@ -36,7 +36,7 @@ def in_support(model, psi, lam) -> bool:
 
 
 def response(model, basis, outcome_index, lam) -> float:
-    return float(model.response_batch(basis, outcome_index, as_batch(lam))[0])
+    return float(model.response_batch(basis, as_batch(lam))[outcome_index][0])
 
 
 def density(model, psi, lam):
@@ -64,5 +64,5 @@ def step(x):
     """
     z = np.atleast_1d(np.asarray(x, dtype=float))
     points = np.column_stack([np.zeros_like(z), np.zeros_like(z), z])
-    vals = _KS.response_batch(_Z_BASIS, 0, SingleBatch(points))
+    vals = _KS.response_batch(_Z_BASIS, SingleBatch(points))[0]
     return vals if np.ndim(x) else float(vals[0])

@@ -111,7 +111,7 @@ def test_criterion_1_born_reproduction(extended_catalog):
         density = lambda p, psi=psi: KS.density_batch(psi, SingleBatch(p))
         for basis in extended_catalog.bases:
             for idx in (0, 1):
-                response = lambda p, b=basis, i=idx: KS.response_batch(b, i, SingleBatch(p))
+                response = lambda p, b=basis, i=idx: KS.response_batch(b, SingleBatch(p))[i]
                 value = sphere_quadrature(lambda p: response(p) * density(p), GRID)
                 worst = max(worst, abs(value - born_probability(basis.outcomes[idx], psi)))
     assert worst <= QUAD_TOL

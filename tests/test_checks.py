@@ -28,6 +28,7 @@ from onticlab.errors import FieldError, PreconditionError
 from onticlab.integrate import McConfig, McEstimate, QuadratureGrid, sphere_quadrature
 from onticlab.models import (
     KochenSpeckerModel,
+    PairBatch,
     SingleBatch,
     StateCatalog,
     catalog_from_states,
@@ -92,6 +93,22 @@ class TestBornReproduction:
         undersampled = McConfig(n_samples=10_000, seed=3)
         rep = check_born_reproduction(run_of(KS, "born", cfg=undersampled, tol=1e-6))
         assert rep.verdict == INCONCLUSIVE
+
+    def test_bell_mermin_sums_each_batch_once(self, monkeypatch):
+        # three bases read every batch, and the summed vector is built once for all six outcomes
+        built = []
+        cached = vars(PairBatch)["total"]
+        plain = cached.func
+
+        def counting(batch):
+            built.append(len(batch))
+            return plain(batch)
+
+        monkeypatch.setattr(cached, "func", counting)   # the descriptor and its caching stay
+        cfg = McConfig(n_samples=1000, seed=19, batch_size=300)
+        rep = check_born_reproduction(run_of(BM, "born", cfg=cfg))
+        assert len(rep.estimates) == 36
+        assert len(built) == len(CATALOG.states) * 4   # 4 batches of at most 300 rows per state
 
 
 class TestOutcomeDeterminism:

@@ -38,6 +38,7 @@ from onticlab.cli import (
 )
 
 FAST = {"samples": 20_000}
+IS_DIRECTORY = object()   # a catalog path that names a directory
 
 
 def run_json(tmp_path=None, **kwargs):
@@ -251,10 +252,17 @@ class TestCatalogIngestion:
         code, reports = run(RunConfig(model_name="ks", catalog_path="/nonexistent.json"))
         assert code == 2
 
-    @pytest.mark.parametrize("content", ["", "[{\"bloch\": [0, 0, 1]", "{}"])
+    @pytest.mark.parametrize(
+        "content",
+        ["", "[{\"bloch\": [0, 0, 1]", "{}", pytest.param(None, id="missing"),
+         pytest.param(IS_DIRECTORY, id="directory")],
+    )
     def test_unreadable_catalog_exits_2_naming_the_flag_and_path(self, tmp_path, capsys, content):
         path = tmp_path / "broken.json"
-        path.write_text(content)
+        if content is IS_DIRECTORY:
+            path.mkdir()
+        elif content is not None:   # None leaves the path missing
+            path.write_text(content)
         code, reports = run(RunConfig(model_name="ks", catalog_path=str(path), **FAST))
         assert code == 2 and reports == []
         err = capsys.readouterr().err

@@ -60,10 +60,11 @@ class TestCounterStreams:
 class TestUniformSphereMoments:
     def test_coordinate_means_vanish(self):
         ests = mc_expectations(
-            [lambda p: p[:, 0], lambda p: p[:, 1], lambda p: p[:, 2]],
+            [lambda p: (p[:, 0],), lambda p: (p[:, 1], p[:, 2])],
             uniform_sphere_batch,
             CFG,
         )
+        assert len(ests) == 3
         for est in ests:
             assert abs(est.mean) <= 5 * est.std_error
 
@@ -121,6 +122,33 @@ class TestMcExpectation:
             mc_expectations([], uniform_sphere_batch, CFG)
 
 
+class TestTupleIntegrands:
+    """Each integrand returns a tuple of arrays; the estimates come back flattened in order."""
+
+    def test_estimates_flatten_in_order(self):
+        cfg = McConfig(n_samples=5_000, seed=2, batch_size=700)
+        pairs = mc_expectations(
+            [lambda p: (p[:, 0], p[:, 2] > 0), lambda p: (p[:, 1] ** 2,)], uniform_sphere_batch, cfg
+        )
+        singles = [
+            mc_expectation(f, uniform_sphere_batch, cfg)
+            for f in (lambda p: p[:, 0], lambda p: p[:, 2] > 0, lambda p: p[:, 1] ** 2)
+        ]
+        assert pairs == singles
+
+    @pytest.mark.parametrize("later", [0, 2])
+    def test_array_count_must_not_change_between_batches(self, later):
+        cfg = McConfig(n_samples=1_000, seed=2, batch_size=400)
+        calls = []
+
+        def f(p):   # one array on the first batch, `later` arrays on the next
+            calls.append(len(p))
+            return (p[:, 0],) * (1 if len(calls) == 1 else later)
+
+        with pytest.raises(ValueError, match="different number of arrays"):
+            mc_expectations([f], uniform_sphere_batch, cfg)
+
+
 class TestCountPath:
     """A bool integrand is an indicator: its count is both sums of the reduction."""
 
@@ -138,7 +166,7 @@ class TestCountPath:
     def test_float_nan_integrand_still_rejected(self):
         with pytest.raises(ValueError, match="integrand 1 produced non-finite values"):
             mc_expectations(
-                [lambda p: p[:, 2] > 0, lambda p: np.full(len(p), np.nan)], uniform_sphere_batch, CFG
+                [lambda p: (p[:, 2] > 0, np.full(len(p), np.nan))], uniform_sphere_batch, CFG
             )
 
     @pytest.mark.parametrize("name", MODEL_NAMES)
@@ -152,8 +180,9 @@ class TestCountPath:
             for psi in catalog.states:
                 assert model.in_support_batch(psi, batch).dtype == np.bool_
             for basis in catalog.bases + relabeled:
-                for idx in (0, 1):
-                    vals = model.response_batch(basis, idx, batch)
+                responses = model.response_batch(basis, batch)
+                assert len(responses) == 2
+                for vals in responses:
                     assert vals.dtype == (np.float64 if name == "const-half" else np.bool_)
 
 

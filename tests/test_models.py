@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from onticlab.checks import _descriptor_variants
 from onticlab.errors import FieldError
 from onticlab.integrate import McConfig, QuadratureGrid, mc_expectation, sphere_quadrature
 from onticlab.models import (
@@ -9,6 +10,7 @@ from onticlab.models import (
     ConstantResponseModel,
     KochenSpeckerModel,
     LabelReadingModel,
+    PairBatch,
     PairPoint,
     SingleBatch,
     SinglePoint,
@@ -140,8 +142,8 @@ class TestCapResponse:
 
     def test_outcomes_sum_to_one_off_boundary(self):
         batch = KS.prepare_batch(PLUS_Y, 3, 0, 50_000)
-        total = KS.response_batch(X_BASIS, 0, batch) + KS.response_batch(X_BASIS, 1, batch)
-        np.testing.assert_array_equal(total, np.ones(len(batch)))
+        r0, r1 = KS.response_batch(X_BASIS, batch)
+        np.testing.assert_array_equal(r0 + r1, np.ones(len(batch)))
 
     def test_boundary_sums_to_zero(self):
         boundary = SinglePoint(PLUS_Z.bloch)   # equator of the x basis
@@ -180,7 +182,7 @@ class TestSpherePairModel:
             (PureState(BlochVector.from_angles(0.7, 0.1)), Z_BASIS, 0),
         ):
             est = mc_expectation(
-                lambda b: BM.response_batch(alpha_basis, idx, b),
+                lambda b: BM.response_batch(alpha_basis, b)[idx],
                 prepare_sampler(BM, psi),
                 CFG,
             )
@@ -211,8 +213,8 @@ class TestResponseCompleteness:
         for psi in (PLUS_Z, PLUS_Y):
             batch = model.prepare_batch(psi, 3, 0, 20_000)
             for basis in (Z_BASIS, X_BASIS):
-                total = model.response_batch(basis, 0, batch) + model.response_batch(basis, 1, batch)
-                np.testing.assert_array_equal(total, np.ones(len(batch)))
+                r0, r1 = model.response_batch(basis, batch)
+                np.testing.assert_array_equal(r0 + r1, np.ones(len(batch)))
 
     @pytest.mark.parametrize("name", ["ks", "bell-mermin"])
     def test_support_orthogonality_and_own_response(self, name):
@@ -223,7 +225,7 @@ class TestResponseCompleteness:
             assert not model.in_support_batch(perp, batch).any()
             basis = MeasurementBasis((psi, perp), "own")
             np.testing.assert_array_equal(
-                model.response_batch(basis, 0, batch), np.ones(len(batch))
+                model.response_batch(basis, batch)[0], np.ones(len(batch))
             )
 
 
@@ -231,17 +233,106 @@ class TestFixtures:
     def test_constant_response(self):
         model = ConstantResponseModel()
         batch = model.prepare_batch(PLUS_Z, 1, 0, 10)
-        np.testing.assert_array_equal(model.response_batch(Z_BASIS, 0, batch), np.full(10, 0.5))
+        np.testing.assert_array_equal(model.response_batch(Z_BASIS, batch)[0], np.full(10, 0.5))
         assert (batch.points == PLUS_Z.vec()).all()
 
     def test_label_reader_flips_only_on_marked_descriptors(self):
         model = LabelReadingModel()
         batch = model.reference_batch(2, 0, 1000)
-        plain = model.response_batch(X_BASIS, 0, batch)
+        plain = model.response_batch(X_BASIS, batch)[0]
         marked = MeasurementBasis(X_BASIS.outcomes, "x" + RELABEL_MARK)
-        np.testing.assert_array_equal(model.response_batch(marked, 0, batch), 1.0 - plain)
+        np.testing.assert_array_equal(model.response_batch(marked, batch)[0], 1.0 - plain)
         unmarked = MeasurementBasis(X_BASIS.outcomes, "renamed")
-        np.testing.assert_array_equal(model.response_batch(unmarked, 0, batch), plain)
+        np.testing.assert_array_equal(model.response_batch(unmarked, batch)[0], plain)
+
+
+def _signed_zero_states():
+    """States with -0.0 components, whose antipodes carry +0.0 there."""
+    return [
+        PureState(BlochVector(-0.0, 0.6, 0.8), "a"),
+        PureState(BlochVector(0.6, -0.0, -0.8), "b"),
+        PureState(BlochVector(-0.0, -0.0, -1.0), "c"),
+    ]
+
+
+def _library_bases():
+    """The default catalog's bases, random and signed-zero catalogs' bases, and their variants."""
+    built = [catalog_from_states(random_states(seed, n)).bases for seed, n in ((1, 8), (7, 32), (99, 5))]
+    built.append(catalog_from_states(_signed_zero_states()).bases)
+    built = [b for bases in built for b in bases]
+    shipped = list(default_catalog().bases)
+    variants = [v for b in shipped + built for v, _ in _descriptor_variants(b)]
+    return shipped, built, variants
+
+
+def _rows_on_boundaries(basis, n, seed):
+    """n uniform sphere rows, then rows on or next to the plane orthogonal to outcome 0.
+
+    The boundary rows are tangents of either sign, +0.0 and -0.0 rows (every
+    product of a -0.0 row with a positive component is -0.0, so a kernel
+    that does not start its sum at +0.0 projects it to -0.0) and rows of the
+    smallest subnormal, whose products round to a signed zero.
+    """
+    pts = uniform_sphere_batch(seed, 0, n)
+    tangent = np.cross(basis.outcomes[0].vec(), pts[:8])
+    tiny = np.full((2, 3), 5e-324) * np.array([[1.0], [-1.0]])
+    return np.vstack([pts, tangent, -tangent, np.zeros((1, 3)), -np.zeros((1, 3)), tiny])
+
+
+class TestOneProjectionPerBasis:
+    """One projection answers both outcomes, with the values a projection per outcome gives."""
+
+    def test_every_library_basis_has_the_exact_antipode(self):
+        shipped, built, variants = _library_bases()
+        for basis in shipped + built + variants:
+            v0, v1 = (o.vec() for o in basis.outcomes)
+            # IEEE equality: the axis constants differ from -v0 only in a zero's sign,
+            # which no product with a finite row carries into a nonzero projection
+            np.testing.assert_array_equal(v1, -v0)
+        for basis in built:
+            v0, v1 = (o.vec() for o in basis.outcomes)
+            assert v1.tobytes() == (-v0).tobytes()
+
+    def test_signed_zero_inputs_reach_the_catalog(self):
+        bases = catalog_from_states(_signed_zero_states()).bases
+        assert np.signbit(bases[0].outcomes[0].vec()[0])
+        assert not np.signbit(bases[0].outcomes[1].vec()[0])
+
+    def test_ks_matches_a_projection_per_outcome(self):
+        shipped, built, variants = _library_bases()
+        for k, basis in enumerate(shipped + built + variants):
+            pts = _rows_on_boundaries(basis, 200, k)
+            r0, r1 = KS.response_batch(basis, SingleBatch(pts))
+            for vals, outcome in zip((r0, r1), basis.outcomes):
+                np.testing.assert_array_equal(vals, pts @ outcome.vec() > 0.0)
+
+    def test_bell_mermin_matches_a_projection_per_outcome(self):
+        shipped, built, variants = _library_bases()
+        for k, basis in enumerate(shipped + built + variants):
+            second = _rows_on_boundaries(basis, 200, k)
+            first = uniform_sphere_batch(1000 + k, 0, len(second))
+            first[-len(second) // 2:] = 0.0   # the summed vector is then the boundary row itself
+            r0, r1 = BM.response_batch(basis, PairBatch(first, second))
+            for vals, outcome in zip((r0, r1), basis.outcomes):
+                np.testing.assert_array_equal(vals, (first + second) @ outcome.vec() > 0.0)
+
+    def test_label_reader_matches_its_per_outcome_rule(self):
+        model = LabelReadingModel()
+        shipped, built, variants = _library_bases()
+        for k, basis in enumerate(shipped + built + variants):
+            pts = _rows_on_boundaries(basis, 200, k)
+            hit = pts @ basis.outcomes[0].vec() > 0.0
+            if RELABEL_MARK in (basis.label or ""):
+                hit = ~hit
+            r0, r1 = model.response_batch(basis, SingleBatch(pts))
+            np.testing.assert_array_equal(r0, hit)
+            np.testing.assert_array_equal(r1, ~hit)
+
+    def test_boundary_rows_project_to_zero(self):
+        rows = _rows_on_boundaries(Z_BASIS, 10, 3)
+        for v in (PLUS_Z.vec(), MINUS_Z.vec()):
+            assert ((rows @ v) == 0.0).sum() >= 16
+        assert np.signbit(rows[-3]).all() and (rows[-3] == 0.0).all()
 
 
 class TestCatalogs:
