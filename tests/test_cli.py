@@ -385,6 +385,31 @@ class TestBatchSizeInvariance:
             assert self.reports(model_name, batch_size) == whole
 
 
+class TestDefaultBatchSize:
+    """The cache-sized default batch gives the reports of 100,000-row and whole batches.
+
+    110,000 samples are a multiple of neither the default nor 100,000, so
+    both split the budget with a tail batch.
+    """
+
+    N_SAMPLES = 110_000
+    CHECKS = ("born", "determinism", "prep-nc")
+
+    @classmethod
+    def reports(cls, model_name, batch_size):
+        cfg = McConfig(n_samples=cls.N_SAMPLES, seed=42, batch_size=batch_size)
+        check_run = CheckRun(make_model(model_name), default_catalog(), cfg, cls.CHECKS)
+        return [asdict(CHECK_RUNNERS[name](check_run)) for name in cls.CHECKS]
+
+    @pytest.mark.parametrize("model_name", ("ks", "bell-mermin"))
+    def test_default_equals_old_default_and_one_batch(self, model_name):
+        default = McConfig().batch_size
+        assert self.N_SAMPLES % default and self.N_SAMPLES % 100_000
+        reports = self.reports(model_name, default)
+        assert reports == self.reports(model_name, 100_000)
+        assert reports == self.reports(model_name, self.N_SAMPLES)
+
+
 class CountingLabelReader(LabelReadingModel):
     """label-reader that counts the preparation and reference rows it draws."""
 

@@ -280,6 +280,12 @@ class TestSphereQuadrature:
         val = sphere_quadrature(lambda p: np.maximum(0.0, p[:, 2]) / np.pi, GRID)
         assert abs(val - 1.0) <= 1e-6
 
+    @pytest.mark.parametrize("values", [lambda p: 1.0, lambda p: np.ones((len(p), 1))])
+    def test_integrand_of_the_wrong_shape_rejected(self, values):
+        # one value per node: a scalar or a column would broadcast to a wrong sum
+        with pytest.raises(ValueError, match="shape"):
+            sphere_quadrature(values, GRID)
+
     def test_agrees_with_monte_carlo_on_smooth_integrand(self):
         f = lambda p: (1.0 + p[:, 0]) * np.exp(p[:, 2])
         quad = sphere_quadrature(f, GRID) / (4 * np.pi)

@@ -5,6 +5,7 @@ of the test and the suite stays reproducible.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onticlab.bell import make_max_entangled, steer, steering_basis
-from onticlab.checks import CheckRun
+from onticlab.checks import CheckRun, EnsembleDistribution
 from onticlab.errors import FieldError
 from onticlab.integrate import (
     MAX_N_AZIMUTH,
@@ -22,10 +23,20 @@ from onticlab.integrate import (
     QuadratureGrid,
     mc_expectation,
     substream_key,
+    tv_distance,
     uniform_blocks,
+    weighted_sum,
 )
-from onticlab.models import catalog_from_states, default_catalog, make_model
-from onticlab.qubit import BlochVector, PureState, orthogonal_complement, same_state
+from onticlab.models import SingleBatch, catalog_from_states, default_catalog, make_model
+from onticlab.qubit import (
+    PLUS_X,
+    PLUS_Z,
+    BlochVector,
+    PureState,
+    half_half_mixture,
+    orthogonal_complement,
+    same_state,
+)
 
 FAST = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -124,6 +135,33 @@ class TestIndicatorReduction:
         counted = mc_expectation(lambda u: u < p, sampler, cfg)
         summed = mc_expectation(lambda u: (u < p).astype(float), sampler, cfg)
         assert counted == summed
+
+
+class TestQuadratureReduction:
+    """weighted_sum is exactly rounded, so its double is a function of the multiset of terms."""
+
+    @FAST
+    @given(
+        st.lists(
+            st.tuples(st.floats(0.0, 1e100), st.floats(-1e100, 1e100)), min_size=1, max_size=40
+        ),
+        st.data(),
+    )
+    def test_same_double_under_any_permutation_of_terms(self, terms, data):
+        weights, values = (np.array(column) for column in zip(*terms))
+        order = np.array(data.draw(st.permutations(range(len(terms)))))
+        total = weighted_sum(weights, values)
+        assert weighted_sum(weights[order], values[order]) == total
+        # the exact rational sum of the rounded products, rounded once
+        assert total == float(sum(Fraction(float(p)) for p in weights * values))
+
+    def test_criterion_5_pair_reads_one_double(self):
+        ks = make_model("ks")
+        z, x = (EnsembleDistribution(ks, half_half_mixture(s)) for s in (PLUS_Z, PLUS_X))
+        tv = tv_distance(
+            lambda p: z.density_batch(SingleBatch(p)), lambda p: x.density_batch(SingleBatch(p))
+        )
+        assert tv == 0.4141998590767367
 
 
 class TestSteeringRoundTrip:
