@@ -20,7 +20,6 @@ from .integrate import (
     McConfig,
     McEstimate,
     QuadratureGrid,
-    batch_sums,
     mc_expectation,
     mc_expectations,
     sample_batches,
@@ -31,7 +30,6 @@ from .integrate import (
 from .models import (
     RELABEL_MARK,
     Batch,
-    OnticState,
     OntologicalModel,
     SingleBatch,
     StateCatalog,
@@ -55,7 +53,7 @@ PSI_ONTIC = "psi-ontic"
 PSI_EPISTEMIC = "psi-epistemic"
 
 DENSITY_OP_TOL = 1e-12
-OMEGA_EXAMPLES = 10      # exemplar ontic states an Omega witness keeps
+OMEGA_EXAMPLES = 10      # the most Omega hits an Omega witness counts as exemplars
 
 
 @dataclass(frozen=True)
@@ -479,17 +477,25 @@ def prep_nc_report(run: CheckRun, psi: PureState, phi: PureState) -> CheckReport
 
 @dataclass(frozen=True)
 class OmegaWitness:
-    """Mass reached by mu_psi outside the support of mu_phi where phi still responds."""
+    """Mass reached by mu_psi outside the support of mu_phi where phi still responds.
+
+    The witness counts its exemplar ontic states (Omega hits, at most
+    OMEGA_EXAMPLES) and keeps none of them.
+    """
 
     pair: tuple[PureState, PureState]
     mu_psi_mass: McEstimate
     response_mass: McEstimate
-    sample_points: tuple[OnticState, ...]
 
     def __post_init__(self):
         combined = 5.0 * math.hypot(self.mu_psi_mass.std_error, self.response_mass.std_error)
         if not (-1e-12 <= self.response_mass.mean <= self.mu_psi_mass.mean + combined):
             raise ValueError("response mass exceeds the witness-set mass beyond resolution")
+
+    @property
+    def exemplars(self) -> int:
+        """min(OMEGA_EXAMPLES, Omega hits); rounded, since mean * n of a count can miss it in the last bit."""
+        return min(OMEGA_EXAMPLES, round(self.mu_psi_mass.mean * self.mu_psi_mass.n))
 
 
 def find_omega_witness(
@@ -508,26 +514,14 @@ def find_omega_witness(
     if outcome_index is None:
         raise PreconditionError("phi is not an outcome of the given basis")
 
-    omega_sums, resp_sums = [0.0, 0.0], [0.0, 0.0]
-    examples: list[OnticState] = []
-    for count, batch in sample_batches(_prepare_sampler(model, psi), cfg):
+    def omega_and_response(batch):
         resp = model.response_batch(basis_containing_phi, batch)[outcome_index]
         omega = (~model.in_support_batch(phi, batch)) & (resp > 0.0)
         # resp * omega keeps a bool response bool, so both indicators are counted
-        for sums, vals in ((omega_sums, omega), (resp_sums, resp * omega)):
-            s1, s2 = batch_sums(vals, count, "omega witness")
-            sums[0] += s1
-            sums[1] += s2
-        if len(examples) < OMEGA_EXAMPLES:
-            for i in np.flatnonzero(omega)[: OMEGA_EXAMPLES - len(examples)]:
-                examples.append(batch.item(int(i)))
+        return omega, resp * omega
 
-    return OmegaWitness(
-        pair=(psi, phi),
-        mu_psi_mass=McEstimate.from_sums(*omega_sums, cfg.n_samples, cfg.seed),
-        response_mass=McEstimate.from_sums(*resp_sums, cfg.n_samples, cfg.seed),
-        sample_points=tuple(examples),
-    )
+    mass, response = mc_expectations([omega_and_response], _prepare_sampler(model, psi), cfg)
+    return OmegaWitness(pair=(psi, phi), mu_psi_mass=mass, response_mass=response)
 
 
 def _basis_containing(catalog: StateCatalog, phi: PureState) -> MeasurementBasis:
@@ -549,7 +543,7 @@ def check_omega_witness(run: CheckRun) -> CheckReport:
             LabeledEstimate("response_mass", response.mean, response.std_error),
         ),
         f"pair {psi.describe()}->{phi.describe()};"
-        f" {len(witness.sample_points)} exemplar ontic states collected",
+        f" {witness.exemplars} exemplar ontic states collected",
     )
 
 

@@ -146,24 +146,23 @@ def mc_expectations(
     start..start+count-1; each f maps a batch to a tuple of arrays of the
     same length, one per estimate: bool for an indicator, which is counted,
     or numbers, which are summed as floats (see batch_sums).  Each f must
-    return the same number of arrays on every batch.  The estimates come
-    back flattened in order: those of fs[0], then those of fs[1], and so
-    on.  Batches are reduced in index order, so results are a pure function
-    of (fs, sampler, cfg).
+    return the same number of arrays on every batch, and the first batch
+    that breaks this raises.  The estimates come back flattened in order:
+    those of fs[0], then those of fs[1], and so on.  Batches are reduced in
+    index order, so results are a pure function of (fs, sampler, cfg).
     """
     if not fs:
         raise ValueError("need at least one integrand")
-    sums: dict[int, list] = {}   # estimate index -> [sum, sum of squares, rows reduced]
+    sums = None   # per estimate (sum, sum of squares), sized on the first batch
     for count, batch in sample_batches(sampler, cfg):
-        for k, vals in enumerate(v for f in fs for v in f(batch)):
-            a, b = batch_sums(vals, count, f"integrand {k}")
-            acc = sums.setdefault(k, [0.0, 0.0, 0])
-            acc[0] += a
-            acc[1] += b
-            acc[2] += count
-    if any(rows != cfg.n_samples for _, _, rows in sums.values()):
-        raise ValueError("the integrands returned a different number of arrays on some batch")
-    return [McEstimate.from_sums(a, b, cfg.n_samples, cfg.seed) for a, b, _ in sums.values()]
+        arrays = (v for f in fs for v in f(batch))   # lazy: one integrand's arrays are held at a time
+        reduced = [batch_sums(v, count, f"integrand {k}") for k, v in enumerate(arrays)]
+        if sums is None:
+            sums = [(0.0, 0.0)] * len(reduced)
+        elif len(reduced) != len(sums):
+            raise ValueError("the integrands returned a different number of arrays on some batch")
+        sums = [(s1 + a, s2 + b) for (s1, s2), (a, b) in zip(sums, reduced)]
+    return [McEstimate.from_sums(s1, s2, cfg.n_samples, cfg.seed) for s1, s2 in sums]
 
 
 def mc_expectation(f: Callable, sampler: Callable, cfg: McConfig) -> McEstimate:

@@ -36,48 +36,24 @@ RELABEL_MARK = "*"       # marker used on checker-synthesized basis descriptors
 
 
 @dataclass(frozen=True)
-class SinglePoint:
-    """Ontic state of a single-sphere model: one point on S2."""
-
-    point: BlochVector
-
-
-@dataclass(frozen=True)
-class PairPoint:
-    """Ontic state of a two-sphere model: one point on each of two spheres."""
-
-    first: BlochVector
-    second: BlochVector
-
-
-OnticState = SinglePoint | PairPoint
-
-
-@dataclass(frozen=True)
 class SingleBatch:
-    """Vectorized batch of SinglePoint states: an (n, 3) array of unit rows."""
+    """Vectorized batch of single-sphere ontic states: an (n, 3) array of unit rows."""
 
     points: np.ndarray
 
     def __len__(self) -> int:
         return len(self.points)
 
-    def item(self, i: int) -> SinglePoint:
-        return SinglePoint(BlochVector.from_array(self.points[i]))
-
 
 @dataclass(frozen=True)
 class PairBatch:
-    """Vectorized batch of PairPoint states: two (n, 3) arrays of unit rows."""
+    """Vectorized batch of sphere-pair ontic states: two (n, 3) arrays of unit rows, one per sphere."""
 
     first: np.ndarray
     second: np.ndarray
 
     def __len__(self) -> int:
         return len(self.first)
-
-    def item(self, i: int) -> PairPoint:
-        return PairPoint(BlochVector.from_array(self.first[i]), BlochVector.from_array(self.second[i]))
 
     @cached_property
     def total(self) -> np.ndarray:

@@ -1,46 +1,49 @@
-"""Scalar views of the package's batch API, for tests: every call is a batch of one row.
+"""Pointwise views of the package's batch API, for tests: every ontic state is a batch of one row.
 
 The package evaluates models, samplers and mixtures on batches only.  These
-helpers let a test state a pointwise fact about one ontic state, and each one
-goes through the same batch method the checks call.
+helpers let a test state a pointwise fact about one ontic state, a one-row
+batch, and each one goes through the same batch method the checks call.
 """
 
 import numpy as np
 
 from onticlab.integrate import sphere_points_from_uniforms, uniform_blocks
-from onticlab.models import KochenSpeckerModel, PairBatch, SingleBatch, SinglePoint
+from onticlab.models import KochenSpeckerModel, PairBatch, SingleBatch
 from onticlab.qubit import MINUS_Z, PLUS_Z, BlochVector, MeasurementBasis
 
 _KS = KochenSpeckerModel()
 _Z_BASIS = MeasurementBasis((PLUS_Z, MINUS_Z), "z")
 
 
-def as_batch(lam):
-    """The batch whose one row is the ontic state lam."""
-    if isinstance(lam, SinglePoint):
-        return SingleBatch(lam.point.as_array()[None, :])
-    return PairBatch(lam.first.as_array()[None, :], lam.second.as_array()[None, :])
+def single(point: BlochVector) -> SingleBatch:
+    """The one-row batch of a single-sphere model at point."""
+    return SingleBatch(point.as_array()[None])
+
+
+def pair(first: BlochVector, second: BlochVector) -> PairBatch:
+    """The one-row batch of a two-sphere model at (first, second)."""
+    return PairBatch(first.as_array()[None], second.as_array()[None])
 
 
 def sample_one(sampler, seed, index):
-    """The ontic state a (seed, start, count) batch sampler draws for sample index."""
-    return sampler(seed, index, 1).item(0)
+    """The one-row batch a (seed, start, count) batch sampler draws for sample index."""
+    return sampler(seed, index, 1)
 
 
 def sample_prepared(model, psi, seed, index):
-    return model.prepare_batch(psi, seed, index, 1).item(0)
+    return model.prepare_batch(psi, seed, index, 1)
 
 
 def in_support(model, psi, lam) -> bool:
-    return bool(model.in_support_batch(psi, as_batch(lam))[0])
+    return bool(model.in_support_batch(psi, lam)[0])
 
 
 def response(model, basis, outcome_index, lam) -> float:
-    return float(model.response_batch(basis, as_batch(lam))[outcome_index][0])
+    return float(model.response_batch(basis, lam)[outcome_index][0])
 
 
 def density(model, psi, lam):
-    vals = model.density_batch(psi, as_batch(lam))
+    vals = model.density_batch(psi, lam)
     return None if vals is None else float(vals[0])
 
 

@@ -47,6 +47,7 @@ from onticlab.qubit import (
     PureState,
     born_probability,
     half_half_mixture,
+    orthogonal_complement,
 )
 
 from batch_of_one import sample_one
@@ -248,8 +249,8 @@ class TestEnsembleDistribution:
         batch = dist.sample_batch(4, 0, 6)
         for i in range(6):
             lam = sample_one(dist.sample_batch, 4, i)
-            np.testing.assert_array_equal(lam.first.as_array(), batch.first[i])
-            np.testing.assert_array_equal(lam.second.as_array(), batch.second[i])
+            np.testing.assert_array_equal(lam.first[0], batch.first[i])
+            np.testing.assert_array_equal(lam.second[0], batch.second[i])
 
     def test_pair_mixture_density_absent(self):
         dist = ensemble_distribution(BM, half_half_mixture(PLUS_Z))
@@ -306,12 +307,28 @@ class TestOmegaWitness:
         w = find_omega_witness(BM, PLUS_Z, PLUS_X, X_BASIS, CFG)
         assert abs(w.mu_psi_mass.mean - 0.5) <= 5 * w.mu_psi_mass.std_error
         assert abs(w.response_mass.mean - 0.5) <= 5 * w.response_mass.std_error
-        assert 0 < len(w.sample_points) <= 10
+        assert 0 < w.exemplars <= 10
 
     def test_cap_model_mass_vanishes(self):
         w = find_omega_witness(KS, PLUS_Z, PLUS_X, X_BASIS, CFG)
         assert w.mu_psi_mass.mean == 0.0
-        assert w.sample_points == ()
+        assert w.exemplars == 0
+
+    # psi = +z against phi near -z hits Omega a few times in n draws.  mu_psi_mass.mean * n
+    # misses the hit count in the last bit both ways: 7.000000000000001 at pi - 0.4, seed 1,
+    # n = 200 (7 hits), and 1.9999999999999998 at pi - 0.3, seed 1, n = 103 (2 hits)
+    @pytest.mark.parametrize(
+        "theta, seed, n",
+        [(math.pi - 0.3, s, 200) for s in (1, 2, 3)] + [(math.pi - 0.4, 1, 200), (math.pi - 0.3, 1, 103)],
+    )
+    def test_exemplars_count_omega_hits_up_to_ten(self, theta, seed, n):
+        phi = PureState(BlochVector.from_angles(theta, 0.0))
+        basis = MeasurementBasis((phi, orthogonal_complement(phi)))
+        cfg = McConfig(n_samples=n, seed=seed)
+        batch = BM.prepare_batch(PLUS_Z, seed, 0, n)
+        hits = np.count_nonzero(~BM.in_support_batch(phi, batch) & BM.response_batch(basis, batch)[0])
+        assert 0 < hits < 10
+        assert find_omega_witness(BM, PLUS_Z, phi, basis, cfg).exemplars == min(10, hits)
 
     def test_orthogonal_outcome_never_responds(self):
         z_basis = MeasurementBasis((PLUS_Z, MINUS_Z), "z")
@@ -334,7 +351,7 @@ class TestOmegaWitness:
         good = McEstimate(mean=0.5, std_error=0.0, n=100, seed=0)
         bad = McEstimate(mean=0.9, std_error=0.0, n=100, seed=0)
         with pytest.raises(ValueError):
-            OmegaWitness((PLUS_Z, PLUS_X), good, bad, ())
+            OmegaWitness((PLUS_Z, PLUS_X), good, bad)
 
 
 class TestImplicationChainAudit:

@@ -148,6 +148,21 @@ class TestTupleIntegrands:
         with pytest.raises(ValueError, match="different number of arrays"):
             mc_expectations([f], uniform_sphere_batch, cfg)
 
+    def test_array_count_change_raises_on_the_batch_that_makes_it(self):
+        cfg = McConfig(n_samples=1_000, seed=2, batch_size=100)   # 10 batches
+        starts = []
+
+        def spy(seed, start, count):
+            starts.append(start)
+            return uniform_sphere_batch(seed, start, count)
+
+        def f(p):   # one array on batch 1, two from batch 2 on
+            return (p[:, 0],) * (1 if len(starts) == 1 else 2)
+
+        with pytest.raises(ValueError, match="different number of arrays"):
+            mc_expectations([f], spy, cfg)
+        assert starts == [0, 100]
+
 
 class TestCountPath:
     """A bool integrand is an indicator: its count is both sums of the reduction."""

@@ -11,9 +11,7 @@ from onticlab.models import (
     KochenSpeckerModel,
     LabelReadingModel,
     PairBatch,
-    PairPoint,
     SingleBatch,
-    SinglePoint,
     StateCatalog,
     catalog_from_states,
     default_catalog,
@@ -33,7 +31,16 @@ from onticlab.qubit import (
     orthogonal_complement,
 )
 
-from batch_of_one import density, in_support, response, sample_prepared, step, uniform_sphere_batch
+from batch_of_one import (
+    density,
+    in_support,
+    pair,
+    response,
+    sample_prepared,
+    single,
+    step,
+    uniform_sphere_batch,
+)
 
 CFG = McConfig(n_samples=100_000, seed=13)
 GRID = QuadratureGrid()
@@ -66,14 +73,14 @@ class TestStep:
 
 class TestCapDensity:
     def test_at_the_prepared_vector(self):
-        assert density(KS, PLUS_Z, SinglePoint(PLUS_Z.bloch)) == 1.0 / np.pi
+        assert density(KS, PLUS_Z, single(PLUS_Z.bloch)) == 1.0 / np.pi
 
     def test_boundary_and_antipode(self):
-        assert density(KS, PLUS_Z, SinglePoint(PLUS_X.bloch)) == 0.0
-        assert density(KS, PLUS_Z, SinglePoint(MINUS_Z.bloch)) == 0.0
+        assert density(KS, PLUS_Z, single(PLUS_X.bloch)) == 0.0
+        assert density(KS, PLUS_Z, single(MINUS_Z.bloch)) == 0.0
 
     def test_rejects_pair_states(self):
-        lam = PairPoint(PLUS_Z.bloch, PLUS_X.bloch)
+        lam = pair(PLUS_Z.bloch, PLUS_X.bloch)
         with pytest.raises(ValueError):
             density(KS, PLUS_Z, lam)
 
@@ -116,7 +123,7 @@ class TestCapSampler:
         batch = KS.prepare_batch(PLUS_X, 21, 10, 6)
         for i in range(6):
             lam = sample_prepared(KS, PLUS_X, 21, 10 + i)
-            np.testing.assert_array_equal(lam.point.as_array(), batch.points[i])
+            np.testing.assert_array_equal(lam.points[0], batch.points[i])
         again = KS.prepare_batch(PLUS_X, 21, 10, 6)
         np.testing.assert_array_equal(batch.points, again.points)
 
@@ -136,9 +143,9 @@ class TestCapSampler:
 
 class TestCapResponse:
     def test_pointwise_cases(self):
-        assert response(KS, X_BASIS, 0, SinglePoint(PLUS_X.bloch)) == 1.0
-        assert response(KS, X_BASIS, 0, SinglePoint(MINUS_X.bloch)) == 0.0
-        assert response(KS, X_BASIS, 0, SinglePoint(PLUS_Z.bloch)) == 0.0  # boundary
+        assert response(KS, X_BASIS, 0, single(PLUS_X.bloch)) == 1.0
+        assert response(KS, X_BASIS, 0, single(MINUS_X.bloch)) == 0.0
+        assert response(KS, X_BASIS, 0, single(PLUS_Z.bloch)) == 0.0  # boundary
 
     def test_outcomes_sum_to_one_off_boundary(self):
         batch = KS.prepare_batch(PLUS_Y, 3, 0, 50_000)
@@ -146,7 +153,7 @@ class TestCapResponse:
         np.testing.assert_array_equal(r0 + r1, np.ones(len(batch)))
 
     def test_boundary_sums_to_zero(self):
-        boundary = SinglePoint(PLUS_Z.bloch)   # equator of the x basis
+        boundary = single(PLUS_Z.bloch)   # equator of the x basis
         total = response(KS, X_BASIS, 0, boundary) + response(KS, X_BASIS, 1, boundary)
         assert total == 0.0
 
@@ -169,10 +176,9 @@ class TestSpherePairModel:
         assert not in_support(BM, PLUS_X, lam)
 
     def test_point_response_cases(self):
-        assert response(BM, X_BASIS, 0, PairPoint(PLUS_X.bloch, PLUS_X.bloch)) == 1.0
+        assert response(BM, X_BASIS, 0, pair(PLUS_X.bloch, PLUS_X.bloch)) == 1.0
         for basis, idx in ((X_BASIS, 0), (X_BASIS, 1), (Z_BASIS, 0), (Z_BASIS, 1)):
-            lam = PairPoint(PLUS_Y.bloch, MINUS_Z.bloch.antipode().antipode())
-            lam = PairPoint(PLUS_Y.bloch, orthogonal_complement(PLUS_Y).bloch)
+            lam = pair(PLUS_Y.bloch, orthogonal_complement(PLUS_Y).bloch)
             assert response(BM, basis, idx, lam) == 0.0   # summed vector is zero
 
     def test_reproduces_born_rule_in_expectation(self):
@@ -197,8 +203,8 @@ class TestSpherePairModel:
         batch = BM.prepare_batch(PLUS_X, 9, 4, 5)
         for i in range(5):
             lam = sample_prepared(BM, PLUS_X, 9, 4 + i)
-            np.testing.assert_array_equal(lam.first.as_array(), batch.first[i])
-            np.testing.assert_array_equal(lam.second.as_array(), batch.second[i])
+            np.testing.assert_array_equal(lam.first[0], batch.first[i])
+            np.testing.assert_array_equal(lam.second[0], batch.second[i])
 
     def test_reference_measure_is_product_uniform(self):
         ref = BM.reference_batch(11, 0, 100_000)
