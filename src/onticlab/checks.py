@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .models import (
     RELABEL_MARK,
     Batch,
     OntologicalModel,
+    PairBatch,
     SingleBatch,
     StateCatalog,
 )
@@ -390,15 +391,19 @@ class EnsembleDistribution:
         return np.minimum(np.searchsorted(cum, u, side="right"), len(self.ensemble.entries) - 1)
 
     def sample_batch(self, seed: int, start: int, count: int) -> Batch:
+        """Row i is row i of component j_i's batch; a pair's second sphere is merged when first read."""
         j = self._choices(seed, start, count)
         parts = [self.model.prepare_batch(s, seed, start, count) for _, s in self.ensemble.entries]
-        names = [f.name for f in fields(parts[0])]
-        rows = [getattr(parts[0], name).copy() for name in names]
-        for k in range(1, len(parts)):
-            mask = j == k
-            for out, name in zip(rows, names):
-                out[mask] = getattr(parts[k], name)[mask]
-        return type(parts[0])(*rows)
+
+        def merge(rows):
+            out = rows[0]
+            for k in range(1, len(rows)):
+                out = np.where((j == k)[:, None], rows[k], out)
+            return out
+
+        if isinstance(parts[0], PairBatch):
+            return PairBatch(merge([p.first for p in parts]), lambda: merge([p.second for p in parts]))
+        return SingleBatch(merge([p.points for p in parts]))
 
     def density_batch(self, batch: Batch) -> np.ndarray | None:
         total = None

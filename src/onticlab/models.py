@@ -12,6 +12,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -45,15 +46,25 @@ class SingleBatch:
         return len(self.points)
 
 
-@dataclass(frozen=True)
 class PairBatch:
-    """Vectorized batch of sphere-pair ontic states: two (n, 3) arrays of unit rows, one per sphere."""
+    """Vectorized batch of sphere-pair ontic states: two (n, 3) arrays of unit rows, one per sphere.
 
-    first: np.ndarray
-    second: np.ndarray
+    second is an array or a function of no arguments that returns it; a
+    function is called when second is first read, once, so rows that no
+    integrand reads are never drawn.  Counter-based draws make the deferred
+    rows bitwise those an eager draw gives.
+    """
+
+    def __init__(self, first: np.ndarray, second: np.ndarray | Callable[[], np.ndarray]):
+        self.first = first
+        self._second = second
 
     def __len__(self) -> int:
         return len(self.first)
+
+    @cached_property
+    def second(self) -> np.ndarray:
+        return self._second() if callable(self._second) else self._second
 
     @cached_property
     def total(self) -> np.ndarray:
@@ -189,9 +200,13 @@ class BellMerminModel(OntologicalModel):
     has_density = False   # the point-measure factor admits no density
 
     def prepare_batch(self, psi, seed, start, count):
-        u = uniform_blocks(self._prepare_key(psi, seed), start, count)
-        second = sphere_points_from_uniforms(u[:, 0], u[:, 1])
-        return PairBatch(_point_mass_rows(psi, count), second)
+        key = self._prepare_key(psi, seed)
+
+        def draw_second():
+            u = uniform_blocks(key, start, count)
+            return sphere_points_from_uniforms(u[:, 0], u[:, 1])
+
+        return PairBatch(_point_mass_rows(psi, count), draw_second)
 
     def reference_batch(self, seed, start, count):
         u = uniform_blocks(substream_key(seed, self.name, "reference"), start, count)

@@ -104,6 +104,9 @@ class Ensemble:
         if not self.entries:
             raise ValueError("ensemble must contain at least one state")
         weights = [w for w, _ in self.entries]
+        # NaN passes both tests below (every comparison with it is false)
+        if not all(math.isfinite(w) for w in weights):
+            raise ValueError(f"ensemble weights must be finite, got {weights!r}")
         if any(w < 0.0 for w in weights):
             raise ValueError("ensemble weights must be nonnegative")
         if abs(sum(weights) - 1.0) > 1e-12:

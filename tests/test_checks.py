@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from onticlab import checks, models
 from onticlab.checks import (
     INCONCLUSIVE,
     PSI_EPISTEMIC,
@@ -25,7 +26,14 @@ from onticlab.checks import (
     prep_nc_report,
 )
 from onticlab.errors import FieldError, PreconditionError
-from onticlab.integrate import McConfig, McEstimate, QuadratureGrid, sphere_quadrature
+from onticlab.integrate import (
+    McConfig,
+    McEstimate,
+    QuadratureGrid,
+    mc_expectation,
+    sphere_quadrature,
+    uniform_blocks,
+)
 from onticlab.models import (
     KochenSpeckerModel,
     PairBatch,
@@ -237,20 +245,43 @@ class TestEnsembleDistribution:
 
     def test_sampler_matches_density(self):
         dist = ensemble_distribution(KS, half_half_mixture(PLUS_Z))
-        from onticlab.integrate import mc_expectation
-
         g = lambda p: (p[:, 2] > 0.5).astype(float)
         est = mc_expectation(lambda b: g(b.points), dist.sample_batch, CFG)
         quad = sphere_quadrature(lambda p: g(p) * dist.density_batch(SingleBatch(p)), GRID)
         assert abs(est.mean - quad) <= 5 * est.std_error + 1e-4
 
     def test_scalar_sample_agrees_with_batch(self):
-        dist = ensemble_distribution(BM, half_half_mixture(PLUS_Z))
-        batch = dist.sample_batch(4, 0, 6)
-        for i in range(6):
-            lam = sample_one(dist.sample_batch, 4, i)
-            np.testing.assert_array_equal(lam.first[0], batch.first[i])
-            np.testing.assert_array_equal(lam.second[0], batch.second[i])
+        # row i of a mixture batch is row i of its chosen component's batch, on both spheres
+        three = Ensemble(((0.5, PLUS_Z), (0.25, PLUS_X), (0.25, MINUS_Z)))
+        for ensemble in (half_half_mixture(PLUS_Z), three):
+            dist = ensemble_distribution(BM, ensemble)
+            batch = dist.sample_batch(4, 0, 40)
+            chosen = dist._choices(4, 0, 40)
+            assert set(chosen) == set(range(len(ensemble.entries)))
+            for i, k in enumerate(chosen):
+                lam = sample_one(dist.sample_batch, 4, i)
+                component = BM.prepare_batch(ensemble.entries[k][1], 4, i, 1)
+                for sphere in ("first", "second"):
+                    row = getattr(batch, sphere)[i]
+                    np.testing.assert_array_equal(getattr(lam, sphere)[0], row)
+                    np.testing.assert_array_equal(getattr(component, sphere)[0], row)
+
+    def test_support_witness_draws_only_the_choices(self, monkeypatch):
+        # the support witness reads the point-mass sphere only, so no component stream is drawn
+        drawn = []
+
+        def counting(key, start, count):
+            drawn.append((key, count))
+            return uniform_blocks(key, start, count)
+
+        for module in (checks, models):
+            monkeypatch.setattr(module, "uniform_blocks", counting)
+        dist = ensemble_distribution(BM, half_half_mixture(PLUS_X))
+        cfg = McConfig(n_samples=1000, seed=19, batch_size=300)
+        est = mc_expectation(dist.support_batch, dist.sample_batch, cfg)
+        assert est.mean == 1.0
+        assert {key for key, _ in drawn} == {dist._choice_key(19)}
+        assert sum(count for _, count in drawn) == 1000
 
     def test_pair_mixture_density_absent(self):
         dist = ensemble_distribution(BM, half_half_mixture(PLUS_Z))

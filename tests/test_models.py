@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
 
+from onticlab import models
 from onticlab.checks import _descriptor_variants
 from onticlab.errors import FieldError
-from onticlab.integrate import McConfig, QuadratureGrid, mc_expectation, sphere_quadrature
+from onticlab.integrate import (
+    McConfig,
+    QuadratureGrid,
+    mc_expectation,
+    sphere_points_from_uniforms,
+    sphere_quadrature,
+    uniform_blocks,
+)
 from onticlab.models import (
     RELABEL_MARK,
     BellMerminModel,
@@ -205,6 +213,30 @@ class TestSpherePairModel:
             lam = sample_prepared(BM, PLUS_X, 9, 4 + i)
             np.testing.assert_array_equal(lam.first[0], batch.first[i])
             np.testing.assert_array_equal(lam.second[0], batch.second[i])
+
+    def test_second_sphere_drawn_on_first_read_only(self, monkeypatch):
+        drawn = []
+
+        def counting(key, start, count):
+            drawn.append((start, count))
+            return uniform_blocks(key, start, count)
+
+        monkeypatch.setattr(models, "uniform_blocks", counting)
+        batch = BM.prepare_batch(PLUS_X, 9, 4, 5)
+        assert len(batch) == 5 and (batch.first == PLUS_X.vec()).all()
+        assert drawn == []   # the point-mass rows draw nothing
+        second = batch.second
+        assert batch.second is second
+        batch.total
+        assert drawn == [(4, 5)]
+
+    @pytest.mark.parametrize("start, count", [(0, 300), (300, 300), (600, 100), (37, 1)])
+    def test_deferred_second_equals_eager_draw(self, start, count):
+        u = uniform_blocks(BM._prepare_key(PLUS_Y, 21), start, count)
+        eager = sphere_points_from_uniforms(u[:, 0], u[:, 1])
+        np.testing.assert_array_equal(BM.prepare_batch(PLUS_Y, 21, start, count).second, eager)
+        whole = BM.prepare_batch(PLUS_Y, 21, 0, 700).second
+        np.testing.assert_array_equal(whole[start:start + count], eager)
 
     def test_reference_measure_is_product_uniform(self):
         ref = BM.reference_batch(11, 0, 100_000)

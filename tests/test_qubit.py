@@ -149,6 +149,16 @@ class TestEnsembles:
         with pytest.raises(ValueError):
             Ensemble(())
 
+    @pytest.mark.parametrize(
+        "weights",
+        [(float("nan"),), (float("nan"), 1.0), (float("inf"), 1.0), (float("-inf"), 1.0), (0.5, float("inf"))],
+    )
+    def test_non_finite_weights_rejected(self, weights):
+        # NaN passes the sign and sum tests, and the mixture sampler would then pick component 0
+        entries = tuple(zip(weights, (PLUS_Z, MINUS_Z)))
+        with pytest.raises(ValueError, match="finite"):
+            Ensemble(entries)
+
 
 class TestDensityOperators:
     def test_equality_tolerance(self):
