@@ -111,15 +111,15 @@ def nonlocality_witness(run: CheckRun, psi: PureState, phi: PureState) -> CheckR
     """Check whether Bob's ontic distribution depends on Alice's basis choice.
 
     psi and phi must be catalog states: the Born precondition is the run's
-    born report, made once per run.  Then the two steered ensembles for Alice
-    bases aimed at {psi, psi_perp} and {phi, phi_perp} go to the
-    preparation-noncontextuality checker; verdict "violated" means the
-    witness fires.
+    born report, built from the run's shared state table.  Then the two
+    steered ensembles for Alice bases aimed at {psi, psi_perp} and
+    {phi, phi_perp} go to the preparation-noncontextuality checker; verdict
+    "violated" means the witness fires.
     """
     for s in (psi, phi):
         if _index(run.catalog.states, s) < 0:
             raise PreconditionError(f"steering state {s.describe()} is not a state of the run's catalog")
-    born = run.once("born", lambda: check_born_reproduction(run))
+    born = check_born_reproduction(run)
     if born.verdict != "satisfied":
         raise PreconditionError(
             f"model {run.model.name} does not reproduce the Born rule on the catalog"

@@ -32,8 +32,8 @@ from .models import (
     Batch,
     OntologicalModel,
     PairBatch,
-    SingleBatch,
     StateCatalog,
+    _index,
 )
 from .qubit import (
     Ensemble,
@@ -140,11 +140,12 @@ class CheckRun:
 
     Every check of a run is a function of this object, and construction
     validates what the config objects do not: tol must be a finite number in
-    (0, 1) and check_names a non-empty tuple of strings.  All shared work (the
-    state table, the response scan of determinism and measurement-nc, and the
-    reports audit and nonlocality read) goes through once(), whose memo lives
-    as long as this object: no check builds a run of its own, and nothing
-    computed for one catalog can reach another.
+    (0, 1) and check_names a non-empty tuple of strings.  Every pass that
+    draws samples and is shared (the state table, the response scan of
+    determinism and measurement-nc, and prep-nc's comparison of a pair) goes
+    through once(), whose memo lives as long as this object; a report built
+    from memoized passes is rebuilt, not stored.  No check builds a run of its
+    own, and nothing computed for one catalog can reach another.
     """
 
     model: OntologicalModel
@@ -165,7 +166,7 @@ class CheckRun:
             raise FieldError("check_names", "a non-empty tuple of strings", names)
 
     def once(self, key, compute):
-        """compute() once per key in this run; the key holds all it depends on beyond the run."""
+        """The memo of passes: compute() once per key, which holds all it depends on beyond the run."""
         if key not in self._memo:
             self._memo[key] = compute()
         return self._memo[key]
@@ -403,7 +404,7 @@ class EnsembleDistribution:
 
         if isinstance(parts[0], PairBatch):
             return PairBatch(merge([p.first for p in parts]), lambda: merge([p.second for p in parts]))
-        return SingleBatch(merge([p.points for p in parts]))
+        return merge(parts)
 
     def density_batch(self, batch: Batch) -> np.ndarray | None:
         total = None
@@ -445,11 +446,7 @@ def check_preparation_noncontextuality(run: CheckRun, e1: Ensemble, e2: Ensemble
     d2 = EnsembleDistribution(run.model, e2)
     pair = f"{e1.describe()} vs {e2.describe()}"
     if run.model.has_density:
-        dist = tv_distance(
-            lambda pts: d1.density_batch(SingleBatch(pts)),
-            lambda pts: d2.density_batch(SingleBatch(pts)),
-            run.grid,
-        )
+        dist = tv_distance(d1.density_batch, d2.density_batch, run.grid)
         return run.report(
             "prep-nc", VIOLATED if dist > run.tol else SATISFIED,
             (LabeledEstimate("tv_distance", dist, 0.0),),
@@ -511,12 +508,8 @@ def find_omega_witness(
     cfg: McConfig,
 ) -> OmegaWitness:
     """Estimate the mass of Omega = {lambda outside supp(mu_phi) with response(phi) > 0}."""
-    outcome_index = None
-    for idx in (0, 1):
-        if same_state(basis_containing_phi.outcomes[idx], phi):
-            outcome_index = idx
-            break
-    if outcome_index is None:
+    outcome_index = _index(basis_containing_phi.outcomes, phi)
+    if outcome_index < 0:
         raise PreconditionError("phi is not an outcome of the given basis")
 
     def omega_and_response(batch):
@@ -531,7 +524,7 @@ def find_omega_witness(
 
 def _basis_containing(catalog: StateCatalog, phi: PureState) -> MeasurementBasis:
     for basis in catalog.bases:
-        if any(same_state(outcome, phi) for outcome in basis.outcomes):
+        if _index(basis.outcomes, phi) >= 0:
             return basis
     return MeasurementBasis((phi, orthogonal_complement(phi)), phi.describe())
 
@@ -587,16 +580,16 @@ def audit_implication_chain(run: CheckRun) -> CheckReport:
     "violated" only when the observed verdicts form a counterexample to one
     of the implications.  This audits instantiations on the model under test,
     not the general statements.  The catalog precondition is checked before
-    the run's state table is read.  Each sub-check's report is taken from the
-    run's memo, so a report the run already made is not made again.
+    the run's state table is read.  Each sub-check's report is rebuilt from the
+    run's memoized passes, so no stream is drawn again.
     """
     if not run.catalog.closed_under_complements():
         raise PreconditionError("audit requires a catalog closed under orthogonal complements")
-    born = run.once("born", lambda: check_born_reproduction(run))
-    det = run.once("determinism", lambda: check_outcome_determinism(run))
-    mnc = run.once("measurement-nc", lambda: check_measurement_noncontextuality(run))
-    maxe = run.once("max-epistemic", lambda: check_max_psi_epistemic(run))
-    cls = run.once("classify", lambda: classify_ontology(run))
+    born = check_born_reproduction(run)
+    det = check_outcome_determinism(run)
+    mnc = check_measurement_noncontextuality(run)
+    maxe = check_max_psi_epistemic(run)
+    cls = classify_ontology(run)
     psi, phi = _chain_pair(run)
     prep = prep_nc_report(run, psi, phi)
     # determinism and measurement-nc are exact: each is satisfied or violated

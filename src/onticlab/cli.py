@@ -95,6 +95,8 @@ def load_catalog(path: str) -> StateCatalog:
         raise ValueError(f"--catalog {path!r} cannot be read: {exc.strerror or exc}") from exc
     except ValueError as exc:   # a JSON syntax error or bytes that are not UTF-8
         raise ValueError(f"--catalog {path!r} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:   # arrays or objects nested deeper than the parser recurses
+        raise ValueError(f"--catalog {path!r} is nested too deeply to parse") from exc
     if not isinstance(entries, list) or not entries:
         raise ValueError(f"--catalog {path!r} must hold a non-empty JSON array of state entries")
     return catalog_from_states([state_from_catalog_entry(e) for e in entries])
@@ -166,8 +168,7 @@ def run(config: RunConfig) -> tuple[int, list[CheckReport]]:
     for name in config.check_names:
         started = time.perf_counter()
         try:
-            # audit and its sub-checks share reports: whichever comes first makes them
-            report = check_run.once(name, lambda: CHECK_RUNNERS[name](check_run))
+            report = CHECK_RUNNERS[name](check_run)
         except (PreconditionError, ValueError) as exc:
             print(f"error: check {name!r}: {exc}", file=sys.stderr)
             return 2, reports

@@ -36,35 +36,25 @@ from .qubit import (
 RELABEL_MARK = "*"       # marker used on checker-synthesized basis descriptors
 
 
-@dataclass(frozen=True)
-class SingleBatch:
-    """Vectorized batch of single-sphere ontic states: an (n, 3) array of unit rows."""
-
-    points: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
 class PairBatch:
     """Vectorized batch of sphere-pair ontic states: two (n, 3) arrays of unit rows, one per sphere.
 
-    second is an array or a function of no arguments that returns it; a
-    function is called when second is first read, once, so rows that no
+    draw_second is a function of no arguments that returns the second
+    sphere; it is called when second is first read, once, so rows that no
     integrand reads are never drawn.  Counter-based draws make the deferred
     rows bitwise those an eager draw gives.
     """
 
-    def __init__(self, first: np.ndarray, second: np.ndarray | Callable[[], np.ndarray]):
+    def __init__(self, first: np.ndarray, draw_second: Callable[[], np.ndarray]):
         self.first = first
-        self._second = second
+        self._draw_second = draw_second
 
     def __len__(self) -> int:
         return len(self.first)
 
     @cached_property
     def second(self) -> np.ndarray:
-        return self._second() if callable(self._second) else self._second
+        return self._draw_second()
 
     @cached_property
     def total(self) -> np.ndarray:
@@ -72,7 +62,8 @@ class PairBatch:
         return self.first + self.second
 
 
-Batch = SingleBatch | PairBatch
+# A single-sphere batch is its (n, 3) array of unit rows.
+Batch = np.ndarray | PairBatch
 
 
 class OntologicalModel(ABC):
@@ -121,9 +112,9 @@ class OntologicalModel(ABC):
 
 
 def _require_single(batch: Batch) -> np.ndarray:
-    if not isinstance(batch, SingleBatch):
+    if isinstance(batch, PairBatch):
         raise ValueError("expected a single-sphere ontic state, got a sphere pair")
-    return batch.points
+    return batch
 
 
 def _require_pair(batch: Batch) -> PairBatch:
@@ -176,11 +167,11 @@ class KochenSpeckerModel(OntologicalModel):
     has_density = True
 
     def prepare_batch(self, psi, seed, start, count):
-        return SingleBatch(_cap_points(psi.vec(), self._prepare_key(psi, seed), start, count))
+        return _cap_points(psi.vec(), self._prepare_key(psi, seed), start, count)
 
     def reference_batch(self, seed, start, count):
         u = uniform_blocks(substream_key(seed, self.name, "reference"), start, count)
-        return SingleBatch(sphere_points_from_uniforms(u[:, 0], u[:, 1]))
+        return sphere_points_from_uniforms(u[:, 0], u[:, 1])
 
     def density_batch(self, psi, batch):
         pts = _require_single(batch)
@@ -210,10 +201,9 @@ class BellMerminModel(OntologicalModel):
 
     def reference_batch(self, seed, start, count):
         u = uniform_blocks(substream_key(seed, self.name, "reference"), start, count)
-        return PairBatch(
-            sphere_points_from_uniforms(u[:, 0], u[:, 1]),
-            sphere_points_from_uniforms(u[:, 2], u[:, 3]),
-        )
+        second = sphere_points_from_uniforms(u[:, 2], u[:, 3])
+        # the closure holds the mapped rows, not the uniforms
+        return PairBatch(sphere_points_from_uniforms(u[:, 0], u[:, 1]), lambda: second)
 
     def in_support_batch(self, psi, batch):
         return same_state_rows(_require_pair(batch).first, psi)
@@ -226,7 +216,7 @@ class _PointMeasureFixture(OntologicalModel):
     """Shared base for the negative controls: point measures on a single sphere."""
 
     def prepare_batch(self, psi, seed, start, count):
-        return SingleBatch(_point_mass_rows(psi, count))
+        return _point_mass_rows(psi, count)
 
     # the cap model's uniform reference on the one sphere, keyed by each fixture's name
     reference_batch = KochenSpeckerModel.reference_batch
@@ -328,17 +318,15 @@ def catalog_from_states(states) -> StateCatalog:
     return StateCatalog(tuple(closed), tuple(bases))
 
 
-MODEL_NAMES = ("ks", "bell-mermin", "const-half", "label-reader")
+_MODELS = {
+    cls.name: cls
+    for cls in (KochenSpeckerModel, BellMerminModel, ConstantResponseModel, LabelReadingModel)
+}
+MODEL_NAMES = tuple(_MODELS)
 
 
 def make_model(name: str) -> OntologicalModel:
     """Instantiate a model by its registry name."""
-    registry = {
-        "ks": KochenSpeckerModel,
-        "bell-mermin": BellMerminModel,
-        "const-half": ConstantResponseModel,
-        "label-reader": LabelReadingModel,
-    }
-    if name not in registry:
+    if name not in _MODELS:
         raise ValueError(f"unknown model {name!r}; valid names: {', '.join(MODEL_NAMES)}")
-    return registry[name]()
+    return _MODELS[name]()

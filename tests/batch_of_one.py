@@ -8,21 +8,22 @@ batch, and each one goes through the same batch method the checks call.
 import numpy as np
 
 from onticlab.integrate import sphere_points_from_uniforms, uniform_blocks
-from onticlab.models import KochenSpeckerModel, PairBatch, SingleBatch
+from onticlab.models import KochenSpeckerModel, PairBatch
 from onticlab.qubit import MINUS_Z, PLUS_Z, BlochVector, MeasurementBasis
 
 _KS = KochenSpeckerModel()
 _Z_BASIS = MeasurementBasis((PLUS_Z, MINUS_Z), "z")
 
 
-def single(point: BlochVector) -> SingleBatch:
+def single(point: BlochVector) -> np.ndarray:
     """The one-row batch of a single-sphere model at point."""
-    return SingleBatch(point.as_array()[None])
+    return point.as_array()[None]
 
 
 def pair(first: BlochVector, second: BlochVector) -> PairBatch:
     """The one-row batch of a two-sphere model at (first, second)."""
-    return PairBatch(first.as_array()[None], second.as_array()[None])
+    second_row = second.as_array()[None]
+    return PairBatch(first.as_array()[None], lambda: second_row)
 
 
 def sample_one(sampler, seed, index):
@@ -67,5 +68,5 @@ def step(x):
     """
     z = np.atleast_1d(np.asarray(x, dtype=float))
     points = np.column_stack([np.zeros_like(z), np.zeros_like(z), z])
-    vals = _KS.response_batch(_Z_BASIS, SingleBatch(points))[0]
+    vals = _KS.response_batch(_Z_BASIS, points)[0]
     return vals if np.ndim(x) else float(vals[0])

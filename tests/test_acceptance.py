@@ -30,7 +30,6 @@ from onticlab.checks import (
 from onticlab.cli import RunConfig, emit_report, expected_patterns, run
 from onticlab.integrate import McConfig, QuadratureGrid, sphere_quadrature
 from onticlab.models import (
-    SingleBatch,
     StateCatalog,
     default_catalog,
     make_model,
@@ -108,10 +107,10 @@ def test_criterion_1_born_reproduction(extended_catalog):
                     assert abs(row.mean - target) <= max(TOL, 5 * row.std_error)
     worst = 0.0
     for psi in extended_catalog.states:
-        density = lambda p, psi=psi: KS.density_batch(psi, SingleBatch(p))
+        density = lambda p, psi=psi: KS.density_batch(psi, p)
         for basis in extended_catalog.bases:
             for idx in (0, 1):
-                response = lambda p, b=basis, i=idx: KS.response_batch(b, SingleBatch(p))[i]
+                response = lambda p, b=basis, i=idx: KS.response_batch(b, p)[i]
                 value = sphere_quadrature(lambda p: response(p) * density(p), GRID)
                 worst = max(worst, abs(value - born_probability(basis.outcomes[idx], psi)))
     assert worst <= QUAD_TOL
@@ -129,8 +128,8 @@ def test_criterion_2_cap_model_maximally_epistemic():
             born = born_probability(phi, psi)
             assert abs(est.mean - born) <= 5 * est.std_error
             quad = sphere_quadrature(
-                lambda p: KS.in_support_batch(phi, SingleBatch(p)).astype(float)
-                * KS.density_batch(psi, SingleBatch(p)),
+                lambda p: KS.in_support_batch(phi, p).astype(float)
+                * KS.density_batch(psi, p),
                 GRID,
             )
             assert abs(quad - born) <= QUAD_TOL
@@ -209,7 +208,7 @@ def test_criterion_5_preparation_contextuality_of_cap_model():
     mixture = ensemble_distribution(KS, e_z)
     angles = 2 * np.pi * np.arange(100) / 100
     equator = np.stack([np.cos(angles), np.sin(angles), np.zeros(100)], axis=1)
-    np.testing.assert_array_equal(mixture.density_batch(SingleBatch(equator)), np.zeros(100))
+    np.testing.assert_array_equal(mixture.density_batch(equator), np.zeros(100))
 
 
 def test_criterion_6_omega_witness_masses():

@@ -37,7 +37,6 @@ from onticlab.integrate import (
 from onticlab.models import (
     KochenSpeckerModel,
     PairBatch,
-    SingleBatch,
     StateCatalog,
     catalog_from_states,
     default_catalog,
@@ -154,8 +153,8 @@ class TestOverlapIntegral:
         est = overlap_integral(KS, PLUS_Z, PLUS_X, CFG)
         assert abs(est.mean - 0.5) <= 5 * est.std_error
         quad = sphere_quadrature(
-            lambda p: KS.in_support_batch(PLUS_X, SingleBatch(p)).astype(float)
-            * KS.density_batch(PLUS_Z, SingleBatch(p)),
+            lambda p: KS.in_support_batch(PLUS_X, p).astype(float)
+            * KS.density_batch(PLUS_Z, p),
             GRID,
         )
         assert abs(quad - 0.5) <= 1e-3
@@ -225,29 +224,29 @@ class TestEnsembleDistribution:
         dist = ensemble_distribution(KS, Ensemble(((1.0, PLUS_Y),)))
         a = dist.sample_batch(8, 0, 1000)
         b = KS.prepare_batch(PLUS_Y, 8, 0, 1000)
-        np.testing.assert_array_equal(a.points, b.points)
+        np.testing.assert_array_equal(a, b)
 
     def test_z_mixture_density_vanishes_on_equator(self):
         dist = ensemble_distribution(KS, half_half_mixture(PLUS_Z))
         angles = 2 * np.pi * np.arange(100) / 100
         equator = np.stack([np.cos(angles), np.sin(angles), np.zeros(100)], axis=1)
-        np.testing.assert_array_equal(dist.density_batch(SingleBatch(equator)), np.zeros(100))
+        np.testing.assert_array_equal(dist.density_batch(equator), np.zeros(100))
 
     def test_x_mixture_density_at_plus_x(self):
         dist = ensemble_distribution(KS, half_half_mixture(PLUS_X))
-        val = dist.density_batch(SingleBatch(np.array([[1.0, 0.0, 0.0]])))[0]
+        val = dist.density_batch(np.array([[1.0, 0.0, 0.0]]))[0]
         assert val == 0.5 / np.pi
 
     def test_mixture_density_normalizes(self):
         dist = ensemble_distribution(KS, half_half_mixture(PLUS_X))
-        total = sphere_quadrature(lambda p: dist.density_batch(SingleBatch(p)), GRID)
+        total = sphere_quadrature(dist.density_batch, GRID)
         assert abs(total - 1.0) <= 1e-3
 
     def test_sampler_matches_density(self):
         dist = ensemble_distribution(KS, half_half_mixture(PLUS_Z))
         g = lambda p: (p[:, 2] > 0.5).astype(float)
-        est = mc_expectation(lambda b: g(b.points), dist.sample_batch, CFG)
-        quad = sphere_quadrature(lambda p: g(p) * dist.density_batch(SingleBatch(p)), GRID)
+        est = mc_expectation(g, dist.sample_batch, CFG)
+        quad = sphere_quadrature(lambda p: g(p) * dist.density_batch(p), GRID)
         assert abs(est.mean - quad) <= 5 * est.std_error + 1e-4
 
     def test_scalar_sample_agrees_with_batch(self):

@@ -255,7 +255,8 @@ class TestCatalogIngestion:
     @pytest.mark.parametrize(
         "content",
         ["", "[{\"bloch\": [0, 0, 1]", "{}", pytest.param(None, id="missing"),
-         pytest.param(IS_DIRECTORY, id="directory")],
+         pytest.param(IS_DIRECTORY, id="directory"),
+         pytest.param("[" * 100_000 + "]" * 100_000, id="deeply-nested")],
     )
     def test_unreadable_catalog_exits_2_naming_the_flag_and_path(self, tmp_path, capsys, content):
         path = tmp_path / "broken.json"
@@ -429,7 +430,7 @@ def zeroed_json(reports):
 
 
 class TestSharedStateTable:
-    """Checks of one run share one pass over each mu_psi and the reports audit reads.
+    """Checks of one run share one pass over each mu_psi and the passes audit reads.
 
     Nothing outlives the run.
     """
@@ -477,6 +478,12 @@ class TestSharedStateTable:
     def test_audit_reuses_the_reports_its_run_made(self, drawn):
         audit_alone = drawn(("audit",))
         assert drawn(("determinism", "measurement-nc", "prep-nc", "audit")) == audit_alone
+
+    def test_checks_after_audit_rebuild_their_reports_from_its_passes(self, drawn):
+        after = (
+            "audit", "born", "determinism", "measurement-nc", "max-epistemic", "classify", "prep-nc",
+        )
+        assert drawn(after) == drawn(("audit",))
 
     def test_exact_checks_share_one_response_scan(self, drawn):
         # every mu_psi and the reference, each at the per-source budget

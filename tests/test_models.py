@@ -19,7 +19,6 @@ from onticlab.models import (
     KochenSpeckerModel,
     LabelReadingModel,
     PairBatch,
-    SingleBatch,
     StateCatalog,
     catalog_from_states,
     default_catalog,
@@ -95,18 +94,18 @@ class TestCapDensity:
     def test_normalization_on_default_grid(self):
         # polar-aligned states hit the panel boundary and are near exact
         for psi in (PLUS_Z, MINUS_Z):
-            val = sphere_quadrature(lambda p: KS.density_batch(psi, SingleBatch(p)), GRID)
+            val = sphere_quadrature(lambda p: KS.density_batch(psi, p), GRID)
             assert abs(val - 1.0) <= 1e-9
         # arbitrary orientations are limited by the azimuthal kink resolution
         states = [PLUS_X, MINUS_X, PLUS_Y, *random_states(99, 5)]
         for psi in states:
-            val = sphere_quadrature(lambda p: KS.density_batch(psi, SingleBatch(p)), GRID)
+            val = sphere_quadrature(lambda p: KS.density_batch(psi, p), GRID)
             assert abs(val - 1.0) <= 1e-4
 
     def test_density_nonnegative_and_support_consistent(self):
         pts = uniform_sphere_batch(3, 0, 20_000)
-        dens = KS.density_batch(PLUS_Y, SingleBatch(pts))
-        support = KS.in_support_batch(PLUS_Y, SingleBatch(pts))
+        dens = KS.density_batch(PLUS_Y, pts)
+        support = KS.in_support_batch(PLUS_Y, pts)
         assert dens.min() >= 0.0
         np.testing.assert_array_equal(dens > 0.0, support)
 
@@ -118,22 +117,22 @@ class TestCapSampler:
         assert abs(oracle - 2.0 / 3.0) <= 1e-12
         for psi in (PLUS_Z, PureState(BlochVector.from_angles(1.1, 2.2))):
             est = mc_expectation(
-                lambda b: b.points @ psi.vec(), prepare_sampler(KS, psi), CFG
+                lambda b: b @ psi.vec(), prepare_sampler(KS, psi), CFG
             )
             assert abs(est.mean - oracle) <= 5 * est.std_error
 
     def test_all_draws_in_open_hemisphere(self):
         for psi in (PLUS_X, PureState(BlochVector.from_angles(0.4, -1.0))):
-            pts = KS.prepare_batch(psi, 7, 0, 100_000).points
+            pts = KS.prepare_batch(psi, 7, 0, 100_000)
             assert (pts @ psi.vec()).min() > 0.0
 
     def test_determinism_and_scalar_batch_agreement(self):
         batch = KS.prepare_batch(PLUS_X, 21, 10, 6)
         for i in range(6):
             lam = sample_prepared(KS, PLUS_X, 21, 10 + i)
-            np.testing.assert_array_equal(lam.points[0], batch.points[i])
+            np.testing.assert_array_equal(lam[0], batch[i])
         again = KS.prepare_batch(PLUS_X, 21, 10, 6)
-        np.testing.assert_array_equal(batch.points, again.points)
+        np.testing.assert_array_equal(batch, again)
 
     def test_matches_density_via_quadrature(self):
         psi = PureState(BlochVector.from_angles(0.9, 0.3))
@@ -143,9 +142,9 @@ class TestCapSampler:
         ]
         for g in integrands:
             quad = sphere_quadrature(
-                lambda p: g(p) * KS.density_batch(psi, SingleBatch(p)), GRID
+                lambda p: g(p) * KS.density_batch(psi, p), GRID
             )
-            est = mc_expectation(lambda b: g(b.points), prepare_sampler(KS, psi), CFG)
+            est = mc_expectation(g, prepare_sampler(KS, psi), CFG)
             assert abs(est.mean - quad) <= 5 * est.std_error + 1e-4
 
 
@@ -272,7 +271,7 @@ class TestFixtures:
         model = ConstantResponseModel()
         batch = model.prepare_batch(PLUS_Z, 1, 0, 10)
         np.testing.assert_array_equal(model.response_batch(Z_BASIS, batch)[0], np.full(10, 0.5))
-        assert (batch.points == PLUS_Z.vec()).all()
+        assert (batch == PLUS_Z.vec()).all()
 
     def test_label_reader_flips_only_on_marked_descriptors(self):
         model = LabelReadingModel()
@@ -340,7 +339,7 @@ class TestOneProjectionPerBasis:
         shipped, built, variants = _library_bases()
         for k, basis in enumerate(shipped + built + variants):
             pts = _rows_on_boundaries(basis, 200, k)
-            r0, r1 = KS.response_batch(basis, SingleBatch(pts))
+            r0, r1 = KS.response_batch(basis, pts)
             for vals, outcome in zip((r0, r1), basis.outcomes):
                 np.testing.assert_array_equal(vals, pts @ outcome.vec() > 0.0)
 
@@ -350,7 +349,7 @@ class TestOneProjectionPerBasis:
             second = _rows_on_boundaries(basis, 200, k)
             first = uniform_sphere_batch(1000 + k, 0, len(second))
             first[-len(second) // 2:] = 0.0   # the summed vector is then the boundary row itself
-            r0, r1 = BM.response_batch(basis, PairBatch(first, second))
+            r0, r1 = BM.response_batch(basis, PairBatch(first, lambda: second))
             for vals, outcome in zip((r0, r1), basis.outcomes):
                 np.testing.assert_array_equal(vals, (first + second) @ outcome.vec() > 0.0)
 
@@ -362,7 +361,7 @@ class TestOneProjectionPerBasis:
             hit = pts @ basis.outcomes[0].vec() > 0.0
             if RELABEL_MARK in (basis.label or ""):
                 hit = ~hit
-            r0, r1 = model.response_batch(basis, SingleBatch(pts))
+            r0, r1 = model.response_batch(basis, pts)
             np.testing.assert_array_equal(r0, hit)
             np.testing.assert_array_equal(r1, ~hit)
 

@@ -27,7 +27,7 @@ from onticlab.integrate import (
     uniform_blocks,
     weighted_sum,
 )
-from onticlab.models import SingleBatch, catalog_from_states, default_catalog, make_model
+from onticlab.models import catalog_from_states, default_catalog, make_model
 from onticlab.qubit import (
     PLUS_X,
     PLUS_Z,
@@ -158,9 +158,7 @@ class TestQuadratureReduction:
     def test_criterion_5_pair_reads_one_double(self):
         ks = make_model("ks")
         z, x = (EnsembleDistribution(ks, half_half_mixture(s)) for s in (PLUS_Z, PLUS_X))
-        tv = tv_distance(
-            lambda p: z.density_batch(SingleBatch(p)), lambda p: x.density_batch(SingleBatch(p))
-        )
+        tv = tv_distance(z.density_batch, x.density_batch)
         assert tv == 0.4141998590767367
 
 
