@@ -347,6 +347,7 @@ def check_max_psi_epistemic(run: CheckRun) -> CheckReport:
 def classify_ontology(run: CheckRun) -> CheckReport:
     """Label the model psi-ontic or psi-epistemic from its support overlaps."""
     canonical_pair(run.catalog)   # without a nonorthogonal pair no overlap can tell
+    perp = {psi: orthogonal_complement(psi) for psi in run.catalog.states}
     rows = []
     epistemic_witness = None
     max_overlap = 0.0
@@ -354,7 +355,7 @@ def classify_ontology(run: CheckRun) -> CheckReport:
         if same_state(psi, phi):
             continue
         rows.append(LabeledEstimate(f"{psi.describe()}->{phi.describe()}", est.mean, est.std_error))
-        if same_state(phi, orthogonal_complement(psi)):
+        if same_state(phi, perp[psi]):
             continue
         max_overlap = max(max_overlap, est.mean)
         if est.mean > 5.0 * est.std_error and est.mean > 0.0 and epistemic_witness is None:
@@ -485,7 +486,6 @@ class OmegaWitness:
     OMEGA_EXAMPLES) and keeps none of them.
     """
 
-    pair: tuple[PureState, PureState]
     mu_psi_mass: McEstimate
     response_mass: McEstimate
 
@@ -519,7 +519,7 @@ def find_omega_witness(
         return omega, resp * omega
 
     mass, response = mc_expectations([omega_and_response], _prepare_sampler(model, psi), cfg)
-    return OmegaWitness(pair=(psi, phi), mu_psi_mass=mass, response_mass=response)
+    return OmegaWitness(mu_psi_mass=mass, response_mass=response)
 
 
 def _basis_containing(catalog: StateCatalog, phi: PureState) -> MeasurementBasis:
@@ -532,7 +532,9 @@ def _basis_containing(catalog: StateCatalog, phi: PureState) -> MeasurementBasis
 def check_omega_witness(run: CheckRun) -> CheckReport:
     """Report the Omega masses of the catalog's canonical pair against the tolerance."""
     psi, phi = canonical_pair(run.catalog)
-    witness = find_omega_witness(run.model, psi, phi, _basis_containing(run.catalog, phi), run.cfg)
+    witness = run.once("omega", lambda: find_omega_witness(
+        run.model, psi, phi, _basis_containing(run.catalog, phi), run.cfg
+    ))
     mass, response = witness.mu_psi_mass, witness.response_mass
     return run.report(
         "omega", triage_verdict(mass.mean, run.tol, mass.std_error),

@@ -21,6 +21,7 @@ from .errors import PreconditionError, require_int
 WEIGHT_SUM_TOL = 1e-10
 DENSITY_NORM_TOL = 1e-3
 MIN_SAMPLES = 100        # the smallest Monte Carlo budget, per run and per sample source
+BATCH_SIZE = 25_000      # a batch's (n, 3) points (600 KB) and temporaries stay near a core's L2 cache
 MAX_N_POLAR = 512        # 16x the default grid's nodes at both caps
 MAX_N_AZIMUTH = 1024
 
@@ -63,24 +64,14 @@ def sphere_points_from_uniforms(u0: np.ndarray, u1: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class McConfig:
-    """Sampling budget for Monte Carlo estimates; every field is an integer.
-
-    The default batch_size keeps a batch's (n, 3) points (600 KB) and its
-    per-batch temporaries near a core's L2 cache; a caller may still set
-    it.  Counts and exact sums, which is what every shipped integrand
-    reduces to, do not depend on it, and tests check this.  A general float
-    integrand is summed per batch, so its mean can still differ in the last
-    bit between batch sizes.
-    """
+    """Sampling budget for Monte Carlo estimates; every field is an integer."""
 
     n_samples: int = 1_000_000
     seed: int = 42
-    batch_size: int = 25_000
 
     def __post_init__(self):
         require_int("n_samples", self.n_samples, MIN_SAMPLES, math.inf, f">= {MIN_SAMPLES}")
         require_int("seed", self.seed, 0, 2**64 - 1, "in [0, 2**64)")
-        require_int("batch_size", self.batch_size, 1, math.inf, ">= 1")
 
 
 @dataclass(frozen=True)
@@ -90,14 +81,13 @@ class McEstimate:
     mean: float
     std_error: float
     n: int
-    seed: int
 
     @classmethod
-    def from_sums(cls, s1: float, s2: float, n: int, seed: int) -> McEstimate:
+    def from_sums(cls, s1: float, s2: float, n: int) -> McEstimate:
         """The estimate from the sum s1 and the sum of squares s2 of n values."""
         mean = s1 / n
         var = max(0.0, (s2 - n * mean * mean) / (n - 1))
-        return cls(mean=mean, std_error=float(np.sqrt(var / n)), n=n, seed=seed)
+        return cls(mean=mean, std_error=float(np.sqrt(var / n)), n=n)
 
 
 def sample_batches(
@@ -106,12 +96,13 @@ def sample_batches(
     """Yield (count, batch) pairs covering sample indices 0..cfg.n_samples-1 in order.
 
     sampler(seed, start, count) must return a batch for indices
-    start..start+count-1; batches hold at most cfg.batch_size rows, and the
-    last one holds the remainder.
+    start..start+count-1; batches hold at most BATCH_SIZE rows, and the last
+    one holds the remainder.  Counts and exact sums do not depend on the
+    batch size; a general float sum could move in its last bit with it.
     """
-    n = cfg.n_samples
-    for start in range(0, n, cfg.batch_size):
-        count = min(cfg.batch_size, n - start)
+    n, size = cfg.n_samples, BATCH_SIZE
+    for start in range(0, n, size):
+        count = min(size, n - start)
         yield count, sampler(cfg.seed, start, count)
 
 
@@ -162,7 +153,7 @@ def mc_expectations(
         elif len(reduced) != len(sums):
             raise ValueError("the integrands returned a different number of arrays on some batch")
         sums = [(s1 + a, s2 + b) for (s1, s2), (a, b) in zip(sums, reduced)]
-    return [McEstimate.from_sums(s1, s2, cfg.n_samples, cfg.seed) for s1, s2 in sums]
+    return [McEstimate.from_sums(s1, s2, cfg.n_samples) for s1, s2 in sums]
 
 
 def mc_expectation(f: Callable, sampler: Callable, cfg: McConfig) -> McEstimate:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from onticlab import checks, models
+from onticlab import checks, integrate, models
 from onticlab.checks import (
     INCONCLUSIVE,
     PSI_EPISTEMIC,
@@ -41,6 +41,7 @@ from onticlab.models import (
     catalog_from_states,
     default_catalog,
     make_model,
+    random_states,
 )
 from onticlab.qubit import (
     MINUS_X,
@@ -113,7 +114,8 @@ class TestBornReproduction:
             return plain(batch)
 
         monkeypatch.setattr(cached, "func", counting)   # the descriptor and its caching stay
-        cfg = McConfig(n_samples=1000, seed=19, batch_size=300)
+        monkeypatch.setattr(integrate, "BATCH_SIZE", 300)
+        cfg = McConfig(n_samples=1000, seed=19)
         rep = check_born_reproduction(run_of(BM, "born", cfg=cfg))
         assert len(rep.estimates) == 36
         assert len(built) == len(CATALOG.states) * 4   # 4 batches of at most 300 rows per state
@@ -218,6 +220,20 @@ class TestClassifyOntology:
         for model in (CONST, READER):
             assert classify_ontology(run_of(model, "classify")).verdict == PSI_ONTIC
 
+    def test_builds_each_complement_once(self, monkeypatch):
+        catalog = catalog_from_states(random_states(42, 32))
+        assert len(catalog.states) == 64
+        calls = []
+
+        def counting(psi):
+            calls.append(psi)
+            return orthogonal_complement(psi)
+
+        monkeypatch.setattr(checks, "orthogonal_complement", counting)
+        classify_ontology(run_of(KS, "classify", catalog, McConfig(n_samples=100, seed=1)))
+        # one per catalog state, plus canonical_pair's
+        assert len(calls) <= 2 * len(catalog.states)
+
 
 class TestEnsembleDistribution:
     def test_singleton_matches_component_sampler(self):
@@ -276,7 +292,8 @@ class TestEnsembleDistribution:
         for module in (checks, models):
             monkeypatch.setattr(module, "uniform_blocks", counting)
         dist = ensemble_distribution(BM, half_half_mixture(PLUS_X))
-        cfg = McConfig(n_samples=1000, seed=19, batch_size=300)
+        monkeypatch.setattr(integrate, "BATCH_SIZE", 300)
+        cfg = McConfig(n_samples=1000, seed=19)
         est = mc_expectation(dist.support_batch, dist.sample_batch, cfg)
         assert est.mean == 1.0
         assert {key for key, _ in drawn} == {dist._choice_key(19)}
@@ -378,10 +395,10 @@ class TestOmegaWitness:
             find_omega_witness(KS, PLUS_Z, PLUS_Y, X_BASIS, CFG)
 
     def test_invariant_guard(self):
-        good = McEstimate(mean=0.5, std_error=0.0, n=100, seed=0)
-        bad = McEstimate(mean=0.9, std_error=0.0, n=100, seed=0)
+        good = McEstimate(mean=0.5, std_error=0.0, n=100)
+        bad = McEstimate(mean=0.9, std_error=0.0, n=100)
         with pytest.raises(ValueError):
-            OmegaWitness((PLUS_Z, PLUS_X), good, bad)
+            OmegaWitness(good, bad)
 
 
 class TestImplicationChainAudit:

@@ -7,6 +7,7 @@ from dataclasses import asdict, fields, replace
 import numpy as np
 import pytest
 
+from onticlab import integrate
 from onticlab.integrate import McConfig, QuadratureGrid
 from onticlab.models import (
     MODEL_NAMES,
@@ -372,24 +373,25 @@ class TestBatchSizeInvariance:
               "prep-nc", "omega", "audit")
 
     @staticmethod
-    def reports(model_name, batch_size):
-        cfg = McConfig(n_samples=20_000, seed=42, batch_size=batch_size)
+    def reports(monkeypatch, model_name, size):
+        monkeypatch.setattr(integrate, "BATCH_SIZE", size)
+        cfg = McConfig(n_samples=20_000, seed=42)
         checks = TestBatchSizeInvariance.CHECKS
         check_run = CheckRun(make_model(model_name), default_catalog(), cfg, checks)
         return [asdict(CHECK_RUNNERS[name](check_run)) for name in checks]
 
     @pytest.mark.parametrize("model_name", MODEL_NAMES)
-    def test_reports_equal_across_batch_sizes(self, model_name):
-        whole = self.reports(model_name, 20_000)
+    def test_reports_equal_across_batch_sizes(self, model_name, monkeypatch):
+        whole = self.reports(monkeypatch, model_name, 20_000)
         assert [r["check_name"] for r in whole] == list(self.CHECKS)
-        for batch_size in (7_000, 1_000):
-            assert self.reports(model_name, batch_size) == whole
+        for size in (7_000, 1_000):
+            assert self.reports(monkeypatch, model_name, size) == whole
 
 
 class TestDefaultBatchSize:
-    """The cache-sized default batch gives the reports of 100,000-row and whole batches.
+    """The cache-sized BATCH_SIZE gives the reports of 100,000-row and whole batches.
 
-    110,000 samples are a multiple of neither the default nor 100,000, so
+    110,000 samples are a multiple of neither BATCH_SIZE nor 100,000, so
     both split the budget with a tail batch.
     """
 
@@ -397,18 +399,19 @@ class TestDefaultBatchSize:
     CHECKS = ("born", "determinism", "prep-nc")
 
     @classmethod
-    def reports(cls, model_name, batch_size):
-        cfg = McConfig(n_samples=cls.N_SAMPLES, seed=42, batch_size=batch_size)
+    def reports(cls, monkeypatch, model_name, size):
+        monkeypatch.setattr(integrate, "BATCH_SIZE", size)
+        cfg = McConfig(n_samples=cls.N_SAMPLES, seed=42)
         check_run = CheckRun(make_model(model_name), default_catalog(), cfg, cls.CHECKS)
         return [asdict(CHECK_RUNNERS[name](check_run)) for name in cls.CHECKS]
 
     @pytest.mark.parametrize("model_name", ("ks", "bell-mermin"))
-    def test_default_equals_old_default_and_one_batch(self, model_name):
-        default = McConfig().batch_size
+    def test_default_equals_old_default_and_one_batch(self, model_name, monkeypatch):
+        default = integrate.BATCH_SIZE
         assert self.N_SAMPLES % default and self.N_SAMPLES % 100_000
-        reports = self.reports(model_name, default)
-        assert reports == self.reports(model_name, 100_000)
-        assert reports == self.reports(model_name, self.N_SAMPLES)
+        reports = self.reports(monkeypatch, model_name, default)
+        assert reports == self.reports(monkeypatch, model_name, 100_000)
+        assert reports == self.reports(monkeypatch, model_name, self.N_SAMPLES)
 
 
 class CountingLabelReader(LabelReadingModel):
@@ -478,6 +481,9 @@ class TestSharedStateTable:
     def test_audit_reuses_the_reports_its_run_made(self, drawn):
         audit_alone = drawn(("audit",))
         assert drawn(("determinism", "measurement-nc", "prep-nc", "audit")) == audit_alone
+
+    def test_omega_pass_is_made_once(self, drawn):
+        assert drawn(("omega", "omega")) == drawn(("omega",))
 
     def test_checks_after_audit_rebuild_their_reports_from_its_passes(self, drawn):
         after = (

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from onticlab import integrate
 from onticlab.errors import FieldError, PreconditionError
 from onticlab.integrate import (
     McConfig,
@@ -98,8 +99,9 @@ class TestMcExpectation:
         b = mc_expectation(f, uniform_sphere_batch, CFG)
         assert a == b
 
-    def test_partial_final_batch(self):
-        cfg = McConfig(n_samples=12_345, seed=5, batch_size=1000)
+    def test_partial_final_batch(self, monkeypatch):
+        monkeypatch.setattr(integrate, "BATCH_SIZE", 1000)
+        cfg = McConfig(n_samples=12_345, seed=5)
         est = mc_expectation(lambda p: np.ones(len(p)), uniform_sphere_batch, cfg)
         assert est.mean == 1.0 and est.n == 12_345
 
@@ -117,16 +119,15 @@ class TestMcExpectation:
         with pytest.raises(ValueError):
             McConfig(n_samples=10)
         with pytest.raises(ValueError):
-            McConfig(batch_size=0)
-        with pytest.raises(ValueError):
             mc_expectations([], uniform_sphere_batch, CFG)
 
 
 class TestTupleIntegrands:
     """Each integrand returns a tuple of arrays; the estimates come back flattened in order."""
 
-    def test_estimates_flatten_in_order(self):
-        cfg = McConfig(n_samples=5_000, seed=2, batch_size=700)
+    def test_estimates_flatten_in_order(self, monkeypatch):
+        monkeypatch.setattr(integrate, "BATCH_SIZE", 700)
+        cfg = McConfig(n_samples=5_000, seed=2)
         pairs = mc_expectations(
             [lambda p: (p[:, 0], p[:, 2] > 0), lambda p: (p[:, 1] ** 2,)], uniform_sphere_batch, cfg
         )
@@ -137,8 +138,9 @@ class TestTupleIntegrands:
         assert pairs == singles
 
     @pytest.mark.parametrize("later", [0, 2])
-    def test_array_count_must_not_change_between_batches(self, later):
-        cfg = McConfig(n_samples=1_000, seed=2, batch_size=400)
+    def test_array_count_must_not_change_between_batches(self, later, monkeypatch):
+        monkeypatch.setattr(integrate, "BATCH_SIZE", 400)
+        cfg = McConfig(n_samples=1_000, seed=2)
         calls = []
 
         def f(p):   # one array on the first batch, `later` arrays on the next
@@ -148,8 +150,9 @@ class TestTupleIntegrands:
         with pytest.raises(ValueError, match="different number of arrays"):
             mc_expectations([f], uniform_sphere_batch, cfg)
 
-    def test_array_count_change_raises_on_the_batch_that_makes_it(self):
-        cfg = McConfig(n_samples=1_000, seed=2, batch_size=100)   # 10 batches
+    def test_array_count_change_raises_on_the_batch_that_makes_it(self, monkeypatch):
+        monkeypatch.setattr(integrate, "BATCH_SIZE", 100)
+        cfg = McConfig(n_samples=1_000, seed=2)   # 10 batches
         starts = []
 
         def spy(seed, start, count):
@@ -205,7 +208,7 @@ class TestConfigFields:
     """A config field of the wrong type fails at construction with an error naming it."""
 
     @pytest.mark.parametrize(
-        "field, value", [("n_samples", 1e3), ("seed", 1.5), ("seed", True), ("batch_size", 2.0)]
+        "field, value", [("n_samples", 1e3), ("seed", 1.5), ("seed", True)]
     )
     def test_mc_config_rejects_non_integers(self, field, value):
         with pytest.raises(FieldError, match=f"^{field} must be an integer, got") as info:
@@ -230,21 +233,23 @@ class TestConfigFields:
 
 
 class TestSampleBatches:
-    def test_each_index_once_in_order_with_remainder_last(self):
+    def test_each_index_once_in_order_with_remainder_last(self, monkeypatch):
+        monkeypatch.setattr(integrate, "BATCH_SIZE", 100)
         calls = []
 
         def sampler(seed, start, count):
             calls.append((seed, start, count))
             return np.arange(start, start + count)
 
-        cfg = McConfig(n_samples=250, seed=3, batch_size=100)
+        cfg = McConfig(n_samples=250, seed=3)
         pairs = list(sample_batches(sampler, cfg))
         assert [count for count, _ in pairs] == [100, 100, 50]
         np.testing.assert_array_equal(np.concatenate([b for _, b in pairs]), np.arange(250))
         assert calls == [(3, 0, 100), (3, 100, 100), (3, 200, 50)]
 
-    def test_single_batch_when_budget_fits(self):
-        cfg = McConfig(n_samples=100, seed=0, batch_size=1000)
+    def test_single_batch_when_budget_fits(self, monkeypatch):
+        monkeypatch.setattr(integrate, "BATCH_SIZE", 1000)
+        cfg = McConfig(n_samples=100, seed=0)
         pairs = list(sample_batches(lambda seed, start, count: (start, count), cfg))
         assert pairs == [(100, (0, 100))]
 
@@ -252,10 +257,10 @@ class TestSampleBatches:
 class TestMcEstimateFromSums:
     def test_matches_sample_statistics(self):
         vals = np.array([0.0, 1.0, 1.0, 0.5, 0.0])
-        est = McEstimate.from_sums(float(vals.sum()), float((vals * vals).sum()), 5, 7)
+        est = McEstimate.from_sums(float(vals.sum()), float((vals * vals).sum()), 5)
         assert est.mean == vals.mean()
         assert abs(est.std_error - vals.std(ddof=1) / np.sqrt(5)) <= 1e-15
-        assert (est.n, est.seed) == (5, 7)
+        assert est.n == 5
 
 
 class TestSphereQuadrature:

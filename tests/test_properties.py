@@ -6,12 +6,14 @@ of the test and the suite stays reproducible.
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from onticlab import integrate
 from onticlab.bell import make_max_entangled, steer, steering_basis
 from onticlab.checks import CheckRun, EnsembleDistribution
 from onticlab.errors import FieldError
@@ -48,7 +50,6 @@ NOT_INTEGERS = st.one_of(
 INTEGER_FIELDS = {
     "n_samples": (McConfig, st.integers(max_value=MIN_SAMPLES - 1)),
     "seed": (McConfig, st.one_of(st.integers(max_value=-1), st.integers(min_value=2**64))),
-    "batch_size": (McConfig, st.integers(max_value=0)),
     "n_polar": (QuadratureGrid, st.one_of(st.integers(max_value=0), st.integers(min_value=MAX_N_POLAR + 1))),
     "n_azimuth": (
         QuadratureGrid, st.one_of(st.integers(max_value=0), st.integers(min_value=MAX_N_AZIMUTH + 1))
@@ -83,12 +84,12 @@ class TestValidators:
 
     @FAST
     @given(
-        st.integers(MIN_SAMPLES, 10**9), st.integers(0, 2**64 - 1), st.integers(1, 10**9),
+        st.integers(MIN_SAMPLES, 10**9), st.integers(0, 2**64 - 1),
         st.integers(1, MAX_N_POLAR), st.integers(1, MAX_N_AZIMUTH),
     )
-    def test_integers_in_range_accepted(self, n_samples, seed, batch_size, n_polar, n_azimuth):
-        cfg = McConfig(n_samples, seed, batch_size)
-        assert (cfg.n_samples, cfg.seed, cfg.batch_size) == (n_samples, seed, batch_size)
+    def test_integers_in_range_accepted(self, n_samples, seed, n_polar, n_azimuth):
+        cfg = McConfig(n_samples, seed)
+        assert (cfg.n_samples, cfg.seed) == (n_samples, seed)
         grid = QuadratureGrid(n_polar, n_azimuth)
         assert (grid.n_polar, grid.n_azimuth) == (n_polar, n_azimuth)
 
@@ -129,11 +130,13 @@ class TestIndicatorReduction:
         st.integers(MIN_SAMPLES, 5_000), st.integers(1, 6_000), st.integers(0, 2**64 - 1),
         st.floats(0.0, 1.0),
     )
-    def test_bool_and_float_indicators_give_equal_estimates(self, n_samples, batch_size, seed, p):
-        cfg = McConfig(n_samples, seed, batch_size)
+    def test_bool_and_float_indicators_give_equal_estimates(self, n_samples, size, seed, p):
+        cfg = McConfig(n_samples, seed)
         sampler = lambda seed, start, count: uniform_blocks(substream_key(seed, "bits"), start, count)[:, 0]
-        counted = mc_expectation(lambda u: u < p, sampler, cfg)
-        summed = mc_expectation(lambda u: (u < p).astype(float), sampler, cfg)
+        # patched per example: a function-scoped fixture is not reset between examples
+        with mock.patch.object(integrate, "BATCH_SIZE", size):
+            counted = mc_expectation(lambda u: u < p, sampler, cfg)
+            summed = mc_expectation(lambda u: (u < p).astype(float), sampler, cfg)
         assert counted == summed
 
 
