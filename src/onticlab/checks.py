@@ -20,6 +20,7 @@ from .integrate import (
     McConfig,
     McEstimate,
     QuadratureGrid,
+    RunningSums,
     mc_expectation,
     mc_expectations,
     sample_batches,
@@ -34,6 +35,7 @@ from .models import (
     PairBatch,
     StateCatalog,
     _index,
+    head,
 )
 from .qubit import (
     Ensemble,
@@ -100,38 +102,13 @@ def _prepare_sampler(model: OntologicalModel, psi: PureState):
     return lambda seed, start, count: model.prepare_batch(psi, seed, start, count)
 
 
-def state_table(
-    model: OntologicalModel, catalog: StateCatalog, cfg: McConfig, responses: bool, overlaps: bool
-) -> dict[str, tuple | None]:
-    """Draw each mu_psi once and evaluate the asked-for response and support integrands on it.
-
-    "responses" holds (psi, basis, outcome index, estimate) for every response
-    integrand, "overlaps" holds (psi, phi, estimate, Born probability) for
-    every ordered pair of states; either is None when the pass skipped it.
-    Each estimate builds up on its own in index order, so it does not depend
-    on which other integrands share the pass.
-    """
-    bases = catalog.bases if responses else ()
-    outcomes = [(basis, idx) for basis in bases for idx in (0, 1)]
-    phis = catalog.states if overlaps else ()
-    resp_rows, pair_rows = [], []
-    for psi in catalog.states:
-        fs = [lambda b, basis=basis: model.response_batch(basis, b) for basis in bases]
-        fs += [lambda b, phi=phi: (model.in_support_batch(phi, b),) for phi in phis]
-        ests = mc_expectations(fs, _prepare_sampler(model, psi), cfg)
-        resp_rows += [(psi, basis, idx, est) for (basis, idx), est in zip(outcomes, ests)]
-        pair_rows += [
-            (psi, phi, est, born_probability(phi, psi)) for phi, est in zip(phis, ests[len(outcomes):])
-        ]
-    return {
-        "responses": tuple(resp_rows) if responses else None,
-        "overlaps": tuple(pair_rows) if overlaps else None,
-    }
-
-
-# The checks that read each part of a run's shared state table.
-RESPONSE_CHECKS = frozenset({"born", "nonlocality", "audit"})
-OVERLAP_CHECKS = frozenset({"max-epistemic", "classify", "audit"})
+# Each part of a run's source pass: what it holds, and the checks that read it.
+PASS_PARTS = {
+    "responses": ("the state table's responses", frozenset({"born", "nonlocality", "audit"})),
+    "overlaps": ("the state table's overlaps", frozenset({"max-epistemic", "classify", "audit"})),
+    "scan": ("the response scan", frozenset({"determinism", "measurement-nc", "audit"})),
+    "omega": ("the Omega witness", frozenset({"omega"})),
+}
 
 
 @dataclass
@@ -141,11 +118,12 @@ class CheckRun:
     Every check of a run is a function of this object, and construction
     validates what the config objects do not: tol must be a finite number in
     (0, 1) and check_names a non-empty tuple of strings.  Every pass that
-    draws samples and is shared (the state table, the response scan of
-    determinism and measurement-nc, and prep-nc's comparison of a pair) goes
-    through once(), whose memo lives as long as this object; a report built
-    from memoized passes is rebuilt, not stored.  No check builds a run of its
-    own, and nothing computed for one catalog can reach another.
+    draws samples and is shared goes through once(), whose memo lives as long
+    as this object: the one source pass over the catalog's streams (the state
+    table, the response scan of determinism and measurement-nc, and the Omega
+    witness; see source_pass) and prep-nc's comparison of a pair.  A report
+    built from memoized passes is rebuilt, not stored.  No check builds a run
+    of its own, and nothing computed for one catalog can reach another.
     """
 
     model: OntologicalModel
@@ -171,26 +149,21 @@ class CheckRun:
             self._memo[key] = compute()
         return self._memo[key]
 
-    def rows(self, part: str, check_name: str) -> tuple:
-        """The "responses" or "overlaps" rows of the run's state table, for check_name.
+    def part(self, part: str, check_name: str):
+        """One of PASS_PARTS of the run's source pass, for check_name.
 
-        The table is one pass over every mu_psi, built by the first check that
-        reads it, with the parts any of check_names reads.  A part that no
-        check of the run declares is a PreconditionError naming check_name,
+        The pass draws each catalog stream once, made by the first check that
+        reads any part, with the parts any of check_names reads.  A part that
+        no check of the run declares is a PreconditionError naming check_name,
         raised before any stream is drawn.
         """
-        readers = RESPONSE_CHECKS if part == "responses" else OVERLAP_CHECKS
+        what, readers = PASS_PARTS[part]
         if readers.isdisjoint(self.check_names):
             raise PreconditionError(
-                f"check {check_name!r} reads the state table's {part}, which none of the"
+                f"check {check_name!r} reads {what}, which none of the"
                 f" run's checks ({', '.join(self.check_names)}) declares"
             )
-        table = self.once("table", lambda: state_table(
-            self.model, self.catalog, self.cfg,
-            responses=not RESPONSE_CHECKS.isdisjoint(self.check_names),
-            overlaps=not OVERLAP_CHECKS.isdisjoint(self.check_names),
-        ))
-        return table[part]
+        return self.once("source-pass", lambda: source_pass(self))[part]
 
     def report(
         self, check_name: str, verdict: str, estimates, details: str, tolerance: float | None = None
@@ -225,7 +198,7 @@ def check_born_reproduction(run: CheckRun) -> CheckReport:
     rows: list[LabeledEstimate] = []
     verdicts: list[str] = []
     worst_label, worst_disc = "", -1.0
-    for psi, basis, idx, est in run.rows("responses", "born"):
+    for psi, basis, idx, est in run.part("responses", "born"):
         outcome = basis.outcomes[idx]
         label = f"{psi.describe()}|{basis.describe()}|{outcome.describe()}"
         disc = abs(est.mean - born_probability(outcome, psi))
@@ -277,39 +250,32 @@ def _descriptor_variants(basis: MeasurementBasis) -> list[tuple[MeasurementBasis
     return [(swapped, (1, 0)), (relabeled, (0, 1))]
 
 
-def _response_scan(run: CheckRun) -> tuple[_Tally, _Tally, int]:
-    """Tally determinism and measurement-nc in one pass over every sample source.
+def _scan_feed(model: OntologicalModel, bases, det: _Tally, mnc: _Tally, label: str):
+    """The feed of one sample source's batches to the determinism and measurement-nc tallies.
 
-    The sources are every mu_psi of the catalog, then the reference measure,
-    each with an even share of the budget (at least MIN_SAMPLES).  Per batch
-    and basis the two responses come from one call; determinism counts their
-    values other than 0 and 1, then measurement-nc compares them with every
-    descriptor variant's, one call per variant.  Returns (determinism,
-    measurement-nc, states sampled).
+    Per batch and basis the two responses come from one call; determinism
+    counts their values other than 0 and 1, then measurement-nc compares them
+    with every descriptor variant's, one call per variant.  Offenses name
+    label.
     """
-    model, bases = run.model, _require_bases(run)
-    sources = [(f"mu({s.describe()})", _prepare_sampler(model, s)) for s in run.catalog.states]
-    sources.append(("reference", model.reference_batch))
-    per_source = replace(run.cfg, n_samples=max(MIN_SAMPLES, run.cfg.n_samples // len(sources)))
-    det, mnc = _Tally(), _Tally()
-    for label, sampler in sources:
-        for _, batch in sample_batches(sampler, per_source):
-            for basis in bases:
-                vals = model.response_batch(basis, batch)
-                for v in vals:
-                    off = (v != 0.0) & (v != 1.0)
-                    det.add(off, lambda: f"; first offense {label}|{basis.describe()} value {v[off][0]!r}")
-                for variant, outcome_map in _descriptor_variants(basis):
-                    variant_vals = model.response_batch(variant, batch)
-                    for v, b_idx in zip(variant_vals, outcome_map):
-                        mnc.add(v != vals[b_idx], lambda: f"; first mismatch {label}|{basis.describe()}"
-                                                          f" vs descriptor {variant.describe()}")
-    return det, mnc, per_source.n_samples * len(sources)
+    def add(count, batch):
+        for basis in bases:
+            vals = model.response_batch(basis, batch)
+            for v in vals:
+                off = (v != 0.0) & (v != 1.0)
+                det.add(off, lambda: f"; first offense {label}|{basis.describe()} value {v[off][0]!r}")
+            for variant, outcome_map in _descriptor_variants(basis):
+                variant_vals = model.response_batch(variant, batch)
+                for v, b_idx in zip(variant_vals, outcome_map):
+                    mnc.add(v != vals[b_idx], lambda: f"; first mismatch {label}|{basis.describe()}"
+                                                      f" vs descriptor {variant.describe()}")
+    return add
 
 
 def check_outcome_determinism(run: CheckRun) -> CheckReport:
     """Assert every evaluated response value is exactly 0 or 1."""
-    det, _, n_states = run.once("response-scan", lambda: _response_scan(run))
+    _require_bases(run)
+    det, _, n_states = run.part("scan", "determinism")
     return det.report(
         run, "determinism", "non_binary_fraction",
         f"{det.checked} response values over {n_states} sampled ontic states",
@@ -318,7 +284,8 @@ def check_outcome_determinism(run: CheckRun) -> CheckReport:
 
 def check_measurement_noncontextuality(run: CheckRun) -> CheckReport:
     """Assert responses depend only on the outcome state, not its descriptor."""
-    _, mnc, _ = run.once("response-scan", lambda: _response_scan(run))
+    _require_bases(run)
+    _, mnc, _ = run.part("scan", "measurement-nc")
     return mnc.report(run, "measurement-nc", "mismatch_fraction", f"{mnc.checked} descriptor comparisons")
 
 
@@ -332,7 +299,7 @@ def check_max_psi_epistemic(run: CheckRun) -> CheckReport:
     """Check overlap_integral(psi, phi) = born_probability(phi, psi) for all pairs."""
     rows, verdicts = [], []
     worst = ("", -1.0, 0.0)
-    for psi, phi, est, born in run.rows("overlaps", "max-epistemic"):
+    for psi, phi, est, born in run.part("overlaps", "max-epistemic"):
         disc = abs(est.mean - born)
         verdicts.append(triage_verdict(disc, run.tol, est.std_error))
         rows.append(LabeledEstimate(f"{psi.describe()}->{phi.describe()}", est.mean, est.std_error))
@@ -351,7 +318,7 @@ def classify_ontology(run: CheckRun) -> CheckReport:
     rows = []
     epistemic_witness = None
     max_overlap = 0.0
-    for psi, phi, est, _ in run.rows("overlaps", "classify"):
+    for psi, phi, est, _ in run.part("overlaps", "classify"):
         if same_state(psi, phi):
             continue
         rows.append(LabeledEstimate(f"{psi.describe()}->{phi.describe()}", est.mean, est.std_error))
@@ -500,14 +467,8 @@ class OmegaWitness:
         return min(OMEGA_EXAMPLES, round(self.mu_psi_mass.mean * self.mu_psi_mass.n))
 
 
-def find_omega_witness(
-    model: OntologicalModel,
-    psi: PureState,
-    phi: PureState,
-    basis_containing_phi: MeasurementBasis,
-    cfg: McConfig,
-) -> OmegaWitness:
-    """Estimate the mass of Omega = {lambda outside supp(mu_phi) with response(phi) > 0}."""
+def _omega_integrand(model: OntologicalModel, phi: PureState, basis_containing_phi: MeasurementBasis):
+    """The integrand of a mu_psi batch giving the Omega indicator and phi's response mass on Omega."""
     outcome_index = _index(basis_containing_phi.outcomes, phi)
     if outcome_index < 0:
         raise PreconditionError("phi is not an outcome of the given basis")
@@ -518,8 +479,19 @@ def find_omega_witness(
         # resp * omega keeps a bool response bool, so both indicators are counted
         return omega, resp * omega
 
-    mass, response = mc_expectations([omega_and_response], _prepare_sampler(model, psi), cfg)
-    return OmegaWitness(mu_psi_mass=mass, response_mass=response)
+    return omega_and_response
+
+
+def find_omega_witness(
+    model: OntologicalModel,
+    psi: PureState,
+    phi: PureState,
+    basis_containing_phi: MeasurementBasis,
+    cfg: McConfig,
+) -> OmegaWitness:
+    """Estimate the mass of Omega = {lambda outside supp(mu_phi) with response(phi) > 0}."""
+    f = _omega_integrand(model, phi, basis_containing_phi)
+    return OmegaWitness(*mc_expectations([f], _prepare_sampler(model, psi), cfg))
 
 
 def _basis_containing(catalog: StateCatalog, phi: PureState) -> MeasurementBasis:
@@ -532,9 +504,7 @@ def _basis_containing(catalog: StateCatalog, phi: PureState) -> MeasurementBasis
 def check_omega_witness(run: CheckRun) -> CheckReport:
     """Report the Omega masses of the catalog's canonical pair against the tolerance."""
     psi, phi = canonical_pair(run.catalog)
-    witness = run.once("omega", lambda: find_omega_witness(
-        run.model, psi, phi, _basis_containing(run.catalog, phi), run.cfg
-    ))
+    witness = run.part("omega", "omega")
     mass, response = witness.mu_psi_mass, witness.response_mass
     return run.report(
         "omega", triage_verdict(mass.mean, run.tol, mass.std_error),
@@ -555,7 +525,7 @@ def _chain_pair(run: CheckRun):
     """
     best = None
     best_disc = 0.0
-    for psi, phi, est, born in run.rows("overlaps", "audit"):
+    for psi, phi, est, born in run.part("overlaps", "audit"):
         if same_state(psi, phi):
             continue
         disc = abs(est.mean - born)
@@ -572,6 +542,87 @@ def canonical_pair(catalog: StateCatalog) -> tuple[PureState, PureState]:
             if not same_state(psi, phi) and not same_state(phi, perp):
                 return psi, phi
     raise PreconditionError("catalog has no distinct nonorthogonal pair")
+
+
+def source_pass(run: CheckRun) -> dict:
+    """Draw each catalog stream once and feed its batches to every part the run's checks read.
+
+    The parts (PASS_PARTS), each None when no check of the run reads it:
+    - "responses" holds (psi, basis, outcome index, estimate) for every
+      response integrand and "overlaps" (psi, phi, estimate, Born
+      probability) for every ordered pair of states, each on mu_psi's first
+      n samples;
+    - "scan" holds (determinism tally, measurement-nc tally, states sampled)
+      over an even share of the budget (at least MIN_SAMPLES) of every mu_psi,
+      then of the reference measure; it is None on a catalog without a basis;
+    - "omega" holds the OmegaWitness of the canonical pair on psi's first n
+      samples; it is None on a catalog without that pair.
+    A stream is drawn up to the largest budget that reads it, and each part
+    reads the first rows of each batch (models.head) that its budget covers.
+    The parts of one batch are fed in that order, so the shorter scan comes
+    last and slices what the others drew.  Each estimate builds up on its own
+    in index order, and the scan keeps its source, batch, basis order, so no
+    part depends on which others share the pass.
+    """
+    model, catalog, cfg = run.model, run.catalog, run.cfg
+    reads = {part for part, (_, readers) in PASS_PARTS.items() if not readers.isdisjoint(run.check_names)}
+    bases = catalog.bases if "responses" in reads else ()
+    outcomes = [(basis, idx) for basis in bases for idx in (0, 1)]
+    phis = catalog.states if "overlaps" in reads else ()
+    omega = None
+    if "omega" in reads:
+        try:
+            psi, phi = canonical_pair(catalog)
+        except PreconditionError:
+            pass   # omega raises it itself
+        else:
+            at = next(i for i, s in enumerate(catalog.states) if s is psi)
+            omega = at, RunningSums([_omega_integrand(model, phi, _basis_containing(catalog, phi))])
+    scan = "scan" in reads and bool(catalog.bases)
+    per_source = max(MIN_SAMPLES, cfg.n_samples // (len(catalog.states) + 1))
+    det, mnc = _Tally(), _Tally()
+
+    def walk(sampler, feeds):
+        """Draw sampler's stream once, giving each (budget, feed) the rows its budget covers."""
+        start = 0
+        for count, batch in sample_batches(sampler, replace(cfg, n_samples=max(b for b, _ in feeds))):
+            for budget, feed in feeds:
+                k = min(count, budget - start)
+                if k > 0:
+                    feed(k, batch if k == count else head(batch, k))
+            start += count
+
+    table = []
+    for i, psi in enumerate(catalog.states):
+        feeds = []
+        if outcomes or phis:
+            fs = [lambda b, basis=basis: model.response_batch(basis, b) for basis in bases]
+            fs += [lambda b, phi=phi: (model.in_support_batch(phi, b),) for phi in phis]
+            sums = RunningSums(fs)
+            table.append((psi, sums))
+            feeds.append((cfg.n_samples, sums.add))
+        if omega is not None and omega[0] == i:
+            feeds.append((cfg.n_samples, omega[1].add))
+        if scan:
+            feeds.append((per_source, _scan_feed(model, catalog.bases, det, mnc, f"mu({psi.describe()})")))
+        if feeds:
+            walk(_prepare_sampler(model, psi), feeds)
+    if scan:
+        walk(model.reference_batch, [(per_source, _scan_feed(model, catalog.bases, det, mnc, "reference"))])
+
+    resp_rows, pair_rows = [], []
+    for psi, sums in table:
+        ests = sums.estimates()
+        resp_rows += [(psi, basis, idx, est) for (basis, idx), est in zip(outcomes, ests)]
+        pair_rows += [
+            (psi, phi, est, born_probability(phi, psi)) for phi, est in zip(phis, ests[len(outcomes):])
+        ]
+    return {
+        "responses": tuple(resp_rows) if "responses" in reads else None,
+        "overlaps": tuple(pair_rows) if "overlaps" in reads else None,
+        "scan": (det, mnc, per_source * (len(catalog.states) + 1)) if scan else None,
+        "omega": OmegaWitness(*omega[1].estimates()) if omega is not None else None,
+    }
 
 
 def audit_implication_chain(run: CheckRun) -> CheckReport:

@@ -126,6 +126,39 @@ def batch_sums(values, count: int, name: str) -> tuple[float, float]:
     return float(vals.sum()), float((vals * vals).sum())
 
 
+class RunningSums:
+    """The reduction of several integrands, fed one batch at a time in index order.
+
+    Each f maps a batch to a tuple of arrays of the same length, one per
+    estimate: bool for an indicator, which is counted, or numbers, which are
+    summed as floats (see batch_sums).  Each f must return the same number of
+    arrays on every batch, and the first batch that breaks this raises.  The
+    estimates come back flattened in order: those of fs[0], then those of
+    fs[1], and so on.
+    """
+
+    def __init__(self, fs: Sequence[Callable]):
+        if not fs:
+            raise ValueError("need at least one integrand")
+        self.fs = fs
+        self.n = 0
+        self.sums = None   # per estimate (sum, sum of squares), sized on the first batch
+
+    def add(self, count: int, batch) -> None:
+        """Reduce the batch of the next count sample indices into the sums."""
+        arrays = (v for f in self.fs for v in f(batch))   # lazy: one integrand's arrays are held at a time
+        reduced = [batch_sums(v, count, f"integrand {k}") for k, v in enumerate(arrays)]
+        if self.sums is None:
+            self.sums = [(0.0, 0.0)] * len(reduced)
+        elif len(reduced) != len(self.sums):
+            raise ValueError("the integrands returned a different number of arrays on some batch")
+        self.sums = [(s1 + a, s2 + b) for (s1, s2), (a, b) in zip(self.sums, reduced)]
+        self.n += count
+
+    def estimates(self) -> list[McEstimate]:
+        return [McEstimate.from_sums(s1, s2, self.n) for s1, s2 in self.sums]
+
+
 def mc_expectations(
     fs: Sequence[Callable],
     sampler: Callable[[int, int, int], object],
@@ -134,26 +167,14 @@ def mc_expectations(
     """Estimate several expectations over one shared sample stream.
 
     sampler(seed, start, count) must return a batch covering sample indices
-    start..start+count-1; each f maps a batch to a tuple of arrays of the
-    same length, one per estimate: bool for an indicator, which is counted,
-    or numbers, which are summed as floats (see batch_sums).  Each f must
-    return the same number of arrays on every batch, and the first batch
-    that breaks this raises.  The estimates come back flattened in order:
-    those of fs[0], then those of fs[1], and so on.  Batches are reduced in
-    index order, so results are a pure function of (fs, sampler, cfg).
+    start..start+count-1; fs are reduced as RunningSums describes.  Batches
+    are reduced in index order, so results are a pure function of
+    (fs, sampler, cfg).
     """
-    if not fs:
-        raise ValueError("need at least one integrand")
-    sums = None   # per estimate (sum, sum of squares), sized on the first batch
+    sums = RunningSums(fs)
     for count, batch in sample_batches(sampler, cfg):
-        arrays = (v for f in fs for v in f(batch))   # lazy: one integrand's arrays are held at a time
-        reduced = [batch_sums(v, count, f"integrand {k}") for k, v in enumerate(arrays)]
-        if sums is None:
-            sums = [(0.0, 0.0)] * len(reduced)
-        elif len(reduced) != len(sums):
-            raise ValueError("the integrands returned a different number of arrays on some batch")
-        sums = [(s1 + a, s2 + b) for (s1, s2), (a, b) in zip(sums, reduced)]
-    return [McEstimate.from_sums(s1, s2, cfg.n_samples) for s1, s2 in sums]
+        sums.add(count, batch)
+    return sums.estimates()
 
 
 def mc_expectation(f: Callable, sampler: Callable, cfg: McConfig) -> McEstimate:

@@ -66,6 +66,29 @@ class PairBatch:
 Batch = np.ndarray | PairBatch
 
 
+def head(batch: Batch, k: int) -> Batch:
+    """The batch of batch's first k rows, bitwise the batch a sampler draws for those k indices.
+
+    A sphere pair's head defers its second sphere too: reading it slices
+    the parent's second sphere, which is drawn once for both.
+    """
+    if isinstance(batch, PairBatch):
+        return PairBatch(batch.first[:k], lambda: batch.second[:k])
+    return batch[:k]
+
+
+def per_row(f: Callable[[np.ndarray], np.ndarray], rows: np.ndarray) -> np.ndarray:
+    """f(rows) for a per-row function f, evaluated on row 0 alone when rows repeat it.
+
+    Returns a full array either way: a point measure's batch answers every
+    row from one evaluation.
+    """
+    if rows.strides[0] != 0 or len(rows) == 0:
+        return f(rows)
+    one = f(rows[:1])
+    return np.full(len(rows), one[0], dtype=one.dtype)
+
+
 class OntologicalModel(ABC):
     """Sampler, support predicate and response function of one model.
 
@@ -151,7 +174,8 @@ def _cap_points(axis: np.ndarray, key: int, start: int, count: int) -> np.ndarra
 
 
 def _point_mass_rows(psi: PureState, count: int) -> np.ndarray:
-    return np.tile(psi.vec(), (count, 1))
+    """count rows of psi's Bloch vector, as one read-only row with stride 0."""
+    return np.broadcast_to(psi.vec(), (count, 3))
 
 
 def _half_spaces(rows: np.ndarray, basis: MeasurementBasis) -> tuple[np.ndarray, np.ndarray]:
@@ -206,7 +230,7 @@ class BellMerminModel(OntologicalModel):
         return PairBatch(sphere_points_from_uniforms(u[:, 0], u[:, 1]), lambda: second)
 
     def in_support_batch(self, psi, batch):
-        return same_state_rows(_require_pair(batch).first, psi)
+        return per_row(lambda rows: same_state_rows(rows, psi), _require_pair(batch).first)
 
     def response_batch(self, basis, batch):
         return _half_spaces(_require_pair(batch).total, basis)
@@ -222,7 +246,7 @@ class _PointMeasureFixture(OntologicalModel):
     reference_batch = KochenSpeckerModel.reference_batch
 
     def in_support_batch(self, psi, batch):
-        return same_state_rows(_require_single(batch), psi)
+        return per_row(lambda rows: same_state_rows(rows, psi), _require_single(batch))
 
 
 class ConstantResponseModel(_PointMeasureFixture):
@@ -247,7 +271,8 @@ class LabelReadingModel(_PointMeasureFixture):
     name = "label-reader"
 
     def response_batch(self, basis, batch):
-        hit = _require_single(batch) @ basis.outcomes[0].vec() > 0.0
+        v = basis.outcomes[0].vec()
+        hit = per_row(lambda rows: rows @ v > 0.0, _require_single(batch))
         if basis.label is not None and RELABEL_MARK in basis.label:
             return ~hit, hit
         return hit, ~hit

@@ -299,6 +299,21 @@ class TestEnsembleDistribution:
         assert {key for key, _ in drawn} == {dist._choice_key(19)}
         assert sum(count for _, count in drawn) == 1000
 
+    @pytest.mark.parametrize("model", [CONST, READER, BM])
+    def test_mixture_of_point_measures_has_full_writable_rows(self, model):
+        # each component repeats one row with stride 0; the merge picks rows into a new array
+        batch = ensemble_distribution(model, half_half_mixture(PLUS_X)).sample_batch(4, 0, 40)
+        rows = batch.first if isinstance(batch, PairBatch) else batch
+        assert rows.flags.writeable and rows.strides == (24, 8)
+        assert {tuple(r) for r in rows} == {tuple(PLUS_X.vec()), tuple(MINUS_X.vec())}
+
+    def test_head_of_a_pair_mixture_is_the_shorter_draw(self):
+        dist = ensemble_distribution(BM, half_half_mixture(PLUS_Z))
+        short = dist.sample_batch(4, 10, 12)
+        for sphere in ("first", "second", "total"):
+            whole = dist.sample_batch(4, 10, 40)
+            np.testing.assert_array_equal(getattr(models.head(whole, 12), sphere), getattr(short, sphere))
+
     def test_pair_mixture_density_absent(self):
         dist = ensemble_distribution(BM, half_half_mixture(PLUS_Z))
         assert dist.density_batch(dist.sample_batch(1, 0, 10)) is None
@@ -389,6 +404,15 @@ class TestOmegaWitness:
             overlap = overlap_integral(model, PLUS_Z, PLUS_X, CFG)
             se = math.hypot(w.response_mass.std_error, overlap.std_error)
             assert abs(w.response_mass.mean + overlap.mean - 0.5) <= 5 * se + 1e-12
+
+    @pytest.mark.parametrize("name", models.MODEL_NAMES)
+    def test_source_pass_witness_is_the_witness_on_psi_stream(self, name):
+        # the pass feeds omega psi's batches, alone or beside the table and the scan
+        model, catalog, cfg = make_model(name), default_catalog(), McConfig(n_samples=3_000, seed=11)
+        psi, phi = canonical_pair(catalog)
+        want = find_omega_witness(model, psi, phi, checks._basis_containing(catalog, phi), cfg)
+        for names in (("omega",), ("born", "classify", "determinism", "omega")):
+            assert checks.source_pass(CheckRun(model, catalog, cfg, names))["omega"] == want
 
     def test_phi_must_be_an_outcome(self):
         with pytest.raises(PreconditionError):

@@ -9,14 +9,16 @@ import pytest
 
 from onticlab import integrate
 from onticlab.integrate import McConfig, QuadratureGrid
+from onticlab.errors import PreconditionError
 from onticlab.models import (
     MODEL_NAMES,
     LabelReadingModel,
     StateCatalog,
+    catalog_from_states,
     default_catalog,
     make_model,
 )
-from onticlab.qubit import BlochVector, MeasurementBasis, PureState
+from onticlab.qubit import PLUS_X, PLUS_Z, BlochVector, MeasurementBasis, PureState
 
 from onticlab.checks import (
     CheckReport,
@@ -25,6 +27,9 @@ from onticlab.checks import (
     audit_implication_chain,
     check_born_reproduction,
     check_max_psi_epistemic,
+    check_measurement_noncontextuality,
+    check_omega_witness,
+    check_outcome_determinism,
     classify_ontology,
 )
 from onticlab.cli import (
@@ -414,6 +419,73 @@ class TestDefaultBatchSize:
         assert reports == self.reports(monkeypatch, model_name, self.N_SAMPLES)
 
 
+def outputs_of(model, catalog, cfg, checks):
+    """Each check's JSON report (duration_ms zeroed) or its PreconditionError, from one run."""
+    check_run = CheckRun(model, catalog, cfg, checks)
+    out = {}
+    for name in checks:
+        try:
+            out[name] = zeroed_json([CHECK_RUNNERS[name](check_run)])
+        except PreconditionError as exc:
+            out[name] = f"error: {exc}"
+    return out
+
+
+class TestSourcePassBatchSizes:
+    """The source pass gives every report byte for byte at any batch size.
+
+    At 1,400 samples the response scan reads 200 rows of each of the default
+    catalog's 6 streams and of the reference, which the table and omega draw
+    to 1,400.  Sizes that divide 200 (100, 200) and sizes that do not (7,
+    199, 201) reach it through a head of a batch.
+    """
+
+    CFG = McConfig(n_samples=1_400, seed=42)
+    SIZES = (7, 100, 199, 200, 201)
+
+    @pytest.mark.parametrize("model_name", MODEL_NAMES)
+    def test_all_checks_equal_across_batch_sizes(self, model_name, monkeypatch):
+        catalog = default_catalog()
+        assert self.CFG.n_samples // (len(catalog.states) + 1) == 200
+        whole = outputs_of(make_model(model_name), catalog, self.CFG, tuple(CHECK_RUNNERS))
+        assert self.CFG.n_samples < integrate.BATCH_SIZE
+        for size in self.SIZES:
+            monkeypatch.setattr(integrate, "BATCH_SIZE", size)
+            assert outputs_of(make_model(model_name), catalog, self.CFG, tuple(CHECK_RUNNERS)) == whole
+
+
+class TestPassPreconditions:
+    """A pass part whose precondition fails is left out; only the checks that read it raise."""
+
+    CFG = McConfig(n_samples=20_000, seed=42)
+
+    def outputs(self, model_name, catalog, checks):
+        return outputs_of(make_model(model_name), catalog, self.CFG, checks)
+
+    @pytest.mark.parametrize("model_name", MODEL_NAMES)
+    def test_no_nonorthogonal_pair_fails_only_omega(self, model_name):
+        catalog = catalog_from_states((PLUS_Z,))   # +z and -z in one basis
+        checks = ("born", "determinism", "measurement-nc", "max-epistemic", "omega")
+        together = self.outputs(model_name, catalog, checks)
+        assert together["omega"] == "error: catalog has no distinct nonorthogonal pair"
+        for name in checks[:-1]:
+            assert not together[name].startswith("error")
+            assert together[name] == self.outputs(model_name, catalog, (name,))[name]
+
+    @pytest.mark.parametrize("model_name", MODEL_NAMES)
+    def test_no_basis_fails_only_the_response_checks(self, model_name):
+        catalog = StateCatalog((PLUS_Z, PLUS_X), ())
+        checks = ("born", "determinism", "measurement-nc", "max-epistemic", "classify", "omega")
+        together = self.outputs(model_name, catalog, checks)
+        for name in checks[:3]:
+            assert together[name] == (
+                "error: the catalog has no measurement basis, so no response value to check"
+            )
+        for name in checks[3:]:
+            assert not together[name].startswith("error")
+            assert together[name] == self.outputs(model_name, catalog, (name,))[name]
+
+
 class CountingLabelReader(LabelReadingModel):
     """label-reader that counts the preparation and reference rows it draws."""
 
@@ -498,6 +570,36 @@ class TestSharedStateTable:
         assert drawn(("determinism",)) == drawn(("measurement-nc",)) == scan
         assert drawn(("determinism", "measurement-nc")) == scan
         assert drawn(("measurement-nc", "determinism")) == scan
+
+    def test_one_pass_draws_each_catalog_stream_once(self, drawn):
+        # every mu_psi is drawn to n once: the table, omega and the scan's share of it
+        # read the same batches, so the scan alone draws the reference
+        states = len(default_catalog().states)
+        n = FAST["samples"]
+        per_source = n // (states + 1)
+        mixtures = drawn(("prep-nc",))   # audit compares its pair's two mixtures as well
+        assert drawn(("born", "determinism", "measurement-nc", "omega", "audit")) == (
+            states * n + per_source + mixtures
+        )
+        assert drawn(("omega",)) == n
+        assert drawn(("born", "omega")) == drawn(("born",)) == states * n
+        assert drawn(("omega", "determinism")) == n + states * per_source
+
+    @pytest.mark.parametrize(
+        "check, name, part",
+        [
+            (check_outcome_determinism, "determinism", "the response scan"),
+            (check_measurement_noncontextuality, "measurement-nc", "the response scan"),
+            (check_omega_witness, "omega", "the Omega witness"),
+            (check_born_reproduction, "born", "the state table's responses"),
+        ],
+    )
+    def test_an_undeclared_part_raises_before_any_draw(self, check, name, part):
+        model = CountingLabelReader()
+        check_run = CheckRun(model, default_catalog(), McConfig(n_samples=20_000), ("classify",))
+        with pytest.raises(PreconditionError, match=f"^check '{name}' reads {part}, which none"):
+            check(check_run)
+        assert model.drawn == 0
 
     def test_a_run_draws_each_stream_once_and_keeps_nothing(self):
         model, catalog = CountingLabelReader(), default_catalog()

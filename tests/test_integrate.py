@@ -7,6 +7,7 @@ from onticlab.integrate import (
     McConfig,
     McEstimate,
     QuadratureGrid,
+    RunningSums,
     batch_sums,
     mc_expectation,
     mc_expectations,
@@ -165,6 +166,24 @@ class TestTupleIntegrands:
         with pytest.raises(ValueError, match="different number of arrays"):
             mc_expectations([f], spy, cfg)
         assert starts == [0, 100]
+
+
+class TestRunningSums:
+    """mc_expectations is RunningSums fed the stream's batches in index order."""
+
+    def test_batches_fed_by_hand_give_the_estimates(self, monkeypatch):
+        monkeypatch.setattr(integrate, "BATCH_SIZE", 300)
+        cfg = McConfig(n_samples=1_000, seed=4)
+        fs = [lambda p: (p[:, 2] > 0, p[:, 0] > 0.5)]
+        sums = RunningSums(fs)
+        for start, count in ((0, 300), (300, 700)):
+            sums.add(count, uniform_sphere_batch(cfg.seed, start, count))
+        assert sums.n == 1_000
+        assert sums.estimates() == mc_expectations(fs, uniform_sphere_batch, cfg)
+
+    def test_needs_an_integrand(self):
+        with pytest.raises(ValueError, match="at least one integrand"):
+            RunningSums([])
 
 
 class TestCountPath:

@@ -434,3 +434,111 @@ class TestCatalogs:
     def test_make_model_unknown(self):
         with pytest.raises(ValueError, match="valid names"):
             make_model("nope")
+
+
+def _repeated_row_batch(model, psi, count, seed):
+    """count rows of psi with stride 0, as the model's batch format holds them."""
+    rows = np.broadcast_to(psi.vec(), (count, 3))
+    if isinstance(model, BellMerminModel):
+        second = uniform_sphere_batch(seed, 0, count)
+        return PairBatch(rows, lambda: second)
+    return rows
+
+
+def _materialised(batch):
+    """The batch with every row in its own writable memory."""
+    if isinstance(batch, PairBatch):
+        return PairBatch(np.array(batch.first, order="C"), lambda: batch.second)
+    return np.array(batch, order="C")
+
+
+class TestPointMeasureRows:
+    """A point measure's batch is one row with stride 0; it answers as its materialised copy does."""
+
+    CATALOGS = (default_catalog(), catalog_from_states(random_states(5, 3)))
+
+    @pytest.mark.parametrize("name", ("const-half", "label-reader", "bell-mermin"))
+    def test_point_measures_prepare_one_repeated_row(self, name):
+        batch = make_model(name).prepare_batch(PLUS_X, 3, 0, 40)
+        rows = batch.first if isinstance(batch, PairBatch) else batch
+        assert rows.strides[0] == 0 and not rows.flags.writeable
+        np.testing.assert_array_equal(rows, np.tile(PLUS_X.vec(), (40, 1)))
+
+    @pytest.mark.parametrize("name", models.MODEL_NAMES)
+    def test_broadcast_batch_answers_as_its_copy(self, name):
+        model = make_model(name)
+        for k, catalog in enumerate(self.CATALOGS):
+            variants = tuple(v for b in catalog.bases for v, _ in _descriptor_variants(b))
+            for psi in catalog.states:
+                batch = _repeated_row_batch(model, psi, 40, k)
+                copy = _materialised(batch)
+                for phi in catalog.states:
+                    got, want = model.in_support_batch(phi, batch), model.in_support_batch(phi, copy)
+                    assert got.dtype == want.dtype and got.flags.writeable
+                    np.testing.assert_array_equal(got, want)
+                    got, want = model.density_batch(phi, batch), model.density_batch(phi, copy)
+                    assert (got is None) == (want is None)
+                    if got is not None:
+                        np.testing.assert_array_equal(got, want)
+                for basis in catalog.bases + variants:
+                    for got, want in zip(model.response_batch(basis, batch), model.response_batch(basis, copy)):
+                        assert got.dtype == want.dtype and got.shape == (40,)
+                        np.testing.assert_array_equal(got, want)
+
+    def test_pair_total_adds_the_repeated_row(self):
+        batch = _repeated_row_batch(BM, PLUS_Y, 40, 2)
+        total = batch.total
+        assert total.flags.writeable and total.strides[0] == 24
+        np.testing.assert_array_equal(total, _materialised(batch).total)
+
+    def test_per_row_returns_a_full_array(self):
+        rows = np.broadcast_to(PLUS_X.vec(), (5, 3))
+        calls = []
+
+        def f(r):
+            calls.append(len(r))
+            return r[:, 0] > 0.5
+
+        out = models.per_row(f, rows)
+        assert calls == [1]
+        assert out.shape == (5,) and out.flags.writeable and out.strides == (1,) and out.all()
+        assert models.per_row(f, rows[:0]).shape == (0,)
+
+
+class TestHead:
+    """head(batch, k) is the batch of the first k sample indices."""
+
+    def test_head_of_an_array_is_its_first_rows(self):
+        batch = uniform_sphere_batch(2, 0, 10)
+        np.testing.assert_array_equal(models.head(batch, 4), batch[:4])
+
+    def test_pair_head_slices_the_parent_second_sphere(self):
+        second, drawn = uniform_sphere_batch(3, 0, 10), []
+
+        def draw():
+            drawn.append(len(second))
+            return second
+
+        parent = PairBatch(uniform_sphere_batch(4, 0, 10), draw)
+        h = models.head(parent, 4)
+        assert drawn == []
+        np.testing.assert_array_equal(h.first, parent.first[:4])
+        np.testing.assert_array_equal(h.second, second[:4])
+        np.testing.assert_array_equal(models.head(parent, 6).second, second[:6])
+        np.testing.assert_array_equal(models.head(models.head(parent, 6), 3).total, parent.total[:3])
+        assert drawn == [10]   # every head slices the parent's sphere, drawn once
+
+    @pytest.mark.parametrize("name", models.MODEL_NAMES)
+    def test_head_is_the_shorter_draw(self, name):
+        model = make_model(name)
+        for whole, short in (
+            (model.prepare_batch(PLUS_X, 5, 100, 30), model.prepare_batch(PLUS_X, 5, 100, 12)),
+            (model.reference_batch(5, 100, 30), model.reference_batch(5, 100, 12)),
+        ):
+            h = models.head(whole, 12)
+            assert type(h) is type(short) and len(h) == 12
+            if isinstance(h, PairBatch):
+                for sphere in ("first", "second", "total"):
+                    np.testing.assert_array_equal(getattr(h, sphere), getattr(short, sphere))
+            else:
+                np.testing.assert_array_equal(h, short)
