@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,10 +23,10 @@ from .integrate import (
     RunningSums,
     mc_expectation,
     mc_expectations,
-    sample_batches,
     substream_key,
     tv_distance,
     uniform_blocks,
+    walk,
 )
 from .models import (
     RELABEL_MARK,
@@ -35,7 +35,6 @@ from .models import (
     PairBatch,
     StateCatalog,
     _index,
-    head,
 )
 from .qubit import (
     Ensemble,
@@ -219,11 +218,16 @@ class _Tally:
     checked: int = 0
     bad: int = 0
     first: str = ""
+    rank: tuple | None = None   # the first offense's (source, basis, outcome or variant)
 
-    def add(self, off: np.ndarray, describe) -> None:
+    def add(self, off: np.ndarray, rank: tuple, describe) -> None:
+        """Count off's offenses; keep describe() when rank is strictly below the first offense's.
+
+        A source's batches come in index order, so a rank keeps its lowest sample index.
+        """
         bad = np.count_nonzero(off)
-        if bad and not self.first:
-            self.first = describe()
+        if bad and (self.rank is None or rank < self.rank):
+            self.first, self.rank = describe(), rank
         self.checked += len(off)
         self.bad += bad
 
@@ -250,25 +254,26 @@ def _descriptor_variants(basis: MeasurementBasis) -> list[tuple[MeasurementBasis
     return [(swapped, (1, 0)), (relabeled, (0, 1))]
 
 
-def _scan_feed(model: OntologicalModel, bases, det: _Tally, mnc: _Tally, label: str):
-    """The feed of one sample source's batches to the determinism and measurement-nc tallies.
+def _scan_feed(model: OntologicalModel, bases, det: _Tally, mnc: _Tally, source: int, label: str):
+    """The feed of the source-th sample source's batches to the determinism and measurement-nc tallies.
 
     Per batch and basis the two responses come from one call; determinism
     counts their values other than 0 and 1, then measurement-nc compares them
     with every descriptor variant's, one call per variant.  Offenses name
-    label.
+    label and rank by (source, basis, outcome or variant).
     """
     def add(count, batch):
-        for basis in bases:
+        for b, basis in enumerate(bases):
             vals = model.response_batch(basis, batch)
-            for v in vals:
+            for idx, v in enumerate(vals):
                 off = (v != 0.0) & (v != 1.0)
-                det.add(off, lambda: f"; first offense {label}|{basis.describe()} value {v[off][0]!r}")
-            for variant, outcome_map in _descriptor_variants(basis):
+                det.add(off, (source, b, idx), lambda: (
+                    f"; first offense {label}|{basis.describe()} value {v[off][0]!r}"))
+            for j, (variant, outcome_map) in enumerate(_descriptor_variants(basis)):
                 variant_vals = model.response_batch(variant, batch)
-                for v, b_idx in zip(variant_vals, outcome_map):
-                    mnc.add(v != vals[b_idx], lambda: f"; first mismatch {label}|{basis.describe()}"
-                                                      f" vs descriptor {variant.describe()}")
+                for idx, (v, b_idx) in enumerate(zip(variant_vals, outcome_map)):
+                    mnc.add(v != vals[b_idx], (source, b, j, idx), lambda: (
+                        f"; first mismatch {label}|{basis.describe()} vs descriptor {variant.describe()}"))
     return add
 
 
@@ -557,12 +562,12 @@ def source_pass(run: CheckRun) -> dict:
       then of the reference measure; it is None on a catalog without a basis;
     - "omega" holds the OmegaWitness of the canonical pair on psi's first n
       samples; it is None on a catalog without that pair.
-    A stream is drawn up to the largest budget that reads it, and each part
-    reads the first rows of each batch (models.head) that its budget covers.
-    The parts of one batch are fed in that order, so the shorter scan comes
-    last and slices what the others drew.  Each estimate builds up on its own
-    in index order, and the scan keeps its source, batch, basis order, so no
-    part depends on which others share the pass.
+    Each stream is one integrate.walk, whose feeds are the parts that read
+    it, each with its budget, so the shorter scan reads the first rows
+    (batch[:k]) of what the others drew.  Each estimate builds up
+    on its own in index order, and the scan ranks its first offense by
+    source, basis and outcome or variant, so no part depends on which others
+    share the pass or on the batch size.
     """
     model, catalog, cfg = run.model, run.catalog, run.cfg
     reads = {part for part, (_, readers) in PASS_PARTS.items() if not readers.isdisjoint(run.check_names)}
@@ -581,17 +586,6 @@ def source_pass(run: CheckRun) -> dict:
     scan = "scan" in reads and bool(catalog.bases)
     per_source = max(MIN_SAMPLES, cfg.n_samples // (len(catalog.states) + 1))
     det, mnc = _Tally(), _Tally()
-
-    def walk(sampler, feeds):
-        """Draw sampler's stream once, giving each (budget, feed) the rows its budget covers."""
-        start = 0
-        for count, batch in sample_batches(sampler, replace(cfg, n_samples=max(b for b, _ in feeds))):
-            for budget, feed in feeds:
-                k = min(count, budget - start)
-                if k > 0:
-                    feed(k, batch if k == count else head(batch, k))
-            start += count
-
     table = []
     for i, psi in enumerate(catalog.states):
         feeds = []
@@ -604,11 +598,11 @@ def source_pass(run: CheckRun) -> dict:
         if omega is not None and omega[0] == i:
             feeds.append((cfg.n_samples, omega[1].add))
         if scan:
-            feeds.append((per_source, _scan_feed(model, catalog.bases, det, mnc, f"mu({psi.describe()})")))
-        if feeds:
-            walk(_prepare_sampler(model, psi), feeds)
+            feeds.append((per_source, _scan_feed(model, catalog.bases, det, mnc, i, f"mu({psi.describe()})")))
+        walk(_prepare_sampler(model, psi), cfg.seed, feeds)
     if scan:
-        walk(model.reference_batch, [(per_source, _scan_feed(model, catalog.bases, det, mnc, "reference"))])
+        reference = _scan_feed(model, catalog.bases, det, mnc, len(catalog.states), "reference")
+        walk(model.reference_batch, cfg.seed, [(per_source, reference)])
 
     resp_rows, pair_rows = [], []
     for psi, sums in table:

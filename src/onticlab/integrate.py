@@ -12,7 +12,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -90,20 +90,25 @@ class McEstimate:
         return cls(mean=mean, std_error=float(np.sqrt(var / n)), n=n)
 
 
-def sample_batches(
-    sampler: Callable[[int, int, int], object], cfg: McConfig
-) -> Iterator[tuple[int, object]]:
-    """Yield (count, batch) pairs covering sample indices 0..cfg.n_samples-1 in order.
+def walk(sampler: Callable[[int, int, int], object], seed: int, feeds: Sequence[tuple[int, Callable]]) -> None:
+    """Draw sampler's stream once, in index order, and give each (budget, feed) the rows its budget covers.
 
     sampler(seed, start, count) must return a batch for indices
-    start..start+count-1; batches hold at most BATCH_SIZE rows, and the last
-    one holds the remainder.  Counts and exact sums do not depend on the
-    batch size; a general float sum could move in its last bit with it.
+    start..start+count-1.  The stream is drawn up to the largest budget in
+    batches of at most BATCH_SIZE rows.  On each batch every feed, in order,
+    gets feed(k, rows) with the batch's k rows below its budget: the batch,
+    or batch[:k] where the budget ends inside it.  Counts and exact sums do
+    not depend on the batch size; a general float sum could move in its last
+    bit with it.
     """
-    n, size = cfg.n_samples, BATCH_SIZE
-    for start in range(0, n, size):
-        count = min(size, n - start)
-        yield count, sampler(cfg.seed, start, count)
+    n = max((budget for budget, _ in feeds), default=0)
+    for start in range(0, n, BATCH_SIZE):
+        count = min(BATCH_SIZE, n - start)
+        batch = sampler(seed, start, count)
+        for budget, feed in feeds:
+            k = min(count, budget - start)
+            if k > 0:
+                feed(k, batch if k == count else batch[:k])
 
 
 def batch_sums(values, count: int, name: str) -> tuple[float, float]:
@@ -167,13 +172,12 @@ def mc_expectations(
     """Estimate several expectations over one shared sample stream.
 
     sampler(seed, start, count) must return a batch covering sample indices
-    start..start+count-1; fs are reduced as RunningSums describes.  Batches
-    are reduced in index order, so results are a pure function of
-    (fs, sampler, cfg).
+    start..start+count-1; fs are reduced as RunningSums describes, over the
+    first cfg.n_samples indices of one walk.  Batches are reduced in index
+    order, so results are a pure function of (fs, sampler, cfg).
     """
     sums = RunningSums(fs)
-    for count, batch in sample_batches(sampler, cfg):
-        sums.add(count, batch)
+    walk(sampler, cfg.seed, [(cfg.n_samples, sums.add)])
     return sums.estimates()
 
 

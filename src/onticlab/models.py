@@ -42,7 +42,8 @@ class PairBatch:
     draw_second is a function of no arguments that returns the second
     sphere; it is called when second is first read, once, so rows that no
     integrand reads are never drawn.  Counter-based draws make the deferred
-    rows bitwise those an eager draw gives.
+    rows bitwise those an eager draw gives.  Like an array, a pair is sliced
+    by rows: batch[:k] is the batch a sampler draws for the first k indices.
     """
 
     def __init__(self, first: np.ndarray, draw_second: Callable[[], np.ndarray]):
@@ -51,6 +52,12 @@ class PairBatch:
 
     def __len__(self) -> int:
         return len(self.first)
+
+    def __getitem__(self, rows: slice) -> PairBatch:
+        """Both spheres' rows; the second stays deferred, a slice of this pair's, drawn once for both."""
+        if not isinstance(rows, slice):
+            raise TypeError(f"a sphere pair is indexed by a slice of rows, got {type(rows).__name__}")
+        return PairBatch(self.first[rows], lambda: self.second[rows])
 
     @cached_property
     def second(self) -> np.ndarray:
@@ -64,17 +71,6 @@ class PairBatch:
 
 # A single-sphere batch is its (n, 3) array of unit rows.
 Batch = np.ndarray | PairBatch
-
-
-def head(batch: Batch, k: int) -> Batch:
-    """The batch of batch's first k rows, bitwise the batch a sampler draws for those k indices.
-
-    A sphere pair's head defers its second sphere too: reading it slices
-    the parent's second sphere, which is drawn once for both.
-    """
-    if isinstance(batch, PairBatch):
-        return PairBatch(batch.first[:k], lambda: batch.second[:k])
-    return batch[:k]
 
 
 def per_row(f: Callable[[np.ndarray], np.ndarray], rows: np.ndarray) -> np.ndarray:

@@ -133,6 +133,19 @@ class TestOutcomeDeterminism:
         assert rep.verdict == VIOLATED
         assert rep.estimates[0].mean == 1.0
 
+    @pytest.mark.parametrize("size", [25_000, 7])
+    def test_first_offense_is_the_first_basis_at_any_batch_size(self, size, monkeypatch):
+        # in 7-row batches, the first batch of mu(+z) that offends does so in x alone, after z's basis
+        class HalfOnAxes(KochenSpeckerModel):
+            def response_batch(self, basis, batch):
+                r0, r1 = super().response_batch(basis, batch)
+                half = {"z": batch[:, 0] > 0.9, "x": batch[:, 1] > 0.3}.get(basis.label)
+                return (r0, r1) if half is None else (np.where(half, 0.5, r0), np.where(half, 0.5, r1))
+
+        monkeypatch.setattr(integrate, "BATCH_SIZE", size)
+        rep = check_outcome_determinism(run_of(HalfOnAxes(), "determinism", cfg=McConfig(7_000, 42)))
+        assert "; first offense mu(+z)|z value" in rep.details
+
 
 class TestMeasurementNoncontextuality:
     def test_state_only_responses_pass(self):
@@ -312,7 +325,7 @@ class TestEnsembleDistribution:
         short = dist.sample_batch(4, 10, 12)
         for sphere in ("first", "second", "total"):
             whole = dist.sample_batch(4, 10, 40)
-            np.testing.assert_array_equal(getattr(models.head(whole, 12), sphere), getattr(short, sphere))
+            np.testing.assert_array_equal(getattr(whole[:12], sphere), getattr(short, sphere))
 
     def test_pair_mixture_density_absent(self):
         dist = ensemble_distribution(BM, half_half_mixture(PLUS_Z))

@@ -11,11 +11,11 @@ from onticlab.integrate import (
     batch_sums,
     mc_expectation,
     mc_expectations,
-    sample_batches,
     sphere_quadrature,
     substream_key,
     tv_distance,
     uniform_blocks,
+    walk,
 )
 
 from onticlab.models import MODEL_NAMES, RELABEL_MARK, default_catalog, make_model
@@ -251,26 +251,31 @@ class TestConfigFields:
                 build()
 
 
-class TestSampleBatches:
+class TestWalk:
     def test_each_index_once_in_order_with_remainder_last(self, monkeypatch):
         monkeypatch.setattr(integrate, "BATCH_SIZE", 100)
-        calls = []
+        calls, pairs = [], []
 
         def sampler(seed, start, count):
             calls.append((seed, start, count))
             return np.arange(start, start + count)
 
-        cfg = McConfig(n_samples=250, seed=3)
-        pairs = list(sample_batches(sampler, cfg))
+        walk(sampler, 3, [(250, lambda count, batch: pairs.append((count, batch)))])
         assert [count for count, _ in pairs] == [100, 100, 50]
         np.testing.assert_array_equal(np.concatenate([b for _, b in pairs]), np.arange(250))
         assert calls == [(3, 0, 100), (3, 100, 100), (3, 200, 50)]
 
     def test_single_batch_when_budget_fits(self, monkeypatch):
         monkeypatch.setattr(integrate, "BATCH_SIZE", 1000)
-        cfg = McConfig(n_samples=100, seed=0)
-        pairs = list(sample_batches(lambda seed, start, count: (start, count), cfg))
+        pairs = []
+        feed = lambda count, batch: pairs.append((count, batch))
+        walk(lambda seed, start, count: (start, count), 0, [(100, feed)])
         assert pairs == [(100, (0, 100))]
+
+    def test_no_feed_draws_nothing(self):
+        calls = []
+        walk(lambda seed, start, count: calls.append(start), 0, [])
+        assert calls == []
 
 
 class TestMcEstimateFromSums:

@@ -506,11 +506,11 @@ class TestPointMeasureRows:
 
 
 class TestHead:
-    """head(batch, k) is the batch of the first k sample indices."""
+    """The head batch[:k] of either batch kind is the batch of the first k sample indices."""
 
     def test_head_of_an_array_is_its_first_rows(self):
         batch = uniform_sphere_batch(2, 0, 10)
-        np.testing.assert_array_equal(models.head(batch, 4), batch[:4])
+        np.testing.assert_array_equal(batch[:4], uniform_sphere_batch(2, 0, 4))
 
     def test_pair_head_slices_the_parent_second_sphere(self):
         second, drawn = uniform_sphere_batch(3, 0, 10), []
@@ -520,13 +520,20 @@ class TestHead:
             return second
 
         parent = PairBatch(uniform_sphere_batch(4, 0, 10), draw)
-        h = models.head(parent, 4)
+        h = parent[:4]
         assert drawn == []
         np.testing.assert_array_equal(h.first, parent.first[:4])
         np.testing.assert_array_equal(h.second, second[:4])
-        np.testing.assert_array_equal(models.head(parent, 6).second, second[:6])
-        np.testing.assert_array_equal(models.head(models.head(parent, 6), 3).total, parent.total[:3])
+        np.testing.assert_array_equal(parent[:6].second, second[:6])
+        np.testing.assert_array_equal(parent[:6][:3].total, parent.total[:3])
         assert drawn == [10]   # every head slices the parent's sphere, drawn once
+
+    @pytest.mark.parametrize("index", [0, -1, np.int64(2), [0, 1], np.arange(3), (slice(None), 0)])
+    def test_pair_index_other_than_a_slice_raises(self, index):
+        # an integer would give each sphere's (3,) row, which reads as a pair of 3 rows
+        pair = PairBatch(uniform_sphere_batch(4, 0, 10), lambda: uniform_sphere_batch(3, 0, 10))
+        with pytest.raises(TypeError, match="slice of rows"):
+            pair[index]
 
     @pytest.mark.parametrize("name", models.MODEL_NAMES)
     def test_head_is_the_shorter_draw(self, name):
@@ -535,7 +542,7 @@ class TestHead:
             (model.prepare_batch(PLUS_X, 5, 100, 30), model.prepare_batch(PLUS_X, 5, 100, 12)),
             (model.reference_batch(5, 100, 30), model.reference_batch(5, 100, 12)),
         ):
-            h = models.head(whole, 12)
+            h = whole[:12]
             assert type(h) is type(short) and len(h) == 12
             if isinstance(h, PairBatch):
                 for sphere in ("first", "second", "total"):

@@ -27,9 +27,10 @@ from onticlab.integrate import (
     substream_key,
     tv_distance,
     uniform_blocks,
+    walk,
     weighted_sum,
 )
-from onticlab.models import catalog_from_states, default_catalog, make_model
+from onticlab.models import PairBatch, catalog_from_states, default_catalog, make_model
 from onticlab.qubit import (
     PLUS_X,
     PLUS_Z,
@@ -39,6 +40,8 @@ from onticlab.qubit import (
     orthogonal_complement,
     same_state,
 )
+
+from batch_of_one import uniform_sphere_batch
 
 FAST = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -138,6 +141,41 @@ class TestIndicatorReduction:
             counted = mc_expectation(lambda u: u < p, sampler, cfg)
             summed = mc_expectation(lambda u: (u < p).astype(float), sampler, cfg)
         assert counted == summed
+
+
+class TestWalk:
+    """Each feed of a walk reads its budget's indices once, in order, bitwise one draw of them."""
+
+    @FAST
+    @given(st.lists(st.integers(1, 400), min_size=1, max_size=4), st.integers(1, 150),
+           st.integers(0, 2**63), st.booleans())
+    def test_feeds_read_one_draw_of_their_budgets(self, budgets, size, seed, pairs):
+        drawn = []   # the start of every second sphere drawn
+
+        def pair_sampler(seed, start, count):
+            def draw_second():
+                drawn.append(start)
+                return uniform_sphere_batch(seed + 1, start, count)
+
+            return PairBatch(uniform_sphere_batch(seed, start, count), draw_second)
+
+        sampler = pair_sampler if pairs else uniform_sphere_batch
+        read = [[] for _ in budgets]
+
+        def feed_of(rows):
+            def feed(count, batch):
+                assert len(batch) == count <= size and type(batch) is (PairBatch if pairs else np.ndarray)
+                rows.append((batch.first, batch.second) if pairs else (batch,))
+            return feed
+
+        # patched per example: a function-scoped fixture is not reset between examples
+        with mock.patch.object(integrate, "BATCH_SIZE", size):
+            walk(sampler, seed, [(budget, feed_of(rows)) for budget, rows in zip(budgets, read)])
+        assert drawn == (list(range(0, max(budgets), size)) if pairs else [])   # each batch's once
+        for budget, rows in zip(budgets, read):
+            whole = sampler(seed, 0, budget)
+            for sphere, part in zip((whole.first, whole.second) if pairs else (whole,), zip(*rows)):
+                np.testing.assert_array_equal(np.concatenate(part), sphere)
 
 
 class TestQuadratureReduction:
