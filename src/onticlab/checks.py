@@ -262,7 +262,7 @@ def _scan_feed(model: OntologicalModel, bases, det: _Tally, mnc: _Tally, source:
     with every descriptor variant's, one call per variant.  Offenses name
     label and rank by (source, basis, outcome or variant).
     """
-    def add(count, batch):
+    def add(batch):
         for b, basis in enumerate(bases):
             vals = model.response_batch(basis, batch)
             for idx, v in enumerate(vals):
@@ -353,11 +353,8 @@ class EnsembleDistribution:
     ensemble: Ensemble
 
     def _choice_key(self, seed: int) -> int:
-        payload = b"".join(
-            np.array([w], dtype="<f8").tobytes() + s.vec().astype("<f8").tobytes()
-            for w, s in self.ensemble.entries
-        )
-        return substream_key(seed, "ensemble-choice", self.model.name, payload)
+        rows = np.array([[w, *s.vec()] for w, s in self.ensemble.entries])
+        return substream_key(seed, "ensemble-choice", self.model.name, rows)
 
     def _choices(self, seed: int, start: int, count: int) -> np.ndarray:
         u = uniform_blocks(self._choice_key(seed), start, count)[:, 0]
@@ -379,14 +376,9 @@ class EnsembleDistribution:
             return PairBatch(merge([p.first for p in parts]), lambda: merge([p.second for p in parts]))
         return merge(parts)
 
-    def density_batch(self, batch: Batch) -> np.ndarray | None:
-        total = None
-        for w, s in self.ensemble.entries:
-            part = self.model.density_batch(s, batch)
-            if part is None:
-                return None
-            total = w * part if total is None else total + w * part
-        return total
+    def density_batch(self, batch: Batch) -> np.ndarray:
+        """sum_j p_j times mu_{psi_j}'s density; PreconditionError for a model without one."""
+        return sum(w * self.model.density_batch(s, batch) for w, s in self.ensemble.entries)
 
     def support_batch(self, batch: Batch) -> np.ndarray:
         member = None

@@ -30,13 +30,17 @@ def substream_key(seed: int, *tags) -> int:
     """Derive an independent 128-bit Philox key from a seed and purpose tags.
 
     Distinct tag tuples give statistically independent streams, which keeps
-    e.g. mixture-component choices decoupled from the component draws.
+    e.g. mixture-component choices decoupled from the component draws.  The
+    key is the first 16 bytes (little-endian) of the sha256 of the seed's 8
+    little-endian bytes and, per tag, 0x1f and the tag: an array (the one way
+    a state enters a key) as row-major little-endian float64, the same on
+    every host, and anything else as str(tag) in UTF-8.
     """
-    h = hashlib.sha256()
-    h.update(int(seed).to_bytes(8, "little", signed=False))
+    h = hashlib.sha256(int(seed).to_bytes(8, "little", signed=False))
     for tag in tags:
         h.update(b"\x1f")
-        h.update(tag if isinstance(tag, bytes) else str(tag).encode("utf-8"))
+        is_array = isinstance(tag, np.ndarray)
+        h.update(np.ascontiguousarray(tag, dtype="<f8").tobytes() if is_array else str(tag).encode("utf-8"))
     return int.from_bytes(h.digest()[:16], "little")
 
 
@@ -96,10 +100,10 @@ def walk(sampler: Callable[[int, int, int], object], seed: int, feeds: Sequence[
     sampler(seed, start, count) must return a batch for indices
     start..start+count-1.  The stream is drawn up to the largest budget in
     batches of at most BATCH_SIZE rows.  On each batch every feed, in order,
-    gets feed(k, rows) with the batch's k rows below its budget: the batch,
-    or batch[:k] where the budget ends inside it.  Counts and exact sums do
-    not depend on the batch size; a general float sum could move in its last
-    bit with it.
+    gets feed(rows) with the batch's rows below its budget: the batch, or
+    batch[:k] where the budget ends inside it, so len(rows) is the count.
+    Counts and exact sums do not depend on the batch size; a general float
+    sum could move in its last bit with it.
     """
     n = max((budget for budget, _ in feeds), default=0)
     for start in range(0, n, BATCH_SIZE):
@@ -108,7 +112,7 @@ def walk(sampler: Callable[[int, int, int], object], seed: int, feeds: Sequence[
         for budget, feed in feeds:
             k = min(count, budget - start)
             if k > 0:
-                feed(k, batch if k == count else batch[:k])
+                feed(batch if k == count else batch[:k])
 
 
 def batch_sums(values, count: int, name: str) -> tuple[float, float]:
@@ -139,7 +143,7 @@ class RunningSums:
     summed as floats (see batch_sums).  Each f must return the same number of
     arrays on every batch, and the first batch that breaks this raises.  The
     estimates come back flattened in order: those of fs[0], then those of
-    fs[1], and so on.
+    fs[1], and so on.  add(batch) is a walk feed: it counts len(batch) samples.
     """
 
     def __init__(self, fs: Sequence[Callable]):
@@ -149,16 +153,16 @@ class RunningSums:
         self.n = 0
         self.sums = None   # per estimate (sum, sum of squares), sized on the first batch
 
-    def add(self, count: int, batch) -> None:
-        """Reduce the batch of the next count sample indices into the sums."""
+    def add(self, batch) -> None:
+        """Reduce the batch of the next len(batch) sample indices into the sums."""
         arrays = (v for f in self.fs for v in f(batch))   # lazy: one integrand's arrays are held at a time
-        reduced = [batch_sums(v, count, f"integrand {k}") for k, v in enumerate(arrays)]
+        reduced = [batch_sums(v, len(batch), f"integrand {k}") for k, v in enumerate(arrays)]
         if self.sums is None:
             self.sums = [(0.0, 0.0)] * len(reduced)
         elif len(reduced) != len(self.sums):
             raise ValueError("the integrands returned a different number of arrays on some batch")
         self.sums = [(s1 + a, s2 + b) for (s1, s2), (a, b) in zip(self.sums, reduced)]
-        self.n += count
+        self.n += len(batch)
 
     def estimates(self) -> list[McEstimate]:
         return [McEstimate.from_sums(s1, s2, self.n) for s1, s2 in self.sums]

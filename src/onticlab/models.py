@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import FieldError
+from .errors import FieldError, PreconditionError
 from .integrate import sphere_points_from_uniforms, substream_key, uniform_blocks
 from .qubit import (
     MINUS_X,
@@ -121,13 +121,13 @@ class OntologicalModel(ABC):
         half-space.
         """
 
-    def density_batch(self, psi: PureState, batch: Batch) -> np.ndarray | None:
-        """Density of mu_psi w.r.t. the reference measure, or None when singular."""
-        return None
+    def density_batch(self, psi: PureState, batch: Batch) -> np.ndarray:
+        """Density of mu_psi w.r.t. the reference measure; PreconditionError unless has_density."""
+        raise PreconditionError(f"model {self.name!r} has no density")
 
     def _prepare_key(self, psi: PureState, seed: int) -> int:
-        """The Philox key of mu_psi's stream, from the exact bytes of psi's Bloch vector."""
-        return substream_key(seed, self.name, "prepare", psi.vec().tobytes())
+        """The Philox key of mu_psi's stream, from the exact Bloch vector of psi."""
+        return substream_key(seed, self.name, "prepare", psi.vec())
 
 
 def _require_single(batch: Batch) -> np.ndarray:
@@ -205,10 +205,9 @@ class KochenSpeckerModel(OntologicalModel):
 
 
 class BellMerminModel(OntologicalModel):
-    """Two-sphere model: point measure on the first sphere, uniform second sphere."""
+    """Two-sphere model: a point measure (no density) on the first sphere, a uniform second sphere."""
 
     name = "bell-mermin"
-    has_density = False   # the point-measure factor admits no density
 
     def prepare_batch(self, psi, seed, start, count):
         key = self._prepare_key(psi, seed)

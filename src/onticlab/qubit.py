@@ -260,7 +260,11 @@ def state_from_catalog_entry(entry: dict) -> PureState:
         v = entry["bloch"]
         if not isinstance(v, (list, tuple)) or len(v) != 3:
             raise ValueError("catalog entry 'bloch' must be a 3-element list")
-        return PureState(BlochVector(*(_finite("bloch", c) for c in v)), label)
+        coords = [_finite("bloch", c) for c in v]
+        try:
+            return PureState(BlochVector(*coords), label)
+        except ValueError as exc:   # the components are finite, so the norm is off
+            raise ValueError(f"catalog entry 'bloch' must be a unit vector: {exc}") from None
     if "theta" in entry and "phi" in entry:
         theta, phi = _finite("theta", entry["theta"]), _finite("phi", entry["phi"])
         return PureState(BlochVector.from_angles(theta, phi), label)

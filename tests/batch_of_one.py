@@ -44,8 +44,7 @@ def response(model, basis, outcome_index, lam) -> float:
 
 
 def density(model, psi, lam):
-    vals = model.density_batch(psi, lam)
-    return None if vals is None else float(vals[0])
+    return float(model.density_batch(psi, lam)[0])
 
 
 def uniform_sphere_batch(seed, start, count):

@@ -17,6 +17,7 @@ from onticlab.checks import (
     SATISFIED,
     VIOLATED,
     CheckRun,
+    EnsembleDistribution,
     audit_implication_chain,
     check_born_reproduction,
     check_max_psi_epistemic,
@@ -24,7 +25,6 @@ from onticlab.checks import (
     check_outcome_determinism,
     check_preparation_noncontextuality,
     classify_ontology,
-    ensemble_distribution,
     find_omega_witness,
 )
 from onticlab.cli import RunConfig, emit_report, expected_patterns, run
@@ -205,7 +205,7 @@ def test_criterion_5_preparation_contextuality_of_cap_model():
     assert abs(oracle - (math.sqrt(2.0) - 1.0)) <= 1e-10
     assert abs(tv - oracle) <= 0.01 * oracle
 
-    mixture = ensemble_distribution(KS, e_z)
+    mixture = EnsembleDistribution(KS, e_z)
     angles = 2 * np.pi * np.arange(100) / 100
     equator = np.stack([np.cos(angles), np.sin(angles), np.zeros(100)], axis=1)
     np.testing.assert_array_equal(mixture.density_batch(equator), np.zeros(100))

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from onticlab.checks import (
     SATISFIED,
     VIOLATED,
     CheckRun,
+    EnsembleDistribution,
     OmegaWitness,
     audit_implication_chain,
     canonical_pair,
@@ -20,7 +23,6 @@ from onticlab.checks import (
     check_outcome_determinism,
     check_preparation_noncontextuality,
     classify_ontology,
-    ensemble_distribution,
     find_omega_witness,
     overlap_integral,
     prep_nc_report,
@@ -32,6 +34,7 @@ from onticlab.integrate import (
     QuadratureGrid,
     mc_expectation,
     sphere_quadrature,
+    substream_key,
     uniform_blocks,
 )
 from onticlab.models import (
@@ -250,29 +253,29 @@ class TestClassifyOntology:
 
 class TestEnsembleDistribution:
     def test_singleton_matches_component_sampler(self):
-        dist = ensemble_distribution(KS, Ensemble(((1.0, PLUS_Y),)))
+        dist = EnsembleDistribution(KS, Ensemble(((1.0, PLUS_Y),)))
         a = dist.sample_batch(8, 0, 1000)
         b = KS.prepare_batch(PLUS_Y, 8, 0, 1000)
         np.testing.assert_array_equal(a, b)
 
     def test_z_mixture_density_vanishes_on_equator(self):
-        dist = ensemble_distribution(KS, half_half_mixture(PLUS_Z))
+        dist = EnsembleDistribution(KS, half_half_mixture(PLUS_Z))
         angles = 2 * np.pi * np.arange(100) / 100
         equator = np.stack([np.cos(angles), np.sin(angles), np.zeros(100)], axis=1)
         np.testing.assert_array_equal(dist.density_batch(equator), np.zeros(100))
 
     def test_x_mixture_density_at_plus_x(self):
-        dist = ensemble_distribution(KS, half_half_mixture(PLUS_X))
+        dist = EnsembleDistribution(KS, half_half_mixture(PLUS_X))
         val = dist.density_batch(np.array([[1.0, 0.0, 0.0]]))[0]
         assert val == 0.5 / np.pi
 
     def test_mixture_density_normalizes(self):
-        dist = ensemble_distribution(KS, half_half_mixture(PLUS_X))
+        dist = EnsembleDistribution(KS, half_half_mixture(PLUS_X))
         total = sphere_quadrature(dist.density_batch, GRID)
         assert abs(total - 1.0) <= 1e-3
 
     def test_sampler_matches_density(self):
-        dist = ensemble_distribution(KS, half_half_mixture(PLUS_Z))
+        dist = EnsembleDistribution(KS, half_half_mixture(PLUS_Z))
         g = lambda p: (p[:, 2] > 0.5).astype(float)
         est = mc_expectation(g, dist.sample_batch, CFG)
         quad = sphere_quadrature(lambda p: g(p) * dist.density_batch(p), GRID)
@@ -282,7 +285,7 @@ class TestEnsembleDistribution:
         # row i of a mixture batch is row i of its chosen component's batch, on both spheres
         three = Ensemble(((0.5, PLUS_Z), (0.25, PLUS_X), (0.25, MINUS_Z)))
         for ensemble in (half_half_mixture(PLUS_Z), three):
-            dist = ensemble_distribution(BM, ensemble)
+            dist = EnsembleDistribution(BM, ensemble)
             batch = dist.sample_batch(4, 0, 40)
             chosen = dist._choices(4, 0, 40)
             assert set(chosen) == set(range(len(ensemble.entries)))
@@ -304,7 +307,7 @@ class TestEnsembleDistribution:
 
         for module in (checks, models):
             monkeypatch.setattr(module, "uniform_blocks", counting)
-        dist = ensemble_distribution(BM, half_half_mixture(PLUS_X))
+        dist = EnsembleDistribution(BM, half_half_mixture(PLUS_X))
         monkeypatch.setattr(integrate, "BATCH_SIZE", 300)
         cfg = McConfig(n_samples=1000, seed=19)
         est = mc_expectation(dist.support_batch, dist.sample_batch, cfg)
@@ -315,21 +318,65 @@ class TestEnsembleDistribution:
     @pytest.mark.parametrize("model", [CONST, READER, BM])
     def test_mixture_of_point_measures_has_full_writable_rows(self, model):
         # each component repeats one row with stride 0; the merge picks rows into a new array
-        batch = ensemble_distribution(model, half_half_mixture(PLUS_X)).sample_batch(4, 0, 40)
+        batch = EnsembleDistribution(model, half_half_mixture(PLUS_X)).sample_batch(4, 0, 40)
         rows = batch.first if isinstance(batch, PairBatch) else batch
         assert rows.flags.writeable and rows.strides == (24, 8)
         assert {tuple(r) for r in rows} == {tuple(PLUS_X.vec()), tuple(MINUS_X.vec())}
 
     def test_head_of_a_pair_mixture_is_the_shorter_draw(self):
-        dist = ensemble_distribution(BM, half_half_mixture(PLUS_Z))
+        dist = EnsembleDistribution(BM, half_half_mixture(PLUS_Z))
         short = dist.sample_batch(4, 10, 12)
         for sphere in ("first", "second", "total"):
             whole = dist.sample_batch(4, 10, 40)
             np.testing.assert_array_equal(getattr(whole[:12], sphere), getattr(short, sphere))
 
     def test_pair_mixture_density_absent(self):
-        dist = ensemble_distribution(BM, half_half_mixture(PLUS_Z))
-        assert dist.density_batch(dist.sample_batch(1, 0, 10)) is None
+        dist = EnsembleDistribution(BM, half_half_mixture(PLUS_Z))
+        with pytest.raises(PreconditionError, match="'bell-mermin' has no density"):
+            dist.density_batch(dist.sample_batch(1, 0, 10))
+
+
+def expected_key(seed: int, *tags) -> int:
+    """substream_key as its docstring defines it: strings in UTF-8, float lists as "<d" bytes."""
+    h = hashlib.sha256(struct.pack("<Q", seed))
+    for tag in tags:
+        h.update(b"\x1f")
+        h.update(tag.encode("utf-8") if isinstance(tag, str) else struct.pack(f"<{len(tag)}d", *tag))
+    return int.from_bytes(h.digest()[:16], "little")
+
+
+class TestStreamKeys:
+    """Stream keys are pinned: the same bytes on every host, and the ones reports were recorded with."""
+
+    STATES = CATALOG.states + tuple(orthogonal_complement(s) for s in CATALOG.states)   # -0.0s included
+
+    @pytest.mark.parametrize("model", [KS, BM], ids=lambda m: m.name)
+    def test_prepare_keys_hash_the_little_endian_bloch_vector(self, model):
+        for psi in self.STATES:
+            b = psi.bloch
+            assert model._prepare_key(psi, 42) == expected_key(42, model.name, "prepare", [b.x, b.y, b.z])
+
+    @pytest.mark.parametrize("model", [KS, BM], ids=lambda m: m.name)
+    def test_choice_keys_hash_the_weight_and_bloch_rows(self, model):
+        for psi in CATALOG.states:
+            mixture = half_half_mixture(psi)
+            rows = [c for w, s in mixture.entries for c in (w, s.bloch.x, s.bloch.y, s.bloch.z)]
+            key = EnsembleDistribution(model, mixture)._choice_key(42)
+            assert key == expected_key(42, "ensemble-choice", model.name, rows)
+
+    def test_keys_of_record(self):
+        # the keys every reference report was drawn with, in hex
+        ks_z, bm_z = (EnsembleDistribution(m, half_half_mixture(PLUS_Z)) for m in (KS, BM))
+        assert hex(KS._prepare_key(PLUS_Z, 42)) == "0x2534224e76e9eeec688398437d3fa8fa"
+        assert hex(BM._prepare_key(orthogonal_complement(PLUS_Z), 42)) == "0xedfac3224f0fc2c4da975e7ae3ae7112"
+        assert hex(ks_z._choice_key(42)) == "0x8db30e0ece6297dabbd8e548a58c9ca2"
+        assert hex(bm_z._choice_key(42)) == "0x7d8136a6d95a2de7074081bd1bb9ab33"
+
+    def test_a_tag_keys_the_same_in_either_byte_order(self):
+        tag = np.array([[0.5, -0.0, 1e-16, -1.0], [0.5, 0.0, -1e-16, 1.0]])
+        big = tag.astype(">f8")
+        assert big.tobytes() != tag.tobytes()
+        assert substream_key(42, "t", big) == substream_key(42, "t", tag) == expected_key(42, "t", tag.ravel())
 
 
 class TestPreparationNoncontextuality:

@@ -226,6 +226,8 @@ class TestCatalogIngestion:
             ([{"theta": None, "phi": 0}], "'theta' must be a number"),
             ([{"bloch": ["a", 0, 0]}], "'bloch' must be a number"),
             ([{"bloch": [True, 0, 0]}], "'bloch' must be a number"),
+            ([{"bloch": [2, 0, 0]}], "'bloch' must be a unit vector"),
+            ([{"bloch": [1e308, 0, 0]}], "'bloch' must be a unit vector"),   # its norm overflows to inf
         ],
     )
     def test_malformed_entry_exits_2_naming_the_field(self, tmp_path, capsys, entries, message):

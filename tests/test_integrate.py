@@ -177,7 +177,7 @@ class TestRunningSums:
         fs = [lambda p: (p[:, 2] > 0, p[:, 0] > 0.5)]
         sums = RunningSums(fs)
         for start, count in ((0, 300), (300, 700)):
-            sums.add(count, uniform_sphere_batch(cfg.seed, start, count))
+            sums.add(uniform_sphere_batch(cfg.seed, start, count))
         assert sums.n == 1_000
         assert sums.estimates() == mc_expectations(fs, uniform_sphere_batch, cfg)
 
@@ -260,17 +260,16 @@ class TestWalk:
             calls.append((seed, start, count))
             return np.arange(start, start + count)
 
-        walk(sampler, 3, [(250, lambda count, batch: pairs.append((count, batch)))])
+        walk(sampler, 3, [(250, lambda batch: pairs.append((len(batch), batch)))])
         assert [count for count, _ in pairs] == [100, 100, 50]
         np.testing.assert_array_equal(np.concatenate([b for _, b in pairs]), np.arange(250))
         assert calls == [(3, 0, 100), (3, 100, 100), (3, 200, 50)]
 
     def test_single_batch_when_budget_fits(self, monkeypatch):
         monkeypatch.setattr(integrate, "BATCH_SIZE", 1000)
-        pairs = []
-        feed = lambda count, batch: pairs.append((count, batch))
-        walk(lambda seed, start, count: (start, count), 0, [(100, feed)])
-        assert pairs == [(100, (0, 100))]
+        batches = []
+        walk(lambda seed, start, count: (start, count), 0, [(100, batches.append)])
+        assert batches == [(0, 100)]
 
     def test_no_feed_draws_nothing(self):
         calls = []

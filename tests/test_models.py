@@ -3,7 +3,7 @@ import pytest
 
 from onticlab import models
 from onticlab.checks import _descriptor_variants
-from onticlab.errors import FieldError
+from onticlab.errors import FieldError, PreconditionError
 from onticlab.integrate import (
     McConfig,
     QuadratureGrid,
@@ -203,8 +203,10 @@ class TestSpherePairModel:
             assert abs(est.mean - target) <= 5 * est.std_error
 
     def test_density_absent(self):
-        assert density(BM, PLUS_Z, sample_prepared(BM, PLUS_Z, 1, 0)) is None
-        assert BM.density_batch(PLUS_Z, BM.prepare_batch(PLUS_Z, 1, 0, 10)) is None
+        with pytest.raises(PreconditionError, match="'bell-mermin' has no density"):
+            density(BM, PLUS_Z, sample_prepared(BM, PLUS_Z, 1, 0))
+        with pytest.raises(PreconditionError, match="'bell-mermin' has no density"):
+            BM.density_batch(PLUS_Z, BM.prepare_batch(PLUS_Z, 1, 0, 10))
 
     def test_scalar_batch_agreement(self):
         batch = BM.prepare_batch(PLUS_X, 9, 4, 5)
@@ -476,10 +478,13 @@ class TestPointMeasureRows:
                     got, want = model.in_support_batch(phi, batch), model.in_support_batch(phi, copy)
                     assert got.dtype == want.dtype and got.flags.writeable
                     np.testing.assert_array_equal(got, want)
-                    got, want = model.density_batch(phi, batch), model.density_batch(phi, copy)
-                    assert (got is None) == (want is None)
-                    if got is not None:
+                    if model.has_density:
+                        got, want = model.density_batch(phi, batch), model.density_batch(phi, copy)
                         np.testing.assert_array_equal(got, want)
+                        continue
+                    for rows in (batch, copy):   # has_density is the one "no density" signal
+                        with pytest.raises(PreconditionError, match=f"'{name}' has no density"):
+                            model.density_batch(phi, rows)
                 for basis in catalog.bases + variants:
                     for got, want in zip(model.response_batch(basis, batch), model.response_batch(basis, copy)):
                         assert got.dtype == want.dtype and got.shape == (40,)

@@ -24,6 +24,7 @@ from onticlab.integrate import (
     McConfig,
     QuadratureGrid,
     mc_expectation,
+    mc_expectations,
     substream_key,
     tv_distance,
     uniform_blocks,
@@ -143,6 +144,33 @@ class TestIndicatorReduction:
         assert counted == summed
 
 
+class TestExactSumsAndBatchSize:
+    """Exact sums do not depend on the batch size, for integrands beyond 0/1 indicators.
+
+    The integrand takes the dyadic values k/4, k = 0..16, so every partial sum
+    and sum of squares is exact far below 2**53, in any order.  A general
+    float integrand is out of scope: its sums could move in the last bit with
+    the batch size (ROADMAP item 2d).
+    """
+
+    @staticmethod
+    def quarters(p):
+        return (np.floor(8.0 * (p[:, 2] + 1.0)) / 4.0,)
+
+    # every batch size of an example is one walk, so few examples cover many walks
+    @settings(derandomize=True, max_examples=10, deadline=None)
+    @given(st.integers(MIN_SAMPLES, 300), st.integers(0, 2**64 - 1))
+    def test_dyadic_estimates_are_bitwise_equal_at_every_batch_size(self, n_samples, seed):
+        cfg = McConfig(n_samples, seed)
+        bits = lambda ests: [(e.mean.hex(), e.std_error.hex(), e.n) for e in ests]
+        # patched per example: a function-scoped fixture is not reset between examples
+        with mock.patch.object(integrate, "BATCH_SIZE", n_samples):
+            one_batch = bits(mc_expectations([self.quarters], uniform_sphere_batch, cfg))
+        for size in range(1, n_samples + 1):
+            with mock.patch.object(integrate, "BATCH_SIZE", size):
+                assert bits(mc_expectations([self.quarters], uniform_sphere_batch, cfg)) == one_batch
+
+
 class TestWalk:
     """Each feed of a walk reads its budget's indices once, in order, bitwise one draw of them."""
 
@@ -163,8 +191,8 @@ class TestWalk:
         read = [[] for _ in budgets]
 
         def feed_of(rows):
-            def feed(count, batch):
-                assert len(batch) == count <= size and type(batch) is (PairBatch if pairs else np.ndarray)
+            def feed(batch):
+                assert len(batch) <= size and type(batch) is (PairBatch if pairs else np.ndarray)
                 rows.append((batch.first, batch.second) if pairs else (batch,))
             return feed
 
