@@ -1,9 +1,10 @@
 """Property checkers for hidden-variable models, emitting machine-readable reports.
 
-Verdict semantics for statistical comparisons: a discrepancy within the
-tolerance is "satisfied"; one that exceeds the tolerance but sits inside the
-5-sigma resolution of the estimate is "inconclusive" (insufficient power to
-call it either way); anything beyond both is "violated".
+Every statistical verdict is Comparison.verdict: a report row against its
+exact target.  A discrepancy within the tolerance is "satisfied"; one that
+exceeds the tolerance but sits inside the 5-sigma resolution of the row is
+"inconclusive" (insufficient power to call it either way); anything beyond
+both is "violated".
 """
 
 from __future__ import annotations
@@ -80,13 +81,24 @@ class CheckReport:
     duration_ms: float = 0.0
 
 
-def triage_verdict(discrepancy: float, tol: float, std_error: float) -> str:
-    """Classify a |estimate - target| discrepancy against tolerance and resolution."""
-    if discrepancy <= tol:
-        return SATISFIED
-    if discrepancy <= 5.0 * std_error:
-        return INCONCLUSIVE
-    return VIOLATED
+@dataclass(frozen=True)
+class Comparison:
+    """A report row and the exact value it estimates: the one rule of statistical verdicts."""
+
+    row: LabeledEstimate
+    target: float
+
+    def disc(self) -> float:
+        return abs(self.row.mean - self.target)
+
+    def verdict(self, tol: float) -> str:
+        """Satisfied within tol, inconclusive within the row's 5-sigma resolution, else violated."""
+        disc = self.disc()
+        if disc <= tol:
+            return SATISFIED
+        if disc <= 5.0 * self.row.std_error:
+            return INCONCLUSIVE
+        return VIOLATED
 
 
 def _combine(verdicts) -> str:
@@ -194,20 +206,12 @@ def check_born_reproduction(run: CheckRun) -> CheckReport:
     triples; each estimate stays unbiased and the whole table is deterministic.
     """
     _require_bases(run)
-    rows: list[LabeledEstimate] = []
-    verdicts: list[str] = []
-    worst_label, worst_disc = "", -1.0
-    for psi, basis, idx, est in run.part("responses", "born"):
-        outcome = basis.outcomes[idx]
-        label = f"{psi.describe()}|{basis.describe()}|{outcome.describe()}"
-        disc = abs(est.mean - born_probability(outcome, psi))
-        verdicts.append(triage_verdict(disc, run.tol, est.std_error))
-        rows.append(LabeledEstimate(label, est.mean, est.std_error))
-        if disc > worst_disc:
-            worst_label, worst_disc = label, disc
+    comparisons = run.part("responses", "born")
+    worst = max(comparisons, key=Comparison.disc)
     return run.report(
-        "born", _combine(verdicts), rows,
-        f"{len(rows)} (state, basis, outcome) triples; worst {worst_label} off by {worst_disc:.3e}",
+        "born", _combine([c.verdict(run.tol) for c in comparisons]), [c.row for c in comparisons],
+        f"{len(comparisons)} (state, basis, outcome) triples;"
+        f" worst {worst.row.label} off by {worst.disc():.3e}",
     )
 
 
@@ -301,18 +305,13 @@ def overlap_integral(model: OntologicalModel, psi: PureState, phi: PureState, cf
 
 
 def check_max_psi_epistemic(run: CheckRun) -> CheckReport:
-    """Check overlap_integral(psi, phi) = born_probability(phi, psi) for all pairs."""
-    rows, verdicts = [], []
-    worst = ("", -1.0, 0.0)
-    for psi, phi, est, born in run.part("overlaps", "max-epistemic"):
-        disc = abs(est.mean - born)
-        verdicts.append(triage_verdict(disc, run.tol, est.std_error))
-        rows.append(LabeledEstimate(f"{psi.describe()}->{phi.describe()}", est.mean, est.std_error))
-        if disc > worst[1]:
-            worst = (f"{psi.describe()}->{phi.describe()}", disc, born - est.mean)
+    """Check that each ordered pair's support overlap equals born_probability(phi, psi)."""
+    comparisons = [c for _, _, c in run.part("overlaps", "max-epistemic")]
+    worst = max(comparisons, key=Comparison.disc)
     return run.report(
-        "max-epistemic", _combine(verdicts), rows,
-        f"worst pair {worst[0]} deficit {worst[2]:.6f} (|overlap - born| = {worst[1]:.3e})",
+        "max-epistemic", _combine([c.verdict(run.tol) for c in comparisons]), [c.row for c in comparisons],
+        f"worst pair {worst.row.label} deficit {worst.target - worst.row.mean:.6f}"
+        f" (|overlap - born| = {worst.disc():.3e})",
     )
 
 
@@ -323,15 +322,15 @@ def classify_ontology(run: CheckRun) -> CheckReport:
     rows = []
     epistemic_witness = None
     max_overlap = 0.0
-    for psi, phi, est, _ in run.part("overlaps", "classify"):
+    for psi, phi, c in run.part("overlaps", "classify"):
         if same_state(psi, phi):
             continue
-        rows.append(LabeledEstimate(f"{psi.describe()}->{phi.describe()}", est.mean, est.std_error))
+        rows.append(c.row)
         if same_state(phi, perp[psi]):
             continue
-        max_overlap = max(max_overlap, est.mean)
-        if est.mean > 5.0 * est.std_error and est.mean > 0.0 and epistemic_witness is None:
-            epistemic_witness = f"{psi.describe()}->{phi.describe()}"
+        max_overlap = max(max_overlap, c.row.mean)
+        if c.row.mean > 5.0 * c.row.std_error and c.row.mean > 0.0 and epistemic_witness is None:
+            epistemic_witness = c.row.label
     if epistemic_witness is not None:
         verdict = PSI_EPISTEMIC
         details = f"positive overlap for nonorthogonal pair {epistemic_witness}"
@@ -412,23 +411,24 @@ def check_preparation_noncontextuality(run: CheckRun, e1: Ensemble, e2: Ensemble
     pair = f"{e1.describe()} vs {e2.describe()}"
     if run.model.has_density:
         dist = tv_distance(d1.density_batch, d2.density_batch, run.grid)
+        # with std_error 0 the verdict is violated exactly when the distance exceeds the tolerance
+        tv = Comparison(LabeledEstimate("tv_distance", dist, 0.0), 0.0)
         return run.report(
-            "prep-nc", VIOLATED if dist > run.tol else SATISFIED,
-            (LabeledEstimate("tv_distance", dist, 0.0),),
-            f"density route: total variation {dist:.6f} for {pair}",
+            "prep-nc", tv.verdict(run.tol), (tv.row,), f"density route: total variation {dist:.6f} for {pair}"
         )
     witness = d1.support_batch
     m1 = mc_expectation(witness, d1.sample_batch, run.cfg)
     m2 = mc_expectation(witness, d2.sample_batch, run.cfg)
-    disc = abs(m1.mean - m2.mean)
+    # the row compared is the difference of the two, which is not reported
     se = math.hypot(m1.std_error, m2.std_error)
+    diff = Comparison(LabeledEstimate("e1 - e2", m1.mean - m2.mean, se), 0.0)
     return run.report(
-        "prep-nc", triage_verdict(disc, run.tol, se),
+        "prep-nc", diff.verdict(run.tol),
         (
             LabeledEstimate("witness_under_e1", m1.mean, m1.std_error),
             LabeledEstimate("witness_under_e2", m2.mean, m2.std_error),
         ),
-        f"support-witness route: expectations differ by {disc:.6f} for {pair}",
+        f"support-witness route: expectations differ by {diff.disc():.6f} for {pair}",
     )
 
 
@@ -502,13 +502,10 @@ def check_omega_witness(run: CheckRun) -> CheckReport:
     """Report the Omega masses of the catalog's canonical pair against the tolerance."""
     psi, phi = canonical_pair(run.catalog)
     witness = run.part("omega", "omega")
-    mass, response = witness.mu_psi_mass, witness.response_mass
+    m, r = witness.mu_psi_mass, witness.response_mass
+    mass = Comparison(LabeledEstimate("mu_psi_mass", m.mean, m.std_error), 0.0)
     return run.report(
-        "omega", triage_verdict(mass.mean, run.tol, mass.std_error),
-        (
-            LabeledEstimate("mu_psi_mass", mass.mean, mass.std_error),
-            LabeledEstimate("response_mass", response.mean, response.std_error),
-        ),
+        "omega", mass.verdict(run.tol), (mass.row, LabeledEstimate("response_mass", r.mean, r.std_error)),
         f"pair {psi.describe()}->{phi.describe()};"
         f" {witness.exemplars} exemplar ontic states collected",
     )
@@ -520,15 +517,11 @@ def _chain_pair(run: CheckRun):
     The pair with the largest significant overlap deficit, if any; otherwise
     the first distinct nonorthogonal pair in catalog order.
     """
-    best = None
-    best_disc = 0.0
-    for psi, phi, est, born in run.part("overlaps", "audit"):
-        if same_state(psi, phi):
-            continue
-        disc = abs(est.mean - born)
-        if triage_verdict(disc, run.tol, est.std_error) == VIOLATED and disc > best_disc:
-            best, best_disc = (psi, phi), disc
-    return best if best is not None else canonical_pair(run.catalog)
+    violated = [(psi, phi, c) for psi, phi, c in run.part("overlaps", "audit")
+                if not same_state(psi, phi) and c.verdict(run.tol) == VIOLATED]
+    if not violated:
+        return canonical_pair(run.catalog)
+    return max(violated, key=lambda v: v[2].disc())[:2]
 
 
 def canonical_pair(catalog: StateCatalog) -> tuple[PureState, PureState]:
@@ -545,10 +538,10 @@ def source_pass(run: CheckRun) -> dict:
     """Draw each catalog stream once and feed its batches to every part the run's checks read.
 
     The parts (PASS_PARTS), each None when no check of the run reads it:
-    - "responses" holds (psi, basis, outcome index, estimate) for every
-      response integrand and "overlaps" (psi, phi, estimate, Born
-      probability) for every ordered pair of states, each on mu_psi's first
-      n samples;
+    - "responses" holds a Comparison of each response row psi|basis|outcome
+      with its Born probability, and "overlaps" (psi, phi, Comparison of the
+      row psi->phi with born_probability(phi, psi)) for every ordered pair
+      of states, each on mu_psi's first n samples;
     - "scan" holds (determinism tally, measurement-nc tally, states sampled)
       over an even share of the budget (at least MIN_SAMPLES) of every mu_psi,
       then of the reference measure; it is None on a catalog without a basis;
@@ -564,7 +557,7 @@ def source_pass(run: CheckRun) -> dict:
     model, catalog, cfg = run.model, run.catalog, run.cfg
     reads = {part for part, (_, readers) in PASS_PARTS.items() if not readers.isdisjoint(run.check_names)}
     bases = catalog.bases if "responses" in reads else ()
-    outcomes = [(basis, idx) for basis in bases for idx in (0, 1)]
+    outcomes = [(basis, outcome) for basis in bases for outcome in basis.outcomes]
     phis = catalog.states if "overlaps" in reads else ()
     omega = None
     if "omega" in reads:
@@ -599,10 +592,13 @@ def source_pass(run: CheckRun) -> dict:
     resp_rows, pair_rows = [], []
     for psi, sums in table:
         ests = sums.estimates()
-        resp_rows += [(psi, basis, idx, est) for (basis, idx), est in zip(outcomes, ests)]
-        pair_rows += [
-            (psi, phi, est, born_probability(phi, psi)) for phi, est in zip(phis, ests[len(outcomes):])
-        ]
+        for (basis, outcome), est in zip(outcomes, ests):
+            label = f"{psi.describe()}|{basis.describe()}|{outcome.describe()}"
+            row = LabeledEstimate(label, est.mean, est.std_error)
+            resp_rows.append(Comparison(row, born_probability(outcome, psi)))
+        for phi, est in zip(phis, ests[len(outcomes):]):
+            row = LabeledEstimate(f"{psi.describe()}->{phi.describe()}", est.mean, est.std_error)
+            pair_rows.append((psi, phi, Comparison(row, born_probability(phi, psi))))
     return {
         "responses": tuple(resp_rows) if "responses" in reads else None,
         "overlaps": tuple(pair_rows) if "overlaps" in reads else None,
@@ -637,13 +633,8 @@ def audit_implication_chain(run: CheckRun) -> CheckReport:
     counterexample = (prep.verdict == SATISFIED and maxe.verdict == VIOLATED) or (
         maxe.verdict == SATISFIED and ks_nc == VIOLATED
     )
-    sub = [born, det, mnc, maxe, prep, cls]
-    if counterexample:
-        verdict = VIOLATED
-    elif INCONCLUSIVE in {r.verdict for r in sub}:
-        verdict = INCONCLUSIVE
-    else:
-        verdict = SATISFIED
+    inconclusive = INCONCLUSIVE in {r.verdict for r in (born, det, mnc, maxe, prep, cls)}
+    verdict = VIOLATED if counterexample else INCONCLUSIVE if inconclusive else SATISFIED
 
     details = "; ".join(
         [

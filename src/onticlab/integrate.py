@@ -270,13 +270,15 @@ def tv_distance(
 ) -> float:
     """Total variation distance (1/2) * integral of |f - g| between sphere densities.
 
-    Both inputs must be nonnegative and integrate to 1 within 1e-3 on the grid.
+    Both inputs must be finite, nonnegative and integrate to 1 within 1e-3 on the grid.
     """
     grid = grid or QuadratureGrid()
     pts, wts = grid.points, grid.weights
     fv = np.asarray(f(pts), dtype=float)
     gv = np.asarray(g(pts), dtype=float)
     for name, vals in (("f", fv), ("g", gv)):
+        if not np.isfinite(vals).all():
+            raise PreconditionError(f"density {name} takes non-finite values")
         if vals.min() < 0.0:
             raise PreconditionError(f"density {name} takes negative values")
         total = weighted_sum(wts, vals)

@@ -249,10 +249,16 @@ def state_from_catalog_entry(entry: dict) -> PureState:
 
     Accepted forms: {"bloch": [x, y, z], "label": ...} or
     {"theta": t, "phi": p, "label": ...} with angles in radians.  Every
-    number must be a finite JSON number (not a string or a boolean).
+    number must be a finite JSON number (not a string or a boolean).  An
+    unknown key, or "bloch" beside "theta" or "phi", raises naming it.
     """
     if not isinstance(entry, dict):
         raise ValueError(f"catalog entry must be a JSON object, got {entry!r}")
+    unknown = [key for key in entry if key not in ("bloch", "theta", "phi", "label")]
+    if unknown:
+        raise ValueError(f"catalog entry has unknown key {unknown[0]!r}; expected bloch, theta, phi or label")
+    if "bloch" in entry and ("theta" in entry or "phi" in entry):
+        raise ValueError("catalog entry mixes 'bloch' with 'theta'/'phi'; give one form")
     label = entry.get("label")
     if label is not None and not isinstance(label, str):
         raise ValueError("catalog entry label must be a string")

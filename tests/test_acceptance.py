@@ -66,7 +66,7 @@ def gauss_1d(f, a, b, n=600):
 def overlap_rows(report, catalog):
     """The max-epistemic rows, one per ordered pair in catalog order.
 
-    Each row is overlap_integral of its pair bit for bit
+    Each row is the support overlap of its pair, drawn on its own, bit for bit
     (test_checks.py::TestMaxPsiEpistemic::test_rows_are_the_overlap_integrals),
     so the criteria read the overlaps from the report instead of drawing them again.
     """

@@ -13,7 +13,9 @@ from onticlab.checks import (
     SATISFIED,
     VIOLATED,
     CheckRun,
+    Comparison,
     EnsembleDistribution,
+    LabeledEstimate,
     OmegaWitness,
     audit_implication_chain,
     canonical_pair,
@@ -24,7 +26,6 @@ from onticlab.checks import (
     check_preparation_noncontextuality,
     classify_ontology,
     find_omega_witness,
-    overlap_integral,
     prep_nc_report,
 )
 from onticlab.errors import FieldError, PreconditionError
@@ -77,6 +78,54 @@ READER = make_model("label-reader")
 def run_of(model, check_name, catalog=CATALOG, cfg=CFG, tol=1e-2):
     """A run of the one named check."""
     return CheckRun(model, catalog, cfg, (check_name,), tol)
+
+
+def overlap_of(model, psi, phi, cfg):
+    """The share of mu_psi's first n draws in the support of mu_phi."""
+    sampler = lambda seed, start, count: model.prepare_batch(psi, seed, start, count)
+    return mc_expectation(lambda b: model.in_support_batch(phi, b), sampler, cfg)
+
+
+class TestComparison:
+    """Comparison.verdict is the rule of every statistical verdict."""
+
+    # dyadic gaps and errors, so every discrepancy and 5-sigma bound is exact
+    @pytest.mark.parametrize("sign", [1, -1], ids=["above", "below"])
+    @pytest.mark.parametrize(
+        "gap, std_error, verdict",
+        [
+            (0.125, 0.0, SATISFIED),         # disc == tol
+            (0.0625, 0.0625, SATISFIED),
+            (0.25, 0.0625, INCONCLUSIVE),    # tol < disc < 5 sigma
+            (0.3125, 0.0625, INCONCLUSIVE),  # disc == 5 sigma
+            (0.375, 0.0625, VIOLATED),       # beyond 5 sigma
+            (0.25, 0.0, VIOLATED),           # no error bar: beyond tol is violated
+        ],
+    )
+    def test_verdict(self, gap, std_error, verdict, sign):
+        comparison = Comparison(LabeledEstimate("row", 0.5 + sign * gap, std_error), 0.5)
+        assert comparison.disc() == gap
+        assert comparison.verdict(0.125) == verdict
+
+    def test_the_worst_row_is_the_first_with_the_largest_discrepancy(self):
+        rows = [Comparison(LabeledEstimate(label, mean, 0.0), 0.5)
+                for label, mean in [("a", 0.5), ("b", 0.25), ("c", 0.75), ("d", 0.625)]]
+        assert max(rows, key=Comparison.disc).row.label == "b"
+        # const-half answers 1/2 where Born gives 0 or 1: 12 rows tie at 0.5, and born names the first
+        rep = check_born_reproduction(run_of(CONST, "born"))
+        borns = [born_probability(o, psi) for psi in CATALOG.states for b in CATALOG.bases for o in b.outcomes]
+        assert [abs(e.mean - p) for e, p in zip(rep.estimates, borns)].count(0.5) == 12
+        assert rep.details.endswith("worst +z|z|+z off by 5.000e-01")
+
+    def test_the_chain_pair_is_the_first_violated_pair_with_the_largest_discrepancy(self):
+        # bell-mermin's overlaps of distinct states are 0, so each deficit is the Born probability;
+        # the canonical pair is (+z, s80), and four pairs tie at the largest deficit, (+z, s30) first
+        s80, s30 = (PureState(BlochVector.from_angles(math.radians(a), 0.0)) for a in (80, 30))
+        catalog = catalog_from_states((PLUS_Z, s80, s30))
+        run = CheckRun(BM, catalog, McConfig(n_samples=1000, seed=3), ("audit",))
+        assert canonical_pair(catalog) == (PLUS_Z, s80)
+        psi, phi = checks._chain_pair(run)
+        assert psi is catalog.states[0] and phi is catalog.states[4]
 
 
 class TestBornReproduction:
@@ -164,11 +213,11 @@ class TestMeasurementNoncontextuality:
 
 class TestOverlapIntegral:
     def test_own_support(self):
-        est = overlap_integral(KS, PLUS_Z, PLUS_Z, CFG)
+        est = overlap_of(KS, PLUS_Z, PLUS_Z, CFG)
         assert est.mean == 1.0 and est.std_error == 0.0
 
     def test_cap_model_overlap_equals_born(self):
-        est = overlap_integral(KS, PLUS_Z, PLUS_X, CFG)
+        est = overlap_of(KS, PLUS_Z, PLUS_X, CFG)
         assert abs(est.mean - 0.5) <= 5 * est.std_error
         quad = sphere_quadrature(
             lambda p: KS.in_support_batch(PLUS_X, p).astype(float)
@@ -178,32 +227,33 @@ class TestOverlapIntegral:
         assert abs(quad - 0.5) <= 1e-3
 
     def test_pair_model_overlap_vanishes(self):
-        est = overlap_integral(BM, PLUS_Z, PLUS_X, CFG)
+        est = overlap_of(BM, PLUS_Z, PLUS_X, CFG)
         assert est.mean == 0.0 and est.std_error == 0.0
 
     def test_orthogonal_pair_overlap_vanishes(self):
         for model in (KS, BM):
-            est = overlap_integral(model, PLUS_Z, MINUS_Z, CFG)
+            est = overlap_of(model, PLUS_Z, MINUS_Z, CFG)
             assert est.mean == 0.0
 
     def test_bounded_by_born_for_reproducing_models(self):
+        # the max-epistemic rows are the overlaps of the ordered pairs in catalog order
+        pairs = [(psi, phi) for psi in CATALOG.states for phi in CATALOG.states]
         for model in (KS, BM):
-            for psi in CATALOG.states:
-                for phi in CATALOG.states:
-                    est = overlap_integral(model, psi, phi, McConfig(n_samples=20_000, seed=5))
-                    assert est.mean <= born_probability(phi, psi) + 5 * est.std_error
+            rows = check_max_psi_epistemic(run_of(model, "max-epistemic", cfg=McConfig(20_000, 5))).estimates
+            for est, (psi, phi) in zip(rows, pairs, strict=True):
+                assert est.mean <= born_probability(phi, psi) + 5 * est.std_error
 
 
 class TestMaxPsiEpistemic:
     @pytest.mark.parametrize("model", (KS, BM), ids=lambda m: m.name)
     def test_rows_are_the_overlap_integrals(self, model):
-        """Each row is overlap_integral of its ordered pair, bit for bit, in catalog order."""
+        """Each row is the overlap of its ordered pair, bit for bit, in catalog order."""
         cfg = McConfig(n_samples=20_000, seed=42)
         rows = check_max_psi_epistemic(CheckRun(model, CATALOG, cfg, ("max-epistemic",))).estimates
         pairs = [(psi, phi) for psi in CATALOG.states for phi in CATALOG.states]
         assert len(rows) == len(pairs)
         for row, (psi, phi) in zip(rows, pairs):
-            est = overlap_integral(model, psi, phi, cfg)
+            est = overlap_of(model, psi, phi, cfg)
             assert row.label == f"{psi.describe()}->{phi.describe()}"
             assert (row.mean, row.std_error) == (est.mean, est.std_error)
 
@@ -461,7 +511,7 @@ class TestOmegaWitness:
     def test_mass_decomposition_recovers_born(self):
         for model in (KS, BM):
             w = find_omega_witness(model, PLUS_Z, PLUS_X, X_BASIS, CFG)
-            overlap = overlap_integral(model, PLUS_Z, PLUS_X, CFG)
+            overlap = overlap_of(model, PLUS_Z, PLUS_X, CFG)
             se = math.hypot(w.response_mass.std_error, overlap.std_error)
             assert abs(w.response_mass.mean + overlap.mean - 0.5) <= 5 * se + 1e-12
 

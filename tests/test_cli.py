@@ -228,6 +228,9 @@ class TestCatalogIngestion:
             ([{"bloch": [True, 0, 0]}], "'bloch' must be a number"),
             ([{"bloch": [2, 0, 0]}], "'bloch' must be a unit vector"),
             ([{"bloch": [1e308, 0, 0]}], "'bloch' must be a unit vector"),   # its norm overflows to inf
+            ([{"bloch": [0, 0, 1], "lable": "up"}], "unknown key 'lable'"),
+            ([{"bloch": [0, 0, 1]}, {"theta": 1.0, "phi": 0.5, "bloch": [1, 0, 0]}],
+             "mixes 'bloch' with 'theta'/'phi'"),
         ],
     )
     def test_malformed_entry_exits_2_naming_the_field(self, tmp_path, capsys, entries, message):

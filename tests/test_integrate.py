@@ -378,3 +378,16 @@ class TestTvDistance:
     def test_negative_density_rejected(self):
         with pytest.raises(PreconditionError):
             tv_distance(lambda p: p[:, 2] / np.pi, uniform_density, GRID)
+
+    @staticmethod
+    def nan_near_pole(p):
+        return np.where(p[:, 2] > 0.999, np.nan, uniform_density(p))
+
+    def test_nan_in_f_rejected(self):
+        # NaN passes both the sign and the normalisation test, so it is caught on its own
+        with pytest.raises(PreconditionError, match="^density f takes non-finite values$"):
+            tv_distance(self.nan_near_pole, uniform_density, GRID)
+
+    def test_nan_in_g_rejected(self):
+        with pytest.raises(PreconditionError, match="^density g takes non-finite values$"):
+            tv_distance(uniform_density, self.nan_near_pole, GRID)

@@ -300,6 +300,9 @@ class TestCatalogEntries:
             ({"bloch": [True, 0, 0]}, "'bloch' must be a number"),
             ({"theta": 0.5, "phi": "0"}, "'phi' must be a number"),
             ({"bloch": [10**400, 0, 0]}, "'bloch' must be finite"),
+            ({"bloch": [0, 0, 1], "lable": "up"}, "unknown key 'lable'"),
+            ({"theta": 1.0, "phi": 0.5, "bloch": [1, 0, 0]}, "mixes 'bloch' with 'theta'/'phi'"),
+            ({"bloch": [1, 0, 0], "phi": 0.5}, "mixes 'bloch' with 'theta'/'phi'"),
         ],
     )
     def test_non_numeric_entries_name_the_field(self, entry, message):
