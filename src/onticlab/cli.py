@@ -30,7 +30,7 @@ from .checks import (
     classify_ontology,
     prep_nc_report,
 )
-from .errors import FieldError, PreconditionError, is_integer
+from .errors import FieldError, is_integer
 from .integrate import MIN_SAMPLES, McConfig, QuadratureGrid
 from .models import MODEL_NAMES, StateCatalog, catalog_from_states, default_catalog, make_model
 from .qubit import state_from_catalog_entry
@@ -169,7 +169,7 @@ def run(config: RunConfig) -> tuple[int, list[CheckReport]]:
         started = time.perf_counter()
         try:
             report = CHECK_RUNNERS[name](check_run)
-        except (PreconditionError, ValueError) as exc:
+        except ValueError as exc:
             print(f"error: check {name!r}: {exc}", file=sys.stderr)
             return 2, reports
         report = replace(report, duration_ms=(time.perf_counter() - started) * 1e3)

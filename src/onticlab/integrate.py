@@ -251,7 +251,7 @@ def weighted_sum(weights: np.ndarray, values) -> float:
     return math.fsum(weights * vals)
 
 
-def sphere_quadrature(f: Callable[[np.ndarray], np.ndarray], grid: QuadratureGrid | None = None) -> float:
+def sphere_quadrature(f: Callable[[np.ndarray], np.ndarray], grid: QuadratureGrid = QuadratureGrid()) -> float:
     """Approximate the surface integral of f over S2.
 
     f receives an (N, 3) array of unit vectors and returns N values.  Exact
@@ -259,20 +259,18 @@ def sphere_quadrature(f: Callable[[np.ndarray], np.ndarray], grid: QuadratureGri
     harmonics of order < n_azimuth / 2; discontinuous integrands converge
     with degraded accuracy.
     """
-    grid = grid or QuadratureGrid()
     return weighted_sum(grid.weights, f(grid.points))
 
 
 def tv_distance(
     f: Callable[[np.ndarray], np.ndarray],
     g: Callable[[np.ndarray], np.ndarray],
-    grid: QuadratureGrid | None = None,
+    grid: QuadratureGrid = QuadratureGrid(),
 ) -> float:
     """Total variation distance (1/2) * integral of |f - g| between sphere densities.
 
     Both inputs must be finite, nonnegative and integrate to 1 within 1e-3 on the grid.
     """
-    grid = grid or QuadratureGrid()
     pts, wts = grid.points, grid.weights
     fv = np.asarray(f(pts), dtype=float)
     gv = np.asarray(g(pts), dtype=float)
