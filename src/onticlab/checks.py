@@ -12,12 +12,15 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
 from .errors import FieldError, PreconditionError
 from .integrate import (
     MIN_SAMPLES,
+    BatchMemory,
     McConfig,
     McEstimate,
     QuadratureGrid,
@@ -340,6 +343,50 @@ def classify_ontology(run: CheckRun) -> CheckReport:
     return run.report("classify", verdict, rows, details, tolerance=0.0)
 
 
+class MixtureBatch:
+    """A mixture's batch: each component's batch, and the component j_i of each row i.
+
+    Row i is row i of component j_i's batch.  draw_choices is a function of
+    no arguments that returns the choices j; it is called when choices are
+    first read, once, so a mixture whose reader never needs them never draws
+    its choice stream.  rows is the merged batch.  Like a pair, a mixture is
+    sliced by rows: batch[:k] slices each component's batch and keeps its
+    choices deferred, a slice of this batch's, drawn once for both.
+    """
+
+    def __init__(self, parts: list, draw_choices: Callable[[], np.ndarray]):
+        self.parts = parts
+        self._draw_choices = draw_choices
+
+    def __len__(self) -> int:
+        return len(self.parts[0])
+
+    def __getitem__(self, rows: slice) -> MixtureBatch:
+        if not isinstance(rows, slice):
+            raise TypeError(f"a mixture batch is indexed by a slice of rows, got {type(rows).__name__}")
+        return MixtureBatch([p[rows] for p in self.parts], lambda: self.choices[rows])
+
+    @cached_property
+    def choices(self) -> np.ndarray:
+        return self._draw_choices()
+
+    @cached_property
+    def rows(self) -> Batch:
+        """The merged batch; a pair's second sphere is merged when first read."""
+        if isinstance(self.parts[0], PairBatch):
+            return PairBatch(self.merge([p.first for p in self.parts]),
+                             lambda: self.merge([p.second for p in self.parts]))
+        return self.merge(self.parts)
+
+    def merge(self, arrays: list) -> np.ndarray:
+        """Row i of arrays[j_i], for one array of per-row values per component."""
+        out = arrays[0]
+        for k in range(1, len(arrays)):
+            pick = (self.choices == k).reshape((-1,) + (1,) * (out.ndim - 1))
+            out = np.where(pick, arrays[k], out)
+        return out
+
+
 @dataclass(frozen=True)
 class EnsembleDistribution:
     """Ontic distribution of a mixed preparation: draw j ~ p, then lambda ~ mu_{psi_j}.
@@ -360,30 +407,36 @@ class EnsembleDistribution:
         cum = np.cumsum(self.ensemble.weights())
         return np.minimum(np.searchsorted(cum, u, side="right"), len(self.ensemble.entries) - 1)
 
-    def sample_batch(self, seed: int, start: int, count: int) -> Batch:
-        """Row i is row i of component j_i's batch; a pair's second sphere is merged when first read."""
-        j = self._choices(seed, start, count)
+    def sample_batch(self, seed: int, start: int, count: int) -> MixtureBatch:
+        """Every component's batch for the indices, with the choices drawn on first read."""
         parts = [self.model.prepare_batch(s, seed, start, count) for _, s in self.ensemble.entries]
-
-        def merge(rows):
-            out = rows[0]
-            for k in range(1, len(rows)):
-                out = np.where((j == k)[:, None], rows[k], out)
-            return out
-
-        if isinstance(parts[0], PairBatch):
-            return PairBatch(merge([p.first for p in parts]), lambda: merge([p.second for p in parts]))
-        return merge(parts)
+        return MixtureBatch(parts, lambda: self._choices(seed, start, count))
 
     def density_batch(self, batch: Batch) -> np.ndarray:
         """sum_j p_j times mu_{psi_j}'s density; PreconditionError for a model without one."""
         return sum(w * self.model.density_batch(s, batch) for w, s in self.ensemble.entries)
 
-    def support_batch(self, batch: Batch) -> np.ndarray:
+    def support_batch(self, batch: Batch | MixtureBatch) -> np.ndarray:
+        """Membership of each row in the union of the supports of the positive-weight entries.
+
+        Membership is per row, so on a mixture batch it is evaluated on each
+        component's batch and merged by the choices; where every component's
+        answer is the same array, that array is the answer and the choices
+        are never drawn.
+        """
+        parts = batch.parts if isinstance(batch, MixtureBatch) else [batch]
+        members = [self._member(part) for part in parts]
+        if all(np.array_equal(members[0], m) for m in members[1:]):
+            return members[0]
+        return batch.merge(members)
+
+    def _member(self, batch: Batch) -> np.ndarray:
+        """Membership of one component's batch rows in the supports of the positive-weight entries."""
         member = None
-        for _, s in self.ensemble.entries:
-            cur = self.model.in_support_batch(s, batch)
-            member = cur if member is None else member | cur
+        for w, s in self.ensemble.entries:
+            if w > 0.0:
+                cur = self.model.in_support_batch(s, batch)
+                member = cur if member is None else member | cur
         return member
 
 
@@ -549,7 +602,8 @@ def source_pass(run: CheckRun) -> dict:
       samples; it is None on a catalog without that pair.
     Each stream is one integrate.walk, whose feeds are the parts that read
     it, each with its budget, so the shorter scan reads the first rows
-    (batch[:k]) of what the others drew.  Each estimate builds up
+    (batch[:k]) of what the others drew.  The walks lend their batches one
+    BatchMemory, which goes when the pass ends.  Each estimate builds up
     on its own in index order, and the scan ranks its first offense by
     source, basis and outcome or variant, so no part depends on which others
     share the pass or on the batch size.
@@ -572,6 +626,7 @@ def source_pass(run: CheckRun) -> dict:
     per_source = max(MIN_SAMPLES, cfg.n_samples // (len(catalog.states) + 1))
     det, mnc = _Tally(), _Tally()
     table = []
+    memory = BatchMemory()
     for i, psi in enumerate(catalog.states):
         feeds = []
         if outcomes or phis:
@@ -584,10 +639,10 @@ def source_pass(run: CheckRun) -> dict:
             feeds.append((cfg.n_samples, omega[1].add))
         if scan:
             feeds.append((per_source, _scan_feed(model, catalog.bases, det, mnc, i, f"mu({psi.describe()})")))
-        walk(_prepare_sampler(model, psi), cfg.seed, feeds)
+        walk(_prepare_sampler(model, psi), cfg.seed, feeds, memory)
     if scan:
         reference = _scan_feed(model, catalog.bases, det, mnc, len(catalog.states), "reference")
-        walk(model.reference_batch, cfg.seed, [(per_source, reference)])
+        walk(model.reference_batch, cfg.seed, [(per_source, reference)], memory)
 
     resp_rows, pair_rows = [], []
     for psi, sums in table:

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from contextvars import ContextVar
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -44,25 +45,76 @@ def substream_key(seed: int, *tags) -> int:
     return int.from_bytes(h.digest()[:16], "little")
 
 
+@dataclass
+class BatchMemory:
+    """The buffers that walks lend to their batches (see lend).
+
+    A walk given one lends from its buffers and leaves them in it, so
+    consecutive walks given the same one reuse one set, and the heap is not
+    handed back and faulted in again per stream.  A walk given none lends
+    from a set of its own, freed when it ends.  Never give one to two walks
+    that run at once, such as a nested walk and its outer walk.
+    """
+
+    arrays: list = field(default_factory=list)
+    taken: int = 0   # the requests of the current batch so far
+
+
+# the running walk's memory, None outside a walk; a context variable, so each thread has its own
+_LENDER: ContextVar[BatchMemory | None] = ContextVar("onticlab_lender", default=None)
+
+
+def lend(shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialized float64 array of shape, for a batch-sized array that its caller writes in full.
+
+    Outside a walk it is a new array.  While integrate.walk runs, the k-th
+    request of each batch gets the walk's k-th buffer, or a view of its first
+    shape[0] rows on a shorter batch; walk restarts k at every batch, so no
+    two arrays of one batch share memory, and the next batch writes over
+    them.  A request of another shape takes over its slot with a new array.
+    """
+    memory = _LENDER.get()
+    if memory is None:
+        return np.empty(shape)
+    k = memory.taken
+    memory.taken += 1
+    if k == len(memory.arrays):
+        memory.arrays.append(np.empty(shape))
+    elif memory.arrays[k].shape[1:] != shape[1:] or len(memory.arrays[k]) < shape[0]:
+        memory.arrays[k] = np.empty(shape)
+    return memory.arrays[k][: shape[0]]
+
+
 def uniform_blocks(key: int, start: int, count: int) -> np.ndarray:
-    """Return a (count, 4) array of uniforms in [0, 1).
+    """Return a (count, 4) array of uniforms in [0, 1), written into a lent array.
 
     Row i holds the four outputs of Philox counter block start + i under the
     given key, so any sub-range of indices reproduces bit-identically.
     """
     gen = np.random.Generator(np.random.Philox(key=key, counter=int(start)))
-    return gen.random(4 * count).reshape(count, 4)
+    return gen.random(out=lend((count, 4)))
 
 
 def sphere_points_from_uniforms(u0: np.ndarray, u1: np.ndarray) -> np.ndarray:
-    """Map pairs of uniforms to points on S2 via z = 2*u0 - 1, azimuth = 2*pi*u1."""
-    z = 2.0 * u0 - 1.0
-    phi = (2.0 * np.pi) * u1
-    r = np.sqrt(1.0 - z * z)
-    out = np.empty((len(z), 3))
-    out[:, 0] = r * np.cos(phi)
-    out[:, 1] = r * np.sin(phi)
+    """Map pairs of uniforms to points on S2 via z = 2*u0 - 1, azimuth = 2*pi*u1.
+
+    Every array it makes is lent, and each step writes with out= the one
+    IEEE operation that 2*u0 - 1, sqrt(1 - z*z), r*cos(phi) and r*sin(phi)
+    apply, so the rows are bit for bit those of the expressions.
+    """
+    n = len(u0)
+    z = np.multiply(2.0, u0, out=lend((n,)))
+    z -= 1.0
+    phi = np.multiply(2.0 * np.pi, u1, out=lend((n,)))
+    r = np.multiply(z, z, out=lend((n,)))
+    np.subtract(1.0, r, out=r)
+    np.sqrt(r, out=r)
+    out = lend((n, 3))
     out[:, 2] = z
+    trig = np.cos(phi, out=z)   # z is copied out, so its array takes the cosines, then the sines
+    np.multiply(r, trig, out=out[:, 0])
+    np.sin(phi, out=trig)
+    np.multiply(r, trig, out=out[:, 1])
     return out
 
 
@@ -94,7 +146,12 @@ class McEstimate:
         return cls(mean=mean, std_error=float(np.sqrt(var / n)), n=n)
 
 
-def walk(sampler: Callable[[int, int, int], object], seed: int, feeds: Sequence[tuple[int, Callable]]) -> None:
+def walk(
+    sampler: Callable[[int, int, int], object],
+    seed: int,
+    feeds: Sequence[tuple[int, Callable]],
+    memory: BatchMemory | None = None,
+) -> None:
     """Draw sampler's stream once, in index order, and give each (budget, feed) the rows its budget covers.
 
     sampler(seed, start, count) must return a batch for indices
@@ -104,15 +161,26 @@ def walk(sampler: Callable[[int, int, int], object], seed: int, feeds: Sequence[
     batch[:k] where the budget ends inside it, so len(rows) is the count.
     Counts and exact sums do not depend on the batch size; a general float
     sum could move in its last bit with it.
+
+    The walk lends each batch its memory, from memory or from a set of its
+    own (see BatchMemory and lend), so a batch is valid only during its
+    feeds: the next batch writes over it, and a feed that keeps rows past
+    its call must copy them.
     """
     n = max((budget for budget, _ in feeds), default=0)
-    for start in range(0, n, BATCH_SIZE):
-        count = min(BATCH_SIZE, n - start)
-        batch = sampler(seed, start, count)
-        for budget, feed in feeds:
-            k = min(count, budget - start)
-            if k > 0:
-                feed(batch if k == count else batch[:k])
+    memory = BatchMemory() if memory is None else memory
+    token = _LENDER.set(memory)
+    try:
+        for start in range(0, n, BATCH_SIZE):
+            count = min(BATCH_SIZE, n - start)
+            memory.taken = 0
+            batch = sampler(seed, start, count)
+            for budget, feed in feeds:
+                k = min(count, budget - start)
+                if k > 0:
+                    feed(batch if k == count else batch[:k])
+    finally:
+        _LENDER.reset(token)
 
 
 def batch_sums(values, count: int, name: str) -> tuple[float, float]:

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import FieldError, PreconditionError
-from .integrate import sphere_points_from_uniforms, substream_key, uniform_blocks
+from .integrate import lend, sphere_points_from_uniforms, substream_key, uniform_blocks
 from .qubit import (
     MINUS_X,
     MINUS_Y,
@@ -66,7 +66,7 @@ class PairBatch:
     @cached_property
     def total(self) -> np.ndarray:
         """first + second, the summed vector the two-sphere responses read; computed once per batch."""
-        return self.first + self.second
+        return np.add(self.first, self.second, out=lend(self.second.shape))
 
 
 # A single-sphere batch is its (n, 3) array of unit rows.
@@ -154,18 +154,33 @@ def _cap_points(axis: np.ndarray, key: int, start: int, count: int) -> np.ndarra
 
     In the frame with `axis` at the pole, cos(theta) = sqrt(1 - u) for u
     uniform on [0, 1), which keeps axis . lam strictly positive; the azimuth
-    is uniform.
+    is uniform.  Every array it makes is lent, and each step writes with out=
+    the one IEEE operation of t = sqrt(1 - u0), s = sqrt(1 - t*t),
+    row = s*cos(phi)*e1 + s*sin(phi)*e2 + t*axis and row / |row|, in order.
     """
     u = uniform_blocks(key, start, count)
-    t = np.sqrt(1.0 - u[:, 0])
-    s = np.sqrt(1.0 - t * t)
-    phi = (2.0 * np.pi) * u[:, 1]
+    t = np.subtract(1.0, u[:, 0], out=lend((count,)))
+    np.sqrt(t, out=t)
+    s = np.multiply(t, t, out=lend((count,)))
+    np.subtract(1.0, s, out=s)
+    np.sqrt(s, out=s)
+    phi = np.multiply(2.0 * np.pi, u[:, 1], out=lend((count,)))
+    sc = np.cos(phi, out=lend((count,)))
+    sc *= s
+    ss = np.sin(phi, out=lend((count,)))
+    ss *= s
+    tmp = phi   # phi and s are spent
     e1, e2 = _tangent_frame(axis)
-    sc, ss = s * np.cos(phi), s * np.sin(phi)
-    out = np.empty((count, 3))
+    out = lend((count, 3))
     for k in range(3):
-        out[:, k] = sc * e1[k] + ss * e2[k] + t * axis[k]
-    out /= np.sqrt(out[:, 0] ** 2 + out[:, 1] ** 2 + out[:, 2] ** 2)[:, None]
+        col = out[:, k]
+        np.multiply(sc, e1[k], out=col)
+        col += np.multiply(ss, e2[k], out=tmp)
+        col += np.multiply(t, axis[k], out=tmp)
+    norm = np.multiply(out[:, 0], out[:, 0], out=s)
+    norm += np.multiply(out[:, 1], out[:, 1], out=tmp)
+    norm += np.multiply(out[:, 2], out[:, 2], out=tmp)
+    out /= np.sqrt(norm, out=norm)[:, None]
     return out
 
 

@@ -62,7 +62,7 @@ from onticlab.qubit import (
     orthogonal_complement,
 )
 
-from batch_of_one import sample_one
+from batch_of_one import sample_one, uniform_sphere_batch
 
 CFG = McConfig(n_samples=50_000, seed=19)
 GRID = QuadratureGrid()
@@ -304,7 +304,7 @@ class TestClassifyOntology:
 class TestEnsembleDistribution:
     def test_singleton_matches_component_sampler(self):
         dist = EnsembleDistribution(KS, Ensemble(((1.0, PLUS_Y),)))
-        a = dist.sample_batch(8, 0, 1000)
+        a = dist.sample_batch(8, 0, 1000).rows
         b = KS.prepare_batch(PLUS_Y, 8, 0, 1000)
         np.testing.assert_array_equal(a, b)
 
@@ -327,7 +327,7 @@ class TestEnsembleDistribution:
     def test_sampler_matches_density(self):
         dist = EnsembleDistribution(KS, half_half_mixture(PLUS_Z))
         g = lambda p: (p[:, 2] > 0.5).astype(float)
-        est = mc_expectation(g, dist.sample_batch, CFG)
+        est = mc_expectation(lambda b: g(b.rows), dist.sample_batch, CFG)
         quad = sphere_quadrature(lambda p: g(p) * dist.density_batch(p), GRID)
         assert abs(est.mean - quad) <= 5 * est.std_error + 1e-4
 
@@ -336,19 +336,20 @@ class TestEnsembleDistribution:
         three = Ensemble(((0.5, PLUS_Z), (0.25, PLUS_X), (0.25, MINUS_Z)))
         for ensemble in (half_half_mixture(PLUS_Z), three):
             dist = EnsembleDistribution(BM, ensemble)
-            batch = dist.sample_batch(4, 0, 40)
+            batch = dist.sample_batch(4, 0, 40).rows
             chosen = dist._choices(4, 0, 40)
             assert set(chosen) == set(range(len(ensemble.entries)))
             for i, k in enumerate(chosen):
-                lam = sample_one(dist.sample_batch, 4, i)
+                lam = sample_one(dist.sample_batch, 4, i).rows
                 component = BM.prepare_batch(ensemble.entries[k][1], 4, i, 1)
                 for sphere in ("first", "second"):
                     row = getattr(batch, sphere)[i]
                     np.testing.assert_array_equal(getattr(lam, sphere)[0], row)
                     np.testing.assert_array_equal(getattr(component, sphere)[0], row)
 
-    def test_support_witness_draws_only_the_choices(self, monkeypatch):
-        # the support witness reads the point-mass sphere only, so no component stream is drawn
+    def test_support_witness_draws_no_stream(self, monkeypatch):
+        # the support witness reads the point-mass sphere only, so no component stream is drawn,
+        # and every component's rows answer alike, so neither are the choices
         drawn = []
 
         def counting(key, start, count):
@@ -362,23 +363,47 @@ class TestEnsembleDistribution:
         cfg = McConfig(n_samples=1000, seed=19)
         est = mc_expectation(dist.support_batch, dist.sample_batch, cfg)
         assert est.mean == 1.0
-        assert {key for key, _ in drawn} == {dist._choice_key(19)}
-        assert sum(count for _, count in drawn) == 1000
+        assert drawn == []
+
+    def test_zero_weight_entry_has_no_support(self):
+        # the support is where the density is positive: a zero-weight entry adds neither
+        dist = EnsembleDistribution(KS, Ensemble(((1.0, PLUS_Z), (0.0, PLUS_X))))
+        pts = uniform_sphere_batch(3, 0, 2000)
+        support = dist.support_batch(pts)
+        np.testing.assert_array_equal(support, dist.density_batch(pts) > 0.0)
+        assert not support.all() and support.any()
+
+    def test_disagreeing_components_draw_the_choices(self, monkeypatch):
+        # under {+z} alone a +x component's rows are outside the support, so the choices decide each row
+        drawn = []
+
+        def counting(key, start, count):
+            drawn.append(key)
+            return uniform_blocks(key, start, count)
+
+        monkeypatch.setattr(checks, "uniform_blocks", counting)
+        dist = EnsembleDistribution(BM, Ensemble(((0.5, PLUS_Z), (0.5, PLUS_X))))
+        witness = EnsembleDistribution(BM, Ensemble(((1.0, PLUS_Z), (0.0, PLUS_X))))
+        batch = dist.sample_batch(4, 0, 40)
+        support = witness.support_batch(batch)
+        assert drawn == [dist._choice_key(4)]
+        np.testing.assert_array_equal(support, batch.choices == 0)
+        assert 0 < np.count_nonzero(support) < 40
 
     @pytest.mark.parametrize("model", [CONST, READER, BM])
     def test_mixture_of_point_measures_has_full_writable_rows(self, model):
         # each component repeats one row with stride 0; the merge picks rows into a new array
-        batch = EnsembleDistribution(model, half_half_mixture(PLUS_X)).sample_batch(4, 0, 40)
+        batch = EnsembleDistribution(model, half_half_mixture(PLUS_X)).sample_batch(4, 0, 40).rows
         rows = batch.first if isinstance(batch, PairBatch) else batch
         assert rows.flags.writeable and rows.strides == (24, 8)
         assert {tuple(r) for r in rows} == {tuple(PLUS_X.vec()), tuple(MINUS_X.vec())}
 
     def test_head_of_a_pair_mixture_is_the_shorter_draw(self):
         dist = EnsembleDistribution(BM, half_half_mixture(PLUS_Z))
-        short = dist.sample_batch(4, 10, 12)
+        short = dist.sample_batch(4, 10, 12).rows
         for sphere in ("first", "second", "total"):
             whole = dist.sample_batch(4, 10, 40)
-            np.testing.assert_array_equal(getattr(whole[:12], sphere), getattr(short, sphere))
+            np.testing.assert_array_equal(getattr(whole[:12].rows, sphere), getattr(short, sphere))
 
     def test_pair_mixture_density_absent(self):
         dist = EnsembleDistribution(BM, half_half_mixture(PLUS_Z))

@@ -2,12 +2,13 @@ import csv
 import io
 import json
 import re
+import sys
 from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
 
-from onticlab import integrate
+from onticlab import integrate, models
 from onticlab.integrate import McConfig, QuadratureGrid
 from onticlab.errors import PreconditionError
 from onticlab.models import (
@@ -457,6 +458,43 @@ class TestSourcePassBatchSizes:
         for size in self.SIZES:
             monkeypatch.setattr(integrate, "BATCH_SIZE", size)
             assert outputs_of(make_model(model_name), catalog, self.CFG, tuple(CHECK_RUNNERS)) == whole
+
+
+def allocate(shape):
+    return np.empty(shape)
+
+
+class TestLentMemory:
+    """Lent batch memory gives every report of the gate matrix byte for byte, at any batch size.
+
+    The allocating lender gives each request a new array, as if no walk ran.
+    Each model runs the gate's checks in one invocation; the negative
+    controls leave out nonlocality, whose exit 2 reports nothing.  At 3,000
+    samples the tolerance is 0.05, so that born is satisfied and nonlocality
+    draws its steered mixtures instead of raising.  1,000 and 7 do not
+    divide 3,000 or the response scan's 428 rows per source, so short last
+    batches take views of the lent buffers.
+    """
+
+    SAMPLES = 3_000
+
+    @classmethod
+    def output(cls, model_name):
+        checks = tuple(c for c in CHECK_RUNNERS if c != "nonlocality" or model_name in ("ks", "bell-mermin"))
+        code, reports = run(RunConfig(model_name, checks, samples=cls.SAMPLES, tolerance=0.05))
+        return code, zeroed_json(reports)
+
+    @pytest.mark.parametrize("size", (25_000, 1_000, 7))
+    @pytest.mark.parametrize("model_name", MODEL_NAMES)
+    def test_lent_reports_equal_allocated(self, model_name, size, monkeypatch):
+        binds = {name for name, m in sys.modules.items() if name.startswith("onticlab") and "lend" in vars(m)}
+        assert binds == {"onticlab.integrate", "onticlab.models"}   # every binding is patched below
+        monkeypatch.setattr(integrate, "BATCH_SIZE", size)
+        lent = self.output(model_name)
+        assert len(json.loads(lent[1])) == (9 if model_name in ("ks", "bell-mermin") else 8)
+        for module in (integrate, models):
+            monkeypatch.setattr(module, "lend", allocate)
+        assert self.output(model_name) == lent
 
 
 class TestPassPreconditions:

@@ -52,6 +52,11 @@ RULES = {  # reason: (pattern, files, the only places a match may sit, places th
         (r"fsum\(", PKG, ("integrate.py:weighted_sum",), ("integrate.py:weighted_sum",)),
     "every draw is counter-based, from integrate.uniform_blocks":
         (r"np\.random\.", PKG, ("integrate.py:uniform_blocks",), ("integrate.py:uniform_blocks",)),
+    "a batch-sized array comes from integrate.lend, which a running walk lends from its buffers":
+        (r"np\.empty\(", PKG, ("integrate.py:lend",), ("integrate.py:lend",)),
+    "a mixture draws its choices in EnsembleDistribution, read on first need through MixtureBatch":
+        (r"_choices\(", PKG, ("checks.py:EnsembleDistribution", "checks.py:MixtureBatch"),
+         ("checks.py:EnsembleDistribution",)),
     "environment variables are never consulted":
         (r"os\.environ|getenv\(", TREE, (), ()),
     "no test calls the bench-pinned shims, so deleting them touches no test":

@@ -4,11 +4,13 @@ import pytest
 from onticlab import integrate
 from onticlab.errors import FieldError, PreconditionError
 from onticlab.integrate import (
+    BatchMemory,
     McConfig,
     McEstimate,
     QuadratureGrid,
     RunningSums,
     batch_sums,
+    lend,
     mc_expectation,
     mc_expectations,
     sphere_quadrature,
@@ -275,6 +277,90 @@ class TestWalk:
         calls = []
         walk(lambda seed, start, count: calls.append(start), 0, [])
         assert calls == []
+
+
+class TestUniformConversion:
+    """uniform_blocks is pinned to the Philox stream: each double is a raw 64-bit output's top 53 bits times 2**-53.
+
+    numpy keeps its bit generators stream-stable but not Generator.random, so
+    a numpy that changes the conversion fails here instead of moving every
+    report.
+    """
+
+    @staticmethod
+    def raw_uniforms(key, start, count):
+        raw = np.random.Philox(key=key, counter=start).random_raw(4 * count)
+        return ((raw >> 11) * 2.0**-53).reshape(count, 4)
+
+    @pytest.mark.parametrize("key", [0, 42, 2**127 + 12_345])
+    @pytest.mark.parametrize("start", [0, 12_345, 2**40])
+    @pytest.mark.parametrize("count", [1, 7, 25_000])
+    def test_outside_a_walk(self, key, start, count):
+        assert uniform_blocks(key, start, count).tobytes() == self.raw_uniforms(key, start, count).tobytes()
+
+    @pytest.mark.parametrize("key", [0, 2**127 + 12_345])
+    @pytest.mark.parametrize("start", [0, 12_345, 2**40])
+    @pytest.mark.parametrize("count", [1, 7, 25_000])
+    def test_inside_a_walk_into_lent_buffers(self, key, start, count, monkeypatch):
+        # 3,000-row batches reuse the first batch's buffer, and a short last batch takes a view of it
+        monkeypatch.setattr(integrate, "BATCH_SIZE", 3_000)
+        got = []
+        walk(lambda seed, s, c: uniform_blocks(key, start + s, c), 0, [(count, lambda u: got.append(u.copy()))])
+        assert np.concatenate(got).tobytes() == self.raw_uniforms(key, start, count).tobytes()
+
+
+class TestLend:
+    """A walk lends each batch's k-th array from its k-th buffer; outside a walk every array is new."""
+
+    def test_outside_a_walk_every_array_is_new(self):
+        a, b = lend((5, 3)), lend((5, 3))
+        assert a.shape == (5, 3) and a.dtype == np.float64 and not np.shares_memory(a, b)
+
+    def test_kth_request_of_each_batch_gets_the_kth_buffer(self, monkeypatch):
+        monkeypatch.setattr(integrate, "BATCH_SIZE", 4)
+        seen = []
+
+        def sampler(seed, start, count):
+            arrays = [lend((count, 4)), lend((count,)), lend((count, 3))]
+            for a in arrays:
+                a.fill(start)   # a lent array is written in full by its caller
+            return arrays
+
+        walk(sampler, 0, [(10, seen.append)])
+        assert [len(arrays[0]) for arrays in seen] == [4, 4, 2]
+        for arrays in seen:
+            assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1:])
+        for later in seen[1:]:
+            assert all(np.shares_memory(a, b) for a, b in zip(seen[0], later))
+        # the short last batch wrote over the first two rows of the first batch's arrays
+        assert (seen[0][0][:2] == 8).all() and (seen[0][0][2:] == 4).all()
+
+    def test_another_shape_takes_over_the_slot(self, monkeypatch):
+        monkeypatch.setattr(integrate, "BATCH_SIZE", 4)
+        seen = []
+        walk(lambda seed, start, count: lend((count, 4) if start else (count, 3)), 0, [(8, seen.append)])
+        assert [a.shape for a in seen] == [(4, 3), (4, 4)]
+
+    def test_a_nested_walk_lends_its_own(self, monkeypatch):
+        monkeypatch.setattr(integrate, "BATCH_SIZE", 4)
+        outer, inner = [], []
+
+        def feed(a):
+            outer.append(a)
+            walk(lambda seed, start, count: lend((count, 4)), 0, [(4, inner.append)])
+            assert not np.shares_memory(a, inner[-1])
+
+        walk(lambda seed, start, count: lend((count, 4)), 0, [(8, feed)])
+        assert len(outer) == 2 and len(inner) == 2
+
+    def test_walks_given_one_memory_reuse_its_set(self):
+        memory = BatchMemory()
+        first, second, own = [], [], []
+        walk(lambda seed, start, count: lend((count, 4)), 0, [(10, first.append)], memory)
+        walk(lambda seed, start, count: lend((count, 4)), 0, [(10, second.append)], memory)
+        walk(lambda seed, start, count: lend((count, 4)), 0, [(10, own.append)])
+        assert np.shares_memory(first[0], second[0]) and len(memory.arrays) == 1
+        assert not np.shares_memory(first[0], own[0])
 
 
 class TestMcEstimateFromSums:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onticlab import integrate
+from onticlab import checks, integrate
 from onticlab.bell import make_max_entangled, steer, steering_basis
 from onticlab.checks import CheckRun, EnsembleDistribution
 from onticlab.errors import FieldError
@@ -36,6 +36,7 @@ from onticlab.qubit import (
     PLUS_X,
     PLUS_Z,
     BlochVector,
+    Ensemble,
     PureState,
     half_half_mixture,
     orthogonal_complement,
@@ -193,7 +194,8 @@ class TestWalk:
         def feed_of(rows):
             def feed(batch):
                 assert len(batch) <= size and type(batch) is (PairBatch if pairs else np.ndarray)
-                rows.append((batch.first, batch.second) if pairs else (batch,))
+                # a batch is valid only during its feeds, so the rows kept are copies
+                rows.append((batch.first.copy(), batch.second.copy()) if pairs else (batch.copy(),))
             return feed
 
         # patched per example: a function-scoped fixture is not reset between examples
@@ -229,6 +231,55 @@ class TestQuadratureReduction:
         z, x = (EnsembleDistribution(ks, half_half_mixture(s)) for s in (PLUS_Z, PLUS_X))
         tv = tv_distance(z.density_batch, x.density_batch)
         assert tv == 0.4141998590767367
+
+
+# catalog states coincide across ensembles, as a point measure's support needs to show anything
+CATALOG_STATES = st.sampled_from(default_catalog().states)
+
+
+def ensembles(states):
+    """Ensembles of 1 to 3 entries whose weights, zero included, sum to 1."""
+    entries = st.lists(st.tuples(st.integers(0, 4), states), min_size=1, max_size=3)
+    return entries.filter(lambda es: any(w for w, _ in es)).map(
+        lambda es: Ensemble(tuple((w / sum(v for v, _ in es), s) for w, s in es))
+    )
+
+
+class TestMixtureSupport:
+    """A mixture's support witness is the union over its positive-weight entries on the merged rows.
+
+    It is evaluated on each component's batch, so the choice stream is drawn
+    exactly when the components' answers disagree.
+    """
+
+    @FAST
+    @given(st.sampled_from(["ks", "bell-mermin"]), st.data(), st.integers(0, 2**63), st.integers(1, 60))
+    def test_support_of_the_merged_rows_with_choices_drawn_on_disagreement(self, model_name, data, seed, count):
+        model = make_model(model_name)
+        states = CATALOG_STATES if model_name == "bell-mermin" else st.one_of(CATALOG_STATES, STATES)
+        witness = EnsembleDistribution(model, data.draw(ensembles(states)))
+        dist = EnsembleDistribution(model, data.draw(ensembles(states)))
+        k = data.draw(st.integers(1, count))
+        positive = [s for w, s in witness.ensemble.entries if w > 0.0]
+
+        def union(rows):
+            return np.logical_or.reduce([model.in_support_batch(s, rows) for s in positive])
+
+        drawn = []
+
+        def counting(key, start, n):
+            drawn.append(key)
+            return uniform_blocks(key, start, n)
+
+        with mock.patch.object(checks, "uniform_blocks", counting):
+            batch = dist.sample_batch(seed, 0, count)[:k]
+            got = witness.support_batch(batch)
+            choices_drawn = list(drawn)
+            members = [union(part) for part in batch.parts]
+            want = union(batch.rows)
+        assert got.dtype == np.bool_ and got.tobytes() == want.tobytes()
+        disagree = any(not np.array_equal(members[0], m) for m in members[1:])
+        assert choices_drawn == ([dist._choice_key(seed)] if disagree else [])
 
 
 class TestSteeringRoundTrip:
