@@ -20,7 +20,6 @@ import numpy as np
 from .errors import FieldError, PreconditionError
 from .integrate import (
     MIN_SAMPLES,
-    BatchMemory,
     McConfig,
     McEstimate,
     QuadratureGrid,
@@ -332,7 +331,8 @@ def classify_ontology(run: CheckRun) -> CheckReport:
         if same_state(phi, perp[psi]):
             continue
         max_overlap = max(max_overlap, c.row.mean)
-        if c.row.mean > 5.0 * c.row.std_error and c.row.mean > 0.0 and epistemic_witness is None:
+        # an overlap is at least 0, so a violated comparison with 0 is a significantly positive one
+        if epistemic_witness is None and Comparison(c.row, 0.0).verdict(0.0) == VIOLATED:
             epistemic_witness = c.row.label
     if epistemic_witness is not None:
         verdict = PSI_EPISTEMIC
@@ -600,13 +600,14 @@ def source_pass(run: CheckRun) -> dict:
       then of the reference measure; it is None on a catalog without a basis;
     - "omega" holds the OmegaWitness of the canonical pair on psi's first n
       samples; it is None on a catalog without that pair.
-    Each stream is one integrate.walk, whose feeds are the parts that read
-    it, each with its budget, so the shorter scan reads the first rows
-    (batch[:k]) of what the others drew.  The walks lend their batches one
-    BatchMemory, which goes when the pass ends.  Each estimate builds up
-    on its own in index order, and the scan ranks its first offense by
-    source, basis and outcome or variant, so no part depends on which others
-    share the pass or on the batch size.
+    The pass is one integrate.walk over its sources: each catalog state's
+    mu_psi in catalog order, then the reference measure when the scan runs.
+    A source's feeds are the parts that read it, each with its budget, so
+    the shorter scan reads the first rows (batch[:k]) of what the others
+    drew, and the walk lends every batch one set of buffers, freed when the
+    pass ends.  Each estimate builds up on its own in index order, and the
+    scan ranks its first offense by source, basis and outcome or variant, so
+    no part depends on which others share the pass or on the batch size.
     """
     model, catalog, cfg = run.model, run.catalog, run.cfg
     reads = {part for part, (_, readers) in PASS_PARTS.items() if not readers.isdisjoint(run.check_names)}
@@ -625,8 +626,7 @@ def source_pass(run: CheckRun) -> dict:
     scan = "scan" in reads and bool(catalog.bases)
     per_source = max(MIN_SAMPLES, cfg.n_samples // (len(catalog.states) + 1))
     det, mnc = _Tally(), _Tally()
-    table = []
-    memory = BatchMemory()
+    table, sources = [], []
     for i, psi in enumerate(catalog.states):
         feeds = []
         if outcomes or phis:
@@ -639,10 +639,11 @@ def source_pass(run: CheckRun) -> dict:
             feeds.append((cfg.n_samples, omega[1].add))
         if scan:
             feeds.append((per_source, _scan_feed(model, catalog.bases, det, mnc, i, f"mu({psi.describe()})")))
-        walk(_prepare_sampler(model, psi), cfg.seed, feeds, memory)
+        sources.append((_prepare_sampler(model, psi), feeds))
     if scan:
         reference = _scan_feed(model, catalog.bases, det, mnc, len(catalog.states), "reference")
-        walk(model.reference_batch, cfg.seed, [(per_source, reference)], memory)
+        sources.append((model.reference_batch, [(per_source, reference)]))
+    walk(sources, cfg.seed)
 
     resp_rows, pair_rows = [], []
     for psi, sums in table:

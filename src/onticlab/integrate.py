@@ -46,22 +46,15 @@ def substream_key(seed: int, *tags) -> int:
 
 
 @dataclass
-class BatchMemory:
-    """The buffers that walks lend to their batches (see lend).
-
-    A walk given one lends from its buffers and leaves them in it, so
-    consecutive walks given the same one reuse one set, and the heap is not
-    handed back and faulted in again per stream.  A walk given none lends
-    from a set of its own, freed when it ends.  Never give one to two walks
-    that run at once, such as a nested walk and its outer walk.
-    """
+class _Lent:
+    """A running walk's buffers, and the requests of the current batch so far (see lend)."""
 
     arrays: list = field(default_factory=list)
-    taken: int = 0   # the requests of the current batch so far
+    taken: int = 0
 
 
-# the running walk's memory, None outside a walk; a context variable, so each thread has its own
-_LENDER: ContextVar[BatchMemory | None] = ContextVar("onticlab_lender", default=None)
+# the running walk's buffers, None outside a walk; a context variable, so each thread has its own
+_LENDER: ContextVar[_Lent | None] = ContextVar("onticlab_lender", default=None)
 
 
 def lend(shape: tuple[int, ...]) -> np.ndarray:
@@ -147,38 +140,38 @@ class McEstimate:
 
 
 def walk(
-    sampler: Callable[[int, int, int], object],
+    sources: Sequence[tuple[Callable[[int, int, int], object], Sequence[tuple[int, Callable]]]],
     seed: int,
-    feeds: Sequence[tuple[int, Callable]],
-    memory: BatchMemory | None = None,
 ) -> None:
-    """Draw sampler's stream once, in index order, and give each (budget, feed) the rows its budget covers.
+    """Draw each (sampler, feeds) source's stream once, in order, and give each (budget, feed) its rows.
 
     sampler(seed, start, count) must return a batch for indices
-    start..start+count-1.  The stream is drawn up to the largest budget in
-    batches of at most BATCH_SIZE rows.  On each batch every feed, in order,
-    gets feed(rows) with the batch's rows below its budget: the batch, or
-    batch[:k] where the budget ends inside it, so len(rows) is the count.
-    Counts and exact sums do not depend on the batch size; a general float
-    sum could move in its last bit with it.
+    start..start+count-1.  Source by source, in the order given, the stream
+    is drawn up to its largest budget in batches of at most BATCH_SIZE rows;
+    a source without feeds draws nothing.  On each batch every feed of the
+    source, in order, gets feed(rows) with the batch's rows below its budget:
+    the batch, or batch[:k] where the budget ends inside it, so len(rows) is
+    the count.  Counts and exact sums do not depend on the batch size; a
+    general float sum could move in its last bit with it.
 
-    The walk lends each batch its memory, from memory or from a set of its
-    own (see BatchMemory and lend), so a batch is valid only during its
-    feeds: the next batch writes over it, and a feed that keeps rows past
-    its call must copy them.
+    The walk lends every batch of every source one set of buffers (see
+    lend), freed when it ends, and a nested walk lends its own.  So a batch
+    is valid only during its feeds: the next batch writes over it, and a
+    feed that keeps rows past its call must copy them.
     """
-    n = max((budget for budget, _ in feeds), default=0)
-    memory = BatchMemory() if memory is None else memory
+    memory = _Lent()
     token = _LENDER.set(memory)
     try:
-        for start in range(0, n, BATCH_SIZE):
-            count = min(BATCH_SIZE, n - start)
-            memory.taken = 0
-            batch = sampler(seed, start, count)
-            for budget, feed in feeds:
-                k = min(count, budget - start)
-                if k > 0:
-                    feed(batch if k == count else batch[:k])
+        for sampler, feeds in sources:
+            n = max((budget for budget, _ in feeds), default=0)
+            for start in range(0, n, BATCH_SIZE):
+                count = min(BATCH_SIZE, n - start)
+                memory.taken = 0
+                batch = sampler(seed, start, count)
+                for budget, feed in feeds:
+                    k = min(count, budget - start)
+                    if k > 0:
+                        feed(batch if k == count else batch[:k])
     finally:
         _LENDER.reset(token)
 
@@ -245,11 +238,11 @@ def mc_expectations(
 
     sampler(seed, start, count) must return a batch covering sample indices
     start..start+count-1; fs are reduced as RunningSums describes, over the
-    first cfg.n_samples indices of one walk.  Batches are reduced in index
-    order, so results are a pure function of (fs, sampler, cfg).
+    first cfg.n_samples indices of a walk of that one source.  Batches are
+    reduced in index order, so results are a pure function of (fs, sampler, cfg).
     """
     sums = RunningSums(fs)
-    walk(sampler, cfg.seed, [(cfg.n_samples, sums.add)])
+    walk([(sampler, [(cfg.n_samples, sums.add)])], cfg.seed)
     return sums.estimates()
 
 

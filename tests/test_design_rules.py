@@ -54,6 +54,12 @@ RULES = {  # reason: (pattern, files, the only places a match may sit, places th
         (r"np\.random\.", PKG, ("integrate.py:uniform_blocks",), ("integrate.py:uniform_blocks",)),
     "a batch-sized array comes from integrate.lend, which a running walk lends from its buffers":
         (r"np\.empty\(", PKG, ("integrate.py:lend",), ("integrate.py:lend",)),
+    "how long batch buffers live is integrate.walk's policy alone: one set per walk, no memory to pass":
+        (r"BatchMemory", TREE + TESTS, (), ()),
+    "only integrate.walk installs the buffers that lend hands out":
+        (r"_LENDER\.set\(", PKG, ("integrate.py:walk",), ("integrate.py:walk",)),
+    "the 5-sigma resolution is Comparison's; OmegaWitness's is a consistency guard, not a verdict":
+        (r"5\.0\s*\*", PKG, ("checks.py:Comparison", "checks.py:OmegaWitness"), ()),
     "a mixture draws its choices in EnsembleDistribution, read on first need through MixtureBatch":
         (r"_choices\(", PKG, ("checks.py:EnsembleDistribution", "checks.py:MixtureBatch"),
          ("checks.py:EnsembleDistribution",)),
@@ -100,6 +106,11 @@ def test_design_rule(reason):
 
 def test_exactly_one_report_constructor():
     assert len(matches(r"CheckReport\(", PKG)) == 1
+
+
+def test_exactly_one_walk_in_checks():
+    """A run's source pass is one walk over all its sources."""
+    assert len(matches(r"walk\(", ("src/onticlab/checks.py",))) == 1
 
 
 @pytest.mark.parametrize(

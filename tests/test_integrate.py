@@ -4,7 +4,6 @@ import pytest
 from onticlab import integrate
 from onticlab.errors import FieldError, PreconditionError
 from onticlab.integrate import (
-    BatchMemory,
     McConfig,
     McEstimate,
     QuadratureGrid,
@@ -262,7 +261,7 @@ class TestWalk:
             calls.append((seed, start, count))
             return np.arange(start, start + count)
 
-        walk(sampler, 3, [(250, lambda batch: pairs.append((len(batch), batch)))])
+        walk([(sampler, [(250, lambda batch: pairs.append((len(batch), batch)))])], 3)
         assert [count for count, _ in pairs] == [100, 100, 50]
         np.testing.assert_array_equal(np.concatenate([b for _, b in pairs]), np.arange(250))
         assert calls == [(3, 0, 100), (3, 100, 100), (3, 200, 50)]
@@ -270,12 +269,12 @@ class TestWalk:
     def test_single_batch_when_budget_fits(self, monkeypatch):
         monkeypatch.setattr(integrate, "BATCH_SIZE", 1000)
         batches = []
-        walk(lambda seed, start, count: (start, count), 0, [(100, batches.append)])
+        walk([(lambda seed, start, count: (start, count), [(100, batches.append)])], 0)
         assert batches == [(0, 100)]
 
     def test_no_feed_draws_nothing(self):
         calls = []
-        walk(lambda seed, start, count: calls.append(start), 0, [])
+        walk([(lambda seed, start, count: calls.append(start), [])], 0)
         assert calls == []
 
 
@@ -305,7 +304,7 @@ class TestUniformConversion:
         # 3,000-row batches reuse the first batch's buffer, and a short last batch takes a view of it
         monkeypatch.setattr(integrate, "BATCH_SIZE", 3_000)
         got = []
-        walk(lambda seed, s, c: uniform_blocks(key, start + s, c), 0, [(count, lambda u: got.append(u.copy()))])
+        walk([(lambda seed, s, c: uniform_blocks(key, start + s, c), [(count, lambda u: got.append(u.copy()))])], 0)
         assert np.concatenate(got).tobytes() == self.raw_uniforms(key, start, count).tobytes()
 
 
@@ -326,7 +325,7 @@ class TestLend:
                 a.fill(start)   # a lent array is written in full by its caller
             return arrays
 
-        walk(sampler, 0, [(10, seen.append)])
+        walk([(sampler, [(10, seen.append)])], 0)
         assert [len(arrays[0]) for arrays in seen] == [4, 4, 2]
         for arrays in seen:
             assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1:])
@@ -338,7 +337,7 @@ class TestLend:
     def test_another_shape_takes_over_the_slot(self, monkeypatch):
         monkeypatch.setattr(integrate, "BATCH_SIZE", 4)
         seen = []
-        walk(lambda seed, start, count: lend((count, 4) if start else (count, 3)), 0, [(8, seen.append)])
+        walk([(lambda seed, start, count: lend((count, 4) if start else (count, 3)), [(8, seen.append)])], 0)
         assert [a.shape for a in seen] == [(4, 3), (4, 4)]
 
     def test_a_nested_walk_lends_its_own(self, monkeypatch):
@@ -347,19 +346,23 @@ class TestLend:
 
         def feed(a):
             outer.append(a)
-            walk(lambda seed, start, count: lend((count, 4)), 0, [(4, inner.append)])
+            walk([(lambda seed, start, count: lend((count, 4)), [(4, inner.append)])], 0)
             assert not np.shares_memory(a, inner[-1])
 
-        walk(lambda seed, start, count: lend((count, 4)), 0, [(8, feed)])
+        walk([(lambda seed, start, count: lend((count, 4)), [(8, feed)])], 0)
         assert len(outer) == 2 and len(inner) == 2
 
-    def test_walks_given_one_memory_reuse_its_set(self):
-        memory = BatchMemory()
-        first, second, own = [], [], []
-        walk(lambda seed, start, count: lend((count, 4)), 0, [(10, first.append)], memory)
-        walk(lambda seed, start, count: lend((count, 4)), 0, [(10, second.append)], memory)
-        walk(lambda seed, start, count: lend((count, 4)), 0, [(10, own.append)])
-        assert np.shares_memory(first[0], second[0]) and len(memory.arrays) == 1
+    def test_consecutive_sources_reuse_one_set_and_the_next_walk_starts_afresh(self):
+        first, second, own, held = [], [], [], []
+        sampler = lambda seed, start, count: lend((count, 4))
+
+        def second_feed(a):
+            second.append(a)
+            held.append(len(integrate._LENDER.get().arrays))
+
+        walk([(sampler, [(10, first.append)]), (sampler, [(10, second_feed)])], 0)
+        walk([(sampler, [(10, own.append)])], 0)
+        assert np.shares_memory(first[0], second[0]) and held == [1]
         assert not np.shares_memory(first[0], own[0])
 
 

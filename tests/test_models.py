@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from onticlab import models
+from onticlab import integrate, models
 from onticlab.checks import _descriptor_variants
 from onticlab.errors import FieldError, PreconditionError
 from onticlab.integrate import (
@@ -11,6 +13,7 @@ from onticlab.integrate import (
     sphere_points_from_uniforms,
     sphere_quadrature,
     uniform_blocks,
+    walk,
 )
 from onticlab.models import (
     RELABEL_MARK,
@@ -146,6 +149,87 @@ class TestCapSampler:
             )
             est = mc_expectation(g, prepare_sampler(KS, psi), CFG)
             assert abs(est.mean - quad) <= 5 * est.std_error + 1e-4
+
+
+def _axes_near_the_frame_switch():
+    """Unit axes with |z| on both sides of the 0.9 at which _tangent_frame changes its helper vector."""
+    zs = (0.8999, 0.9, 0.9001, -0.8999, -0.9, -0.9001)
+    return [np.array([math.sqrt(1.0 - z * z) * math.cos(1.3), math.sqrt(1.0 - z * z) * math.sin(1.3), z])
+            for z in zs]
+
+
+class TestMapsMatchPlainExpressions:
+    """The cap and sphere maps write every step into lent arrays, and give bit for bit their plain expressions.
+
+    The references below are the plain numpy expressions the two maps had
+    before they wrote with out=, one fresh array per step.  The axes lie off
+    the coordinate axes, so every coordinate of a cap point reads the polar
+    angle, which the signs alone (all that the default catalog's ks reports
+    read) do not.
+    """
+
+    AXES = [s.vec() for s in random_states(17, 4)] + _axes_near_the_frame_switch()
+    COUNT = 1_000
+
+    @staticmethod
+    def plain_sphere(u0, u1):
+        z = 2.0 * u0 - 1.0
+        phi = (2.0 * np.pi) * u1
+        r = np.sqrt(1.0 - z * z)
+        out = np.empty((len(z), 3))
+        out[:, 0] = r * np.cos(phi)
+        out[:, 1] = r * np.sin(phi)
+        out[:, 2] = z
+        return out
+
+    @staticmethod
+    def plain_cap(axis, key, start, count):
+        u = uniform_blocks(key, start, count)
+        t = np.sqrt(1.0 - u[:, 0])
+        s = np.sqrt(1.0 - t * t)
+        phi = (2.0 * np.pi) * u[:, 1]
+        e1, e2 = models._tangent_frame(axis)
+        sc, ss = s * np.cos(phi), s * np.sin(phi)
+        out = np.empty((count, 3))
+        for k in range(3):
+            out[:, k] = sc * e1[k] + ss * e2[k] + t * axis[k]
+        out /= np.sqrt(out[:, 0] ** 2 + out[:, 1] ** 2 + out[:, 2] ** 2)[:, None]
+        return out
+
+    def plain_spheres(self, key, start, count):
+        u = uniform_blocks(key, start, count)
+        return self.plain_sphere(u[:, 0], u[:, 1]), self.plain_sphere(u[:, 2], u[:, 3])
+
+    @staticmethod
+    def spheres(key, start, count):
+        u = uniform_blocks(key, start, count)
+        return sphere_points_from_uniforms(u[:, 0], u[:, 1]), sphere_points_from_uniforms(u[:, 2], u[:, 3])
+
+    def test_outside_a_walk(self):
+        for j, axis in enumerate(self.AXES):
+            got = models._cap_points(axis, j, 12_345, self.COUNT)
+            assert got.tobytes() == self.plain_cap(axis, j, 12_345, self.COUNT).tobytes()
+            for got, want in zip(self.spheres(j, 12_345, self.COUNT), self.plain_spheres(j, 12_345, self.COUNT)):
+                assert got.tobytes() == want.tobytes()
+
+    def test_inside_one_walk_of_alternating_cap_and_sphere_sources(self, monkeypatch):
+        # 300 does not divide the count: the cap and sphere maps take the same slots with other
+        # shapes in turn, and each source's short last batch writes into views of the buffers
+        monkeypatch.setattr(integrate, "BATCH_SIZE", 300)
+        sources, got, want = [], [], []
+        for j, axis in enumerate(self.AXES):
+            cap = lambda seed, start, count, axis=axis, j=j: (models._cap_points(axis, j, start, count),)
+            sphere = lambda seed, start, count, j=j: self.spheres(j, start, count)
+            for sampler, plain in ((cap, (self.plain_cap(axis, j, 0, self.COUNT),)),
+                                   (sphere, self.plain_spheres(j, 0, self.COUNT))):
+                rows = []   # each batch's bytes: a batch is valid only during its feeds
+                keep = lambda batch, rows=rows: rows.append([p.tobytes() for p in batch])
+                sources.append((sampler, [(self.COUNT, keep)]))
+                got.append(rows)
+                want.append([p.tobytes() for p in plain])
+        walk(sources, 0)
+        assert [len(rows) for rows in got] == [4] * len(got)
+        assert [[b"".join(parts) for parts in zip(*rows)] for rows in got] == want
 
 
 class TestCapResponse:

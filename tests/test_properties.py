@@ -200,12 +200,44 @@ class TestWalk:
 
         # patched per example: a function-scoped fixture is not reset between examples
         with mock.patch.object(integrate, "BATCH_SIZE", size):
-            walk(sampler, seed, [(budget, feed_of(rows)) for budget, rows in zip(budgets, read)])
+            walk([(sampler, [(budget, feed_of(rows)) for budget, rows in zip(budgets, read)])], seed)
         assert drawn == (list(range(0, max(budgets), size)) if pairs else [])   # each batch's once
         for budget, rows in zip(budgets, read):
             whole = sampler(seed, 0, budget)
             for sphere, part in zip((whole.first, whole.second) if pairs else (whole,), zip(*rows)):
                 np.testing.assert_array_equal(np.concatenate(part), sphere)
+
+    @FAST
+    @given(st.lists(st.lists(st.integers(1, 400), max_size=3), min_size=1, max_size=4), st.integers(1, 150),
+           st.integers(0, 2**62))
+    def test_each_source_feeds_as_a_walk_of_its_own(self, sources, size, seed):
+        """Every feed of a walk of several sources gets bitwise the rows a one-source walk of its source gives."""
+
+        def run(walked):
+            """The batch starts each source drew, and each feed's rows, in a walk of the sources walked."""
+            drawn = [[] for _ in sources]
+            read = [[[] for _ in budgets] for budgets in sources]
+
+            def sampler_of(j):
+                def sampler(seed, start, count):
+                    drawn[j].append(start)
+                    return uniform_sphere_batch(seed + j, start, count)
+                return sampler
+
+            # a batch is valid only during its feeds, so the rows kept are copies of its bytes
+            walk([(sampler_of(j), [(budget, lambda batch, rows=rows: rows.append(batch.tobytes()))
+                                   for budget, rows in zip(sources[j], read[j])])
+                  for j in walked], seed)
+            return drawn, read
+
+        # patched per example: a function-scoped fixture is not reset between examples
+        with mock.patch.object(integrate, "BATCH_SIZE", size):
+            drawn, read = run(range(len(sources)))
+            for j, budgets in enumerate(sources):
+                alone_drawn, alone_read = run([j])
+                assert drawn[j] == alone_drawn[j] == list(range(0, max(budgets, default=0), size))
+                assert read[j] == alone_read[j]
+                assert [sum(len(r) for r in rows) for rows in read[j]] == [24 * b for b in budgets]
 
 
 class TestQuadratureReduction:
