@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -38,6 +37,7 @@ from .models import (
     PairBatch,
     StateCatalog,
     _index,
+    memoized,
 )
 from .qubit import (
     Ensemble,
@@ -237,6 +237,17 @@ class _Tally:
         self.checked += len(off)
         self.bad += bad
 
+    @classmethod
+    def merged(cls, tallies) -> _Tally:
+        """One tally of several: the counts summed, and the first offense of the lowest rank."""
+        out = cls()
+        for t in tallies:
+            out.checked += t.checked
+            out.bad += t.bad
+            if t.rank is not None and (out.rank is None or t.rank < out.rank):
+                out.first, out.rank = t.first, t.rank
+        return out
+
     def report(self, run: CheckRun, name: str, label: str, what: str) -> CheckReport:
         """Satisfied only when the scan saw no offense; the estimate is the offending fraction."""
         fraction = self.bad / self.checked if self.checked else 0.0
@@ -366,11 +377,11 @@ class MixtureBatch:
             raise TypeError(f"a mixture batch is indexed by a slice of rows, got {type(rows).__name__}")
         return MixtureBatch([p[rows] for p in self.parts], lambda: self.choices[rows])
 
-    @cached_property
+    @memoized
     def choices(self) -> np.ndarray:
         return self._draw_choices()
 
-    @cached_property
+    @memoized
     def rows(self) -> Batch:
         """The merged batch; a pair's second sphere is merged when first read."""
         if isinstance(self.parts[0], PairBatch):
@@ -604,10 +615,12 @@ def source_pass(run: CheckRun) -> dict:
     mu_psi in catalog order, then the reference measure when the scan runs.
     A source's feeds are the parts that read it, each with its budget, so
     the shorter scan reads the first rows (batch[:k]) of what the others
-    drew, and the walk lends every batch one set of buffers, freed when the
-    pass ends.  Each estimate builds up on its own in index order, and the
-    scan ranks its first offense by source, basis and outcome or variant, so
-    no part depends on which others share the pass or on the batch size.
+    drew.  The walk may feed two sources at once, so every feed touches only
+    its own source's state: each source has its own sums and its own pair of
+    scan tallies, and the pairs are merged in source order after the walk.
+    Each estimate builds up on its own in index order, and the scan ranks its
+    first offense by source, basis and outcome or variant, so no part depends
+    on which others share the pass, on the batch size or on the workers.
     """
     model, catalog, cfg = run.model, run.catalog, run.cfg
     reads = {part for part, (_, readers) in PASS_PARTS.items() if not readers.isdisjoint(run.check_names)}
@@ -625,8 +638,7 @@ def source_pass(run: CheckRun) -> dict:
             omega = at, RunningSums([_omega_integrand(model, phi, _basis_containing(catalog, phi))])
     scan = "scan" in reads and bool(catalog.bases)
     per_source = max(MIN_SAMPLES, cfg.n_samples // (len(catalog.states) + 1))
-    det, mnc = _Tally(), _Tally()
-    table, sources = [], []
+    tallies, table, sources = [], [], []   # tallies: each scanned source's (determinism, measurement-nc)
     for i, psi in enumerate(catalog.states):
         feeds = []
         if outcomes or phis:
@@ -638,12 +650,15 @@ def source_pass(run: CheckRun) -> dict:
         if omega is not None and omega[0] == i:
             feeds.append((cfg.n_samples, omega[1].add))
         if scan:
-            feeds.append((per_source, _scan_feed(model, catalog.bases, det, mnc, i, f"mu({psi.describe()})")))
+            tallies.append((_Tally(), _Tally()))
+            feeds.append((per_source, _scan_feed(model, catalog.bases, *tallies[-1], i, f"mu({psi.describe()})")))
         sources.append((_prepare_sampler(model, psi), feeds))
     if scan:
-        reference = _scan_feed(model, catalog.bases, det, mnc, len(catalog.states), "reference")
+        tallies.append((_Tally(), _Tally()))
+        reference = _scan_feed(model, catalog.bases, *tallies[-1], len(catalog.states), "reference")
         sources.append((model.reference_batch, [(per_source, reference)]))
     walk(sources, cfg.seed)
+    det, mnc = (_Tally.merged(pair[k] for pair in tallies) for k in (0, 1))
 
     resp_rows, pair_rows = [], []
     for psi, sums in table:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
+import threading
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -25,6 +27,8 @@ MIN_SAMPLES = 100        # the smallest Monte Carlo budget, per run and per samp
 BATCH_SIZE = 25_000      # a batch's (n, 3) points (600 KB) and temporaries stay near a core's L2 cache
 MAX_N_POLAR = 512        # 16x the default grid's nodes at both caps
 MAX_N_AZIMUTH = 1024
+# a walk's sources go to at most this many workers, one of them the calling thread
+WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
 
 def substream_key(seed: int, *tags) -> int:
@@ -47,13 +51,13 @@ def substream_key(seed: int, *tags) -> int:
 
 @dataclass
 class _Lent:
-    """A running walk's buffers, and the requests of the current batch so far (see lend)."""
+    """A walk worker's buffers, and the requests of its current batch so far (see lend)."""
 
     arrays: list = field(default_factory=list)
     taken: int = 0
 
 
-# the running walk's buffers, None outside a walk; a context variable, so each thread has its own
+# the running walk worker's buffers, None outside a walk; a context variable, so each thread has its own
 _LENDER: ContextVar[_Lent | None] = ContextVar("onticlab_lender", default=None)
 
 
@@ -61,10 +65,11 @@ def lend(shape: tuple[int, ...]) -> np.ndarray:
     """An uninitialized float64 array of shape, for a batch-sized array that its caller writes in full.
 
     Outside a walk it is a new array.  While integrate.walk runs, the k-th
-    request of each batch gets the walk's k-th buffer, or a view of its first
-    shape[0] rows on a shorter batch; walk restarts k at every batch, so no
-    two arrays of one batch share memory, and the next batch writes over
-    them.  A request of another shape takes over its slot with a new array.
+    request of each batch gets its worker's k-th buffer, or a view of its
+    first shape[0] rows on a shorter batch; walk restarts k at every batch,
+    so no two arrays of one batch share memory, and the worker's next batch
+    writes over them.  A request of another shape takes over its slot with a
+    new array.
     """
     memory = _LENDER.get()
     if memory is None:
@@ -143,37 +148,90 @@ def walk(
     sources: Sequence[tuple[Callable[[int, int, int], object], Sequence[tuple[int, Callable]]]],
     seed: int,
 ) -> None:
-    """Draw each (sampler, feeds) source's stream once, in order, and give each (budget, feed) its rows.
+    """Draw each (sampler, feeds) source's stream once and give each (budget, feed) its rows.
 
     sampler(seed, start, count) must return a batch for indices
-    start..start+count-1.  Source by source, in the order given, the stream
-    is drawn up to its largest budget in batches of at most BATCH_SIZE rows;
-    a source without feeds draws nothing.  On each batch every feed of the
-    source, in order, gets feed(rows) with the batch's rows below its budget:
-    the batch, or batch[:k] where the budget ends inside it, so len(rows) is
-    the count.  Counts and exact sums do not depend on the batch size; a
-    general float sum could move in its last bit with it.
+    start..start+count-1.  A source's stream is drawn up to its largest
+    budget in batches of at most BATCH_SIZE rows, in index order; a source
+    without feeds draws nothing.  On each batch every feed of the source, in
+    order, gets feed(rows) with the batch's rows below its budget: the batch,
+    or batch[:k] where the budget ends inside it, so len(rows) is the count.
+    Counts and exact sums do not depend on the batch size; a general float
+    sum could move in its last bit with it.
 
-    The walk lends every batch of every source one set of buffers (see
-    lend), freed when it ends, and a nested walk lends its own.  So a batch
-    is valid only during its feeds: the next batch writes over it, and a
-    feed that keeps rows past its call must copy them.
+    Sources go to at most WORKERS workers: the calling thread and a thread
+    that the walk starts and joins before it returns or raises.  Each worker
+    takes the next source that no worker has taken, in the order given, and
+    draws and feeds all of it.  So a feed may run beside another source's
+    feeds, and it must touch only its own source's state.  A walk nested in
+    a feed, and a walk with one source to draw, run on the calling thread.
+    When sources raise, the walk raises the error of the first of them in
+    source order, as a walk on one worker would; a worker stops a source
+    after such an error at its next batch and takes no source after it.  An
+    interrupt, such as KeyboardInterrupt, stops every source at its next
+    batch, and the walk raises it in place of any source's error.
+
+    Each worker lends every batch of its sources one set of buffers (see
+    lend), freed when the walk ends, and a nested walk lends its own.  So a
+    batch is valid only during its feeds: the worker's next batch writes over
+    it, and a feed that keeps rows past its call must copy them.
     """
-    memory = _Lent()
-    token = _LENDER.set(memory)
-    try:
-        for sampler, feeds in sources:
-            n = max((budget for budget, _ in feeds), default=0)
-            for start in range(0, n, BATCH_SIZE):
-                count = min(BATCH_SIZE, n - start)
-                memory.taken = 0
-                batch = sampler(seed, start, count)
-                for budget, feed in feeds:
-                    k = min(count, budget - start)
-                    if k > 0:
-                        feed(batch if k == count else batch[:k])
-    finally:
-        _LENDER.reset(token)
+    plan = [(sampler, feeds, max((budget for budget, _ in feeds), default=0)) for sampler, feeds in sources]
+    lock = threading.Lock()
+    taken, failed, errors = 0, len(plan), {}   # failed: the first source in order that raised so far
+
+    def take() -> int | None:
+        nonlocal taken
+        with lock:
+            if taken >= failed:
+                return None
+            taken += 1
+            return taken - 1
+
+    def work() -> None:
+        nonlocal failed
+        memory = _Lent()
+        token = _LENDER.set(memory)   # a new thread starts with an empty context
+        try:
+            while (i := take()) is not None:
+                sampler, feeds, n = plan[i]
+                try:
+                    for start in range(0, n, BATCH_SIZE):
+                        if failed < i:
+                            break
+                        count = min(BATCH_SIZE, n - start)
+                        memory.taken = 0
+                        batch = sampler(seed, start, count)
+                        for budget, feed in feeds:
+                            k = min(count, budget - start)
+                            if k > 0:
+                                feed(batch if k == count else batch[:k])
+                except BaseException as exc:   # kept for the caller, who re-raises it after the join
+                    with lock:
+                        if isinstance(exc, Exception):
+                            errors[i], failed = exc, min(failed, i)
+                        else:   # an interrupt stops every source at its next batch, and the walk raises it
+                            errors.setdefault(-1, exc)
+                            failed = -1
+        finally:
+            _LENDER.reset(token)
+
+    nested = _LENDER.get() is not None
+    if nested or min(WORKERS, sum(n > 0 for *_, n in plan)) < 2:
+        work()
+    else:
+        helper = threading.Thread(target=work, name="onticlab-walk")
+        helper.start()
+        try:
+            work()
+            helper.join()
+        except BaseException:   # an interrupt outside the sources' feeds: stop every source, then wait
+            with lock:
+                failed = -1
+            helper.join()
+            raise
+    if errors:
+        raise errors[failed]
 
 
 def batch_sums(values, count: int, name: str) -> tuple[float, float]:

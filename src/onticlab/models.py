@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -34,6 +33,28 @@ from .qubit import (
 )
 
 RELABEL_MARK = "*"       # marker used on checker-synthesized basis descriptors
+
+
+class memoized:
+    """A method read as an attribute, computed on first read, once, and kept on the instance.
+
+    This is functools' cached property without its lock: on Python 3.10 and
+    3.11 that lock is one per class attribute, shared by every instance, so
+    two threads reading the attribute on two batches would run one after the
+    other.  A batch is read by the one thread that drew it.
+    """
+
+    def __init__(self, func: Callable):
+        self.func = func
+
+    def __set_name__(self, owner, name: str):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 class PairBatch:
@@ -59,11 +80,11 @@ class PairBatch:
             raise TypeError(f"a sphere pair is indexed by a slice of rows, got {type(rows).__name__}")
         return PairBatch(self.first[rows], lambda: self.second[rows])
 
-    @cached_property
+    @memoized
     def second(self) -> np.ndarray:
         return self._draw_second()
 
-    @cached_property
+    @memoized
     def total(self) -> np.ndarray:
         """first + second, the summed vector the two-sphere responses read; computed once per batch."""
         return np.add(self.first, self.second, out=lend(self.second.shape))

@@ -8,8 +8,8 @@ from dataclasses import asdict, fields, replace
 import numpy as np
 import pytest
 
-from onticlab import integrate, models
-from onticlab.integrate import McConfig, QuadratureGrid
+from onticlab import checks, integrate, models
+from onticlab.integrate import McConfig, QuadratureGrid, walk
 from onticlab.errors import PreconditionError
 from onticlab.models import (
     MODEL_NAMES,
@@ -438,12 +438,13 @@ def outputs_of(model, catalog, cfg, checks):
 
 
 class TestSourcePassBatchSizes:
-    """The source pass gives every report byte for byte at any batch size.
+    """The source pass gives every report byte for byte at any batch size and on one or two workers.
 
     At 1,400 samples the response scan reads 200 rows of each of the default
     catalog's 6 streams and of the reference, which the table and omega draw
     to 1,400.  Sizes that divide 200 (100, 200) and sizes that do not (7,
-    199, 201) reach it through a head of a batch.
+    199, 201) reach it through a head of a batch.  The reports of one whole
+    batch on one worker are the reference for every size at both worker counts.
     """
 
     CFG = McConfig(n_samples=1_400, seed=42)
@@ -453,11 +454,15 @@ class TestSourcePassBatchSizes:
     def test_all_checks_equal_across_batch_sizes(self, model_name, monkeypatch):
         catalog = default_catalog()
         assert self.CFG.n_samples // (len(catalog.states) + 1) == 200
+        default = integrate.BATCH_SIZE
+        assert self.CFG.n_samples < default
+        monkeypatch.setattr(integrate, "WORKERS", 1)
         whole = outputs_of(make_model(model_name), catalog, self.CFG, tuple(CHECK_RUNNERS))
-        assert self.CFG.n_samples < integrate.BATCH_SIZE
-        for size in self.SIZES:
-            monkeypatch.setattr(integrate, "BATCH_SIZE", size)
-            assert outputs_of(make_model(model_name), catalog, self.CFG, tuple(CHECK_RUNNERS)) == whole
+        for workers in (1, 2):
+            monkeypatch.setattr(integrate, "WORKERS", workers)
+            for size in (default,) + self.SIZES:
+                monkeypatch.setattr(integrate, "BATCH_SIZE", size)
+                assert outputs_of(make_model(model_name), catalog, self.CFG, tuple(CHECK_RUNNERS)) == whole
 
 
 def allocate(shape):
@@ -467,7 +472,9 @@ def allocate(shape):
 class TestLentMemory:
     """Lent batch memory gives every report of the gate matrix byte for byte, at any batch size.
 
-    The allocating lender gives each request a new array, as if no walk ran.
+    The allocating lender gives each request a new array, as if no walk ran;
+    its reports on one worker are the reference for the lent ones on one and
+    on two workers, each of which lends from its own buffers.
     Each model runs the gate's checks in one invocation; the negative
     controls leave out nonlocality, whose exit 2 reports nothing.  At 3,000
     samples the tolerance is 0.05, so that born is satisfied and nonlocality
@@ -490,11 +497,35 @@ class TestLentMemory:
         binds = {name for name, m in sys.modules.items() if name.startswith("onticlab") and "lend" in vars(m)}
         assert binds == {"onticlab.integrate", "onticlab.models"}   # every binding is patched below
         monkeypatch.setattr(integrate, "BATCH_SIZE", size)
-        lent = self.output(model_name)
-        assert len(json.loads(lent[1])) == (9 if model_name in ("ks", "bell-mermin") else 8)
+        lent = []
+        for workers in (1, 2):
+            monkeypatch.setattr(integrate, "WORKERS", workers)
+            lent.append(self.output(model_name))
+        assert len(json.loads(lent[0][1])) == (9 if model_name in ("ks", "bell-mermin") else 8)
         for module in (integrate, models):
             monkeypatch.setattr(module, "lend", allocate)
-        assert self.output(model_name) == lent
+        monkeypatch.setattr(integrate, "WORKERS", 1)
+        assert lent == [self.output(model_name)] * 2
+
+
+class TestSourcesShareNoState:
+    """No two sources of a pass share a feed's state, since a walk may feed two sources at once."""
+
+    @staticmethod
+    def state(feed) -> set[int]:
+        """The tallies and sums a feed writes: the sums of a bound add, or those its closure holds."""
+        held = [getattr(feed, "__self__", None)] + [cell.cell_contents for cell in feed.__closure__ or ()]
+        return {id(x) for x in held if isinstance(x, (checks._Tally, integrate.RunningSums))}
+
+    @pytest.mark.parametrize("model_name", MODEL_NAMES)
+    def test_each_source_writes_its_own_tallies_and_sums(self, model_name, monkeypatch):
+        walked = []
+        monkeypatch.setattr(checks, "walk", lambda sources, seed: walked.append(sources) or walk(sources, seed))
+        outputs_of(make_model(model_name), default_catalog(), McConfig(n_samples=1_400), tuple(CHECK_RUNNERS))
+        (sources,) = walked
+        held = [set().union(*(self.state(feed) for _, feed in feeds)) for _, feeds in sources]
+        assert len(sources) == 7 and all(held)
+        assert sum(len(h) for h in held) == len(set().union(*held))
 
 
 class TestPassPreconditions:

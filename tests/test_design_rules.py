@@ -63,6 +63,13 @@ RULES = {  # reason: (pattern, files, the only places a match may sit, places th
     "a mixture draws its choices in EnsembleDistribution, read on first need through MixtureBatch":
         (r"_choices\(", PKG, ("checks.py:EnsembleDistribution", "checks.py:MixtureBatch"),
          ("checks.py:EnsembleDistribution",)),
+    "integrate.walk alone starts a worker, and joins it before it returns":
+        (r"threading\.Thread\(|ThreadPoolExecutor|multiprocessing", TREE, ("integrate.py:walk",),
+         ("integrate.py:walk",)),
+    "batches memoize with models.memoized: the cached property's lock on 3.10 and 3.11 serializes workers":
+        (r"cached_property", TREE, (), ()),
+    "the worker count is integrate.WORKERS, read by walk alone and patched only by tests":
+        (r"^(?!WORKERS =).*\bWORKERS\b", PKG, ("integrate.py:walk",), ("integrate.py:walk",)),
     "environment variables are never consulted":
         (r"os\.environ|getenv\(", TREE, (), ()),
     "no test calls the bench-pinned shims, so deleting them touches no test":

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -352,7 +355,8 @@ class TestLend:
         walk([(lambda seed, start, count: lend((count, 4)), [(8, feed)])], 0)
         assert len(outer) == 2 and len(inner) == 2
 
-    def test_consecutive_sources_reuse_one_set_and_the_next_walk_starts_afresh(self):
+    def test_consecutive_sources_reuse_one_set_and_the_next_walk_starts_afresh(self, monkeypatch):
+        monkeypatch.setattr(integrate, "WORKERS", 1)   # one worker takes both sources
         first, second, own, held = [], [], [], []
         sampler = lambda seed, start, count: lend((count, 4))
 
@@ -364,6 +368,133 @@ class TestLend:
         walk([(sampler, [(10, own.append)])], 0)
         assert np.shares_memory(first[0], second[0]) and held == [1]
         assert not np.shares_memory(first[0], own[0])
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """The threads started while the test runs."""
+    starts = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            starts.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    return starts
+
+
+def lent_rows(seed, start, count):
+    rows = lend((count, 4))
+    rows.fill(start)   # a lent array is written in full by its caller
+    return rows
+
+
+class TestWorkers:
+    """A walk takes sources on at most WORKERS workers, each with its own buffers, and joins them."""
+
+    def test_two_workers_hold_disjoint_rows_and_each_reuses_its_set(self, monkeypatch, started):
+        monkeypatch.setattr(integrate, "WORKERS", 2)
+        monkeypatch.setattr(integrate, "BATCH_SIZE", 4)
+        both_hold = threading.Barrier(2, timeout=10)
+        held, seen = [], {}
+
+        def feed(rows):
+            seen.setdefault(threading.get_ident(), []).append(rows)
+            if rows[0, 0] == 0:   # each source's first batch waits until the other worker holds one too
+                held.append(rows)
+                both_hold.wait()
+
+        walk([(lent_rows, [(12, feed)]), (lent_rows, [(12, feed)])], 0)
+        assert len(started) == 1 and not started[0].is_alive()
+        assert len(seen) == 2 and not np.shares_memory(*held)
+        for batches in seen.values():
+            assert len(batches) == 3 and all(np.shares_memory(batches[0], b) for b in batches[1:])
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_the_first_source_that_raises_in_source_order_raises(self, workers, monkeypatch):
+        monkeypatch.setattr(integrate, "WORKERS", workers)
+        monkeypatch.setattr(integrate, "BATCH_SIZE", 10)
+        fourth_raised = threading.Event()
+        fed = [0] * 6
+
+        class SourceError(Exception):
+            pass
+
+        def feed_of(i):
+            def feed(rows):
+                fed[i] += 1
+                if i == 4:
+                    fourth_raised.set()
+                    raise SourceError(i)
+                if i == 2 and fed[i] == 3:
+                    # on two workers, source 4 raises while source 2 still runs
+                    assert workers == 1 or fourth_raised.wait(timeout=10)
+                    raise SourceError(i)
+            return feed
+
+        before = threading.active_count()
+        with pytest.raises(SourceError) as info:
+            walk([(lent_rows, [(30, feed_of(i))]) for i in range(6)], 0)
+        assert info.value.args == (2,)
+        assert threading.active_count() == before
+        # no source after one that raised is taken
+        assert fed[:3] == [3, 3, 3] and fed[5] == 0
+        assert fed[3:5] == ([0, 0] if workers == 1 else [3, 1])
+
+    def test_an_interrupt_in_a_feed_wins_over_a_lower_source_error(self, monkeypatch):
+        """Ctrl-C on the calling thread is raised even when the helper's lower source raises after it."""
+        monkeypatch.setattr(integrate, "WORKERS", 2)
+        monkeypatch.setattr(integrate, "BATCH_SIZE", 10)
+        caller = threading.get_ident()
+        both_in_a_feed = threading.Barrier(2, timeout=10)
+        interrupted = threading.Event()
+        waited = set()
+
+        def feed_of(i):
+            def feed(rows):
+                if threading.get_ident() not in waited:   # each worker's first feed waits for the other's
+                    waited.add(threading.get_ident())
+                    both_in_a_feed.wait()
+                if threading.get_ident() != caller:
+                    assert interrupted.wait(timeout=10)
+                    raise ValueError(i)
+                if i > 0:   # the caller's source is above the helper's: source 0 ends at once
+                    interrupted.set()
+                    raise KeyboardInterrupt
+            return feed
+
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            walk([(lent_rows, [(30, feed_of(i))]) for i in range(4)], 0)
+        assert threading.active_count() == before
+
+    def test_nested_and_one_source_walks_start_no_thread(self, monkeypatch, started):
+        monkeypatch.setattr(integrate, "WORKERS", 2)
+        monkeypatch.setattr(integrate, "BATCH_SIZE", 4)
+        inner = []
+
+        def feed(rows):
+            walk([(lent_rows, [(8, inner.append)]), (lent_rows, [(8, inner.append)])], 0)
+
+        walk([(lent_rows, [(12, inner.append)])], 0)
+        walk([(lent_rows, [(12, inner.append)]), (lent_rows, [])], 0)
+        assert started == []
+        walk([(lent_rows, [(4, feed)]), (lent_rows, [(4, feed)])], 0)
+        assert len(started) == 1 and len(inner) == 3 + 3 + 2 * 4
+
+    def test_every_source_is_fed_once_under_a_short_switch_interval(self, monkeypatch):
+        """A lost update in taking sources would feed a source twice or skip one."""
+        monkeypatch.setattr(integrate, "WORKERS", 2)
+        monkeypatch.setattr(integrate, "BATCH_SIZE", 3)
+        fed = [[] for _ in range(300)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            walk([(lambda seed, start, count: start, [(7, rows.append)]) for rows in fed], 0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert fed == [[0, 3, 6]] * 300
 
 
 class TestMcEstimateFromSums:

@@ -23,6 +23,7 @@ from onticlab.integrate import (
     MIN_SAMPLES,
     McConfig,
     QuadratureGrid,
+    RunningSums,
     mc_expectation,
     mc_expectations,
     substream_key,
@@ -238,6 +239,44 @@ class TestWalk:
                 assert drawn[j] == alone_drawn[j] == list(range(0, max(budgets, default=0), size))
                 assert read[j] == alone_read[j]
                 assert [sum(len(r) for r in rows) for rows in read[j]] == [24 * b for b in budgets]
+
+
+class TestWorkers:
+    """A walk's feeds and sums are bitwise the same on one worker and on two, for any float integrand."""
+
+    @staticmethod
+    def general(rows):
+        return (np.sqrt(2.0) * rows[:, 0] + 1.0 / 3.0,)   # not dyadic: its sums round at every step
+
+    @FAST
+    @given(st.lists(st.lists(st.integers(2, 400), max_size=3), min_size=1, max_size=5), st.integers(1, 150),
+           st.integers(0, 2**62))
+    def test_feeds_and_estimates_do_not_depend_on_the_workers(self, sources, size, seed):
+        def run():
+            """Each feed's rows as bytes and each feed's estimates as hex, per source."""
+            read = [[[] for _ in budgets] for budgets in sources]
+            sums = [[RunningSums([self.general]) for _ in budgets] for budgets in sources]
+
+            def feed_of(rows, acc):
+                def feed(batch):
+                    rows.append(batch.tobytes())
+                    acc.add(batch)
+                return feed
+
+            walk([(lambda seed, start, count, j=j: uniform_sphere_batch(seed + j, start, count),
+                   [(budget, feed_of(rows, acc)) for budget, rows, acc in zip(budgets, read[j], sums[j])])
+                  for j, budgets in enumerate(sources)], seed)
+            bits = [[[(e.mean.hex(), e.std_error.hex(), e.n) for e in acc.estimates()] for acc in accs]
+                    for accs in sums]
+            return read, bits
+
+        # patched per example: a function-scoped fixture is not reset between examples
+        with mock.patch.object(integrate, "BATCH_SIZE", size):
+            with mock.patch.object(integrate, "WORKERS", 1):
+                one = run()
+            with mock.patch.object(integrate, "WORKERS", 2):
+                two = run()
+        assert two == one
 
 
 class TestQuadratureReduction:
