@@ -25,20 +25,11 @@ from .integrate import (
     RunningSums,
     mc_expectation,
     mc_expectations,
-    substream_key,
+    stratified,
     tv_distance,
-    uniform_blocks,
     walk,
 )
-from .models import (
-    RELABEL_MARK,
-    Batch,
-    OntologicalModel,
-    PairBatch,
-    StateCatalog,
-    _index,
-    memoized,
-)
+from .models import RELABEL_MARK, Batch, OntologicalModel, StateCatalog, _index
 from .qubit import (
     Ensemble,
     MeasurementBasis,
@@ -249,12 +240,9 @@ class _Tally:
         return out
 
     def report(self, run: CheckRun, name: str, label: str, what: str) -> CheckReport:
-        """Satisfied only when the scan saw no offense; the estimate is the offending fraction."""
-        fraction = self.bad / self.checked if self.checked else 0.0
-        return run.report(
-            name, SATISFIED if self.bad == 0 else VIOLATED,
-            (LabeledEstimate(label, fraction, 0.0),), what + self.first, tolerance=0.0,
-        )
+        """The offending fraction against 0 at tolerance 0: satisfied exactly when there is no offense."""
+        row = LabeledEstimate(label, self.bad / self.checked if self.checked else 0.0, 0.0)
+        return run.report(name, Comparison(row, 0.0).verdict(0.0), (row,), what + self.first, tolerance=0.0)
 
 
 def _descriptor_variants(basis: MeasurementBasis) -> list[tuple[MeasurementBasis, tuple[int, int]]]:
@@ -354,95 +342,43 @@ def classify_ontology(run: CheckRun) -> CheckReport:
     return run.report("classify", verdict, rows, details, tolerance=0.0)
 
 
+@dataclass(frozen=True, eq=False)
 class MixtureBatch:
-    """A mixture's batch: each component's batch, and the component j_i of each row i.
+    """A mixture's batch: each component's batch for the same sample indices, in entry order."""
 
-    Row i is row i of component j_i's batch.  draw_choices is a function of
-    no arguments that returns the choices j; it is called when choices are
-    first read, once, so a mixture whose reader never needs them never draws
-    its choice stream.  rows is the merged batch.  Like a pair, a mixture is
-    sliced by rows: batch[:k] slices each component's batch and keeps its
-    choices deferred, a slice of this batch's, drawn once for both.
-    """
-
-    def __init__(self, parts: list, draw_choices: Callable[[], np.ndarray]):
-        self.parts = parts
-        self._draw_choices = draw_choices
+    parts: tuple
 
     def __len__(self) -> int:
         return len(self.parts[0])
 
-    def __getitem__(self, rows: slice) -> MixtureBatch:
-        if not isinstance(rows, slice):
-            raise TypeError(f"a mixture batch is indexed by a slice of rows, got {type(rows).__name__}")
-        return MixtureBatch([p[rows] for p in self.parts], lambda: self.choices[rows])
-
-    @memoized
-    def choices(self) -> np.ndarray:
-        return self._draw_choices()
-
-    @memoized
-    def rows(self) -> Batch:
-        """The merged batch; a pair's second sphere is merged when first read."""
-        if isinstance(self.parts[0], PairBatch):
-            return PairBatch(self.merge([p.first for p in self.parts]),
-                             lambda: self.merge([p.second for p in self.parts]))
-        return self.merge(self.parts)
-
-    def merge(self, arrays: list) -> np.ndarray:
-        """Row i of arrays[j_i], for one array of per-row values per component."""
-        out = arrays[0]
-        for k in range(1, len(arrays)):
-            pick = (self.choices == k).reshape((-1,) + (1,) * (out.ndim - 1))
-            out = np.where(pick, arrays[k], out)
-        return out
-
 
 @dataclass(frozen=True)
 class EnsembleDistribution:
-    """Ontic distribution of a mixed preparation: draw j ~ p, then lambda ~ mu_{psi_j}.
+    """Ontic distribution of a mixed preparation, mu_E = sum_j p_j mu_{psi_j}.
 
-    The component choice uses a stream independent of every component sampler,
-    so the classical randomness never correlates with the ontic draw.
+    An expectation under it is its components' expectations, weighted: each
+    component is drawn on its own stream, and no draw picks a component.
     """
 
     model: OntologicalModel
     ensemble: Ensemble
 
-    def _choice_key(self, seed: int) -> int:
-        rows = np.array([[w, *s.vec()] for w, s in self.ensemble.entries])
-        return substream_key(seed, "ensemble-choice", self.model.name, rows)
-
-    def _choices(self, seed: int, start: int, count: int) -> np.ndarray:
-        u = uniform_blocks(self._choice_key(seed), start, count)[:, 0]
-        cum = np.cumsum(self.ensemble.weights())
-        return np.minimum(np.searchsorted(cum, u, side="right"), len(self.ensemble.entries) - 1)
-
     def sample_batch(self, seed: int, start: int, count: int) -> MixtureBatch:
-        """Every component's batch for the indices, with the choices drawn on first read."""
-        parts = [self.model.prepare_batch(s, seed, start, count) for _, s in self.ensemble.entries]
-        return MixtureBatch(parts, lambda: self._choices(seed, start, count))
+        """Every component's batch for the indices."""
+        entries = self.ensemble.entries
+        return MixtureBatch(tuple(self.model.prepare_batch(s, seed, start, count) for _, s in entries))
+
+    def expectation(self, f: Callable[[Batch], np.ndarray], cfg: McConfig) -> McEstimate:
+        """E[f] under mu_E: each component's estimate on its first n samples, combined by integrate.stratified."""
+        strata = mc_expectations([lambda batch: [f(part) for part in batch.parts]], self.sample_batch, cfg)
+        return stratified(self.ensemble.weights(), strata)
 
     def density_batch(self, batch: Batch) -> np.ndarray:
         """sum_j p_j times mu_{psi_j}'s density; PreconditionError for a model without one."""
         return sum(w * self.model.density_batch(s, batch) for w, s in self.ensemble.entries)
 
-    def support_batch(self, batch: Batch | MixtureBatch) -> np.ndarray:
-        """Membership of each row in the union of the supports of the positive-weight entries.
-
-        Membership is per row, so on a mixture batch it is evaluated on each
-        component's batch and merged by the choices; where every component's
-        answer is the same array, that array is the answer and the choices
-        are never drawn.
-        """
-        parts = batch.parts if isinstance(batch, MixtureBatch) else [batch]
-        members = [self._member(part) for part in parts]
-        if all(np.array_equal(members[0], m) for m in members[1:]):
-            return members[0]
-        return batch.merge(members)
-
-    def _member(self, batch: Batch) -> np.ndarray:
-        """Membership of one component's batch rows in the supports of the positive-weight entries."""
+    def support_batch(self, batch: Batch) -> np.ndarray:
+        """Membership of each row in the union of the supports of the positive-weight entries."""
         member = None
         for w, s in self.ensemble.entries:
             if w > 0.0:
@@ -481,8 +417,7 @@ def check_preparation_noncontextuality(run: CheckRun, e1: Ensemble, e2: Ensemble
             "prep-nc", tv.verdict(run.tol), (tv.row,), f"density route: total variation {dist:.6f} for {pair}"
         )
     witness = d1.support_batch
-    m1 = mc_expectation(witness, d1.sample_batch, run.cfg)
-    m2 = mc_expectation(witness, d2.sample_batch, run.cfg)
+    m1, m2 = (d.expectation(witness, run.cfg) for d in (d1, d2))
     # the row compared is the difference of the two, which is not reported
     se = math.hypot(m1.std_error, m2.std_error)
     diff = Comparison(LabeledEstimate("e1 - e2", m1.mean - m2.mean, se), 0.0)
@@ -614,10 +549,10 @@ def source_pass(run: CheckRun) -> dict:
     The pass is one integrate.walk over its sources: each catalog state's
     mu_psi in catalog order, then the reference measure when the scan runs.
     A source's feeds are the parts that read it, each with its budget, so
-    the shorter scan reads the first rows (batch[:k]) of what the others
-    drew.  The walk may feed two sources at once, so every feed touches only
-    its own source's state: each source has its own sums and its own pair of
-    scan tallies, and the pairs are merged in source order after the walk.
+    the shorter scan reads the first batches of what the others drew.  The
+    walk may feed two sources at once, so every feed touches only its own
+    source's state: each source has its own sums and its own pair of scan
+    tallies, and the pairs are merged in source order after the walk.
     Each estimate builds up on its own in index order, and the scan ranks its
     first offense by source, basis and outcome or variant, so no part depends
     on which others share the pass, on the batch size or on the workers.

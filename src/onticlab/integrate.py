@@ -35,11 +35,11 @@ def substream_key(seed: int, *tags) -> int:
     """Derive an independent 128-bit Philox key from a seed and purpose tags.
 
     Distinct tag tuples give statistically independent streams, which keeps
-    e.g. mixture-component choices decoupled from the component draws.  The
-    key is the first 16 bytes (little-endian) of the sha256 of the seed's 8
-    little-endian bytes and, per tag, 0x1f and the tag: an array (the one way
-    a state enters a key) as row-major little-endian float64, the same on
-    every host, and anything else as str(tag) in UTF-8.
+    e.g. each state's preparation draws decoupled from the reference
+    measure's.  The key is the first 16 bytes (little-endian) of the sha256
+    of the seed's 8 little-endian bytes and, per tag, 0x1f and the tag: an
+    array (the one way a state enters a key) as row-major little-endian
+    float64, the same on every host, and anything else as str(tag) in UTF-8.
     """
     h = hashlib.sha256(int(seed).to_bytes(8, "little", signed=False))
     for tag in tags:
@@ -152,12 +152,13 @@ def walk(
 
     sampler(seed, start, count) must return a batch for indices
     start..start+count-1.  A source's stream is drawn up to its largest
-    budget in batches of at most BATCH_SIZE rows, in index order; a source
-    without feeds draws nothing.  On each batch every feed of the source, in
-    order, gets feed(rows) with the batch's rows below its budget: the batch,
-    or batch[:k] where the budget ends inside it, so len(rows) is the count.
-    Counts and exact sums do not depend on the batch size; a general float
-    sum could move in its last bit with it.
+    budget, in index order, in batches that end at every multiple of
+    BATCH_SIZE and at every feed's budget; a source without feeds draws
+    nothing.  So a budget never ends inside a batch: on each batch every feed
+    of the source whose budget lies beyond the batch's start, in order, gets
+    feed(batch), and len(batch) is the count it reads.  Counts and exact sums
+    do not depend on where batches end; a general float sum could move in
+    its last bit with them.
 
     Sources go to at most WORKERS workers: the calling thread and a thread
     that the walk starts and joins before it returns or raises.  Each worker
@@ -176,7 +177,12 @@ def walk(
     batch is valid only during its feeds: the worker's next batch writes over
     it, and a feed that keeps rows past its call must copy them.
     """
-    plan = [(sampler, feeds, max((budget for budget, _ in feeds), default=0)) for sampler, feeds in sources]
+    def batch_ends(feeds) -> list[int]:
+        """Where a source's batches end: each positive budget, and each multiple of BATCH_SIZE below the last."""
+        budgets = {budget for budget, _ in feeds if budget > 0}
+        return sorted(budgets.union(range(BATCH_SIZE, max(budgets, default=0), BATCH_SIZE)))
+
+    plan = [(sampler, feeds, batch_ends(feeds)) for sampler, feeds in sources]
     lock = threading.Lock()
     taken, failed, errors = 0, len(plan), {}   # failed: the first source in order that raised so far
 
@@ -194,18 +200,16 @@ def walk(
         token = _LENDER.set(memory)   # a new thread starts with an empty context
         try:
             while (i := take()) is not None:
-                sampler, feeds, n = plan[i]
+                sampler, feeds, ends = plan[i]
                 try:
-                    for start in range(0, n, BATCH_SIZE):
+                    for start, end in zip([0] + ends, ends):
                         if failed < i:
                             break
-                        count = min(BATCH_SIZE, n - start)
                         memory.taken = 0
-                        batch = sampler(seed, start, count)
+                        batch = sampler(seed, start, end - start)
                         for budget, feed in feeds:
-                            k = min(count, budget - start)
-                            if k > 0:
-                                feed(batch if k == count else batch[:k])
+                            if budget > start:
+                                feed(batch)
                 except BaseException as exc:   # kept for the caller, who re-raises it after the join
                     with lock:
                         if isinstance(exc, Exception):
@@ -217,7 +221,7 @@ def walk(
             _LENDER.reset(token)
 
     nested = _LENDER.get() is not None
-    if nested or min(WORKERS, sum(n > 0 for *_, n in plan)) < 2:
+    if nested or min(WORKERS, sum(bool(ends) for *_, ends in plan)) < 2:
         work()
     else:
         helper = threading.Thread(target=work, name="onticlab-walk")
@@ -368,6 +372,24 @@ def weighted_sum(weights: np.ndarray, values) -> float:
     if vals.shape != weights.shape:
         raise ValueError(f"integrand returned shape {vals.shape}, expected {weights.shape}")
     return math.fsum(weights * vals)
+
+
+def stratified(weights: np.ndarray, strata: Sequence[McEstimate]) -> McEstimate:
+    """The estimate of a mixture from its components' estimates: the one reduction of strata.
+
+    weights are the components' nonnegative weights, at least one positive,
+    and strata their estimates, each over the same n samples, which is the
+    result's n.  mean = sum_j w_j m_j / sum_j w_j and std_error =
+    sqrt(sum_j w_j**2 se_j**2) / sum_j w_j (stratified sampling; Cochran,
+    Sampling Techniques, 1977).  Dividing by the sum matters: weights that
+    miss 1 in their last bit must not move a mean of 1.  The mean is taken
+    about the first stratum's, so equal means, and a single stratum, come
+    back bit for bit.
+    """
+    share = weights / weighted_sum(weights, np.ones_like(weights))
+    first = strata[0].mean
+    mean = first + weighted_sum(share, np.array([e.mean - first for e in strata]))
+    return McEstimate(mean, math.hypot(*(share * [e.std_error for e in strata])), strata[0].n)
 
 
 def sphere_quadrature(f: Callable[[np.ndarray], np.ndarray], grid: QuadratureGrid = QuadratureGrid()) -> float:

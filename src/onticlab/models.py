@@ -63,8 +63,7 @@ class PairBatch:
     draw_second is a function of no arguments that returns the second
     sphere; it is called when second is first read, once, so rows that no
     integrand reads are never drawn.  Counter-based draws make the deferred
-    rows bitwise those an eager draw gives.  Like an array, a pair is sliced
-    by rows: batch[:k] is the batch a sampler draws for the first k indices.
+    rows bitwise those an eager draw gives.
     """
 
     def __init__(self, first: np.ndarray, draw_second: Callable[[], np.ndarray]):
@@ -73,12 +72,6 @@ class PairBatch:
 
     def __len__(self) -> int:
         return len(self.first)
-
-    def __getitem__(self, rows: slice) -> PairBatch:
-        """Both spheres' rows; the second stays deferred, a slice of this pair's, drawn once for both."""
-        if not isinstance(rows, slice):
-            raise TypeError(f"a sphere pair is indexed by a slice of rows, got {type(rows).__name__}")
-        return PairBatch(self.first[rows], lambda: self.second[rows])
 
     @memoized
     def second(self) -> np.ndarray:

@@ -26,11 +26,6 @@ def pair(first: BlochVector, second: BlochVector) -> PairBatch:
     return PairBatch(first.as_array()[None], lambda: second_row)
 
 
-def sample_one(sampler, seed, index):
-    """The one-row batch a (seed, start, count) batch sampler draws for sample index."""
-    return sampler(seed, index, 1)
-
-
 def sample_prepared(model, psi, seed, index):
     return model.prepare_batch(psi, seed, index, 1)
 

@@ -62,7 +62,7 @@ from onticlab.qubit import (
     orthogonal_complement,
 )
 
-from batch_of_one import sample_one, uniform_sphere_batch
+from batch_of_one import uniform_sphere_batch
 
 CFG = McConfig(n_samples=50_000, seed=19)
 GRID = QuadratureGrid()
@@ -106,6 +106,16 @@ class TestComparison:
         comparison = Comparison(LabeledEstimate("row", 0.5 + sign * gap, std_error), 0.5)
         assert comparison.disc() == gap
         assert comparison.verdict(0.125) == verdict
+
+    @pytest.mark.parametrize("bad, verdict", [(0, SATISFIED), (1, VIOLATED)])
+    def test_an_exact_scan_decides_through_the_rule(self, bad, verdict):
+        # the offending fraction against 0 at tolerance 0, with no error bar: any offense is violated
+        tally = checks._Tally()
+        tally.add(np.arange(4) < bad, (0, 0, 0), lambda: "; first offense")
+        rep = tally.report(run_of(KS, "determinism"), "determinism", "non_binary_fraction", "4 values")
+        assert rep.verdict == verdict and rep.tolerance == 0.0
+        assert rep.estimates == (LabeledEstimate("non_binary_fraction", bad / 4, 0.0),)
+        assert rep.details == "4 values" + "; first offense" * bad
 
     def test_the_worst_row_is_the_first_with_the_largest_discrepancy(self):
         rows = [Comparison(LabeledEstimate(label, mean, 0.0), 0.5)
@@ -304,9 +314,34 @@ class TestClassifyOntology:
 class TestEnsembleDistribution:
     def test_singleton_matches_component_sampler(self):
         dist = EnsembleDistribution(KS, Ensemble(((1.0, PLUS_Y),)))
-        a = dist.sample_batch(8, 0, 1000).rows
+        a = dist.sample_batch(8, 0, 1000).parts[0]
         b = KS.prepare_batch(PLUS_Y, 8, 0, 1000)
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("model", [KS, BM], ids=lambda m: m.name)
+    def test_sample_batch_is_one_draw_of_each_component(self, model, monkeypatch):
+        ensemble = Ensemble(((0.5, PLUS_Z), (0.25, PLUS_X), (0.25, MINUS_Z)))
+        prepared, keys = [], []
+        prepare, philox = model.prepare_batch, np.random.Philox
+
+        def counting_prepare(psi, seed, start, count):
+            prepared.append((psi, seed, start, count))
+            return prepare(psi, seed, start, count)
+
+        def counting_philox(key, counter):
+            keys.append(key)
+            return philox(key=key, counter=counter)
+
+        monkeypatch.setattr(model, "prepare_batch", counting_prepare)
+        monkeypatch.setattr(np.random, "Philox", counting_philox)
+        batch = EnsembleDistribution(model, ensemble).sample_batch(4, 10, 40)
+        drawn = [part.second if isinstance(part, PairBatch) else part for part in batch.parts]   # every sphere
+        assert len(batch) == 40
+        assert prepared == [(s, 4, 10, 40) for _, s in ensemble.entries]
+        assert keys == [model._prepare_key(s, 4) for _, s in ensemble.entries]
+        for rows, (_, s) in zip(drawn, ensemble.entries):
+            want = prepare(s, 4, 10, 40)
+            np.testing.assert_array_equal(rows, want.second if isinstance(want, PairBatch) else want)
 
     def test_z_mixture_density_vanishes_on_equator(self):
         dist = EnsembleDistribution(KS, half_half_mixture(PLUS_Z))
@@ -327,41 +362,24 @@ class TestEnsembleDistribution:
     def test_sampler_matches_density(self):
         dist = EnsembleDistribution(KS, half_half_mixture(PLUS_Z))
         g = lambda p: (p[:, 2] > 0.5).astype(float)
-        est = mc_expectation(lambda b: g(b.rows), dist.sample_batch, CFG)
+        est = dist.expectation(g, CFG)
         quad = sphere_quadrature(lambda p: g(p) * dist.density_batch(p), GRID)
         assert abs(est.mean - quad) <= 5 * est.std_error + 1e-4
 
-    def test_scalar_sample_agrees_with_batch(self):
-        # row i of a mixture batch is row i of its chosen component's batch, on both spheres
-        three = Ensemble(((0.5, PLUS_Z), (0.25, PLUS_X), (0.25, MINUS_Z)))
-        for ensemble in (half_half_mixture(PLUS_Z), three):
-            dist = EnsembleDistribution(BM, ensemble)
-            batch = dist.sample_batch(4, 0, 40).rows
-            chosen = dist._choices(4, 0, 40)
-            assert set(chosen) == set(range(len(ensemble.entries)))
-            for i, k in enumerate(chosen):
-                lam = sample_one(dist.sample_batch, 4, i).rows
-                component = BM.prepare_batch(ensemble.entries[k][1], 4, i, 1)
-                for sphere in ("first", "second"):
-                    row = getattr(batch, sphere)[i]
-                    np.testing.assert_array_equal(getattr(lam, sphere)[0], row)
-                    np.testing.assert_array_equal(getattr(component, sphere)[0], row)
-
     def test_support_witness_draws_no_stream(self, monkeypatch):
-        # the support witness reads the point-mass sphere only, so no component stream is drawn,
-        # and every component's rows answer alike, so neither are the choices
+        # the support witness reads the point-mass sphere only, so no component stream is drawn
         drawn = []
 
         def counting(key, start, count):
             drawn.append((key, count))
             return uniform_blocks(key, start, count)
 
-        for module in (checks, models):
+        for module in (integrate, models):
             monkeypatch.setattr(module, "uniform_blocks", counting)
         dist = EnsembleDistribution(BM, half_half_mixture(PLUS_X))
         monkeypatch.setattr(integrate, "BATCH_SIZE", 300)
         cfg = McConfig(n_samples=1000, seed=19)
-        est = mc_expectation(dist.support_batch, dist.sample_batch, cfg)
+        est = dist.expectation(dist.support_batch, cfg)
         assert est.mean == 1.0
         assert drawn == []
 
@@ -372,38 +390,6 @@ class TestEnsembleDistribution:
         support = dist.support_batch(pts)
         np.testing.assert_array_equal(support, dist.density_batch(pts) > 0.0)
         assert not support.all() and support.any()
-
-    def test_disagreeing_components_draw_the_choices(self, monkeypatch):
-        # under {+z} alone a +x component's rows are outside the support, so the choices decide each row
-        drawn = []
-
-        def counting(key, start, count):
-            drawn.append(key)
-            return uniform_blocks(key, start, count)
-
-        monkeypatch.setattr(checks, "uniform_blocks", counting)
-        dist = EnsembleDistribution(BM, Ensemble(((0.5, PLUS_Z), (0.5, PLUS_X))))
-        witness = EnsembleDistribution(BM, Ensemble(((1.0, PLUS_Z), (0.0, PLUS_X))))
-        batch = dist.sample_batch(4, 0, 40)
-        support = witness.support_batch(batch)
-        assert drawn == [dist._choice_key(4)]
-        np.testing.assert_array_equal(support, batch.choices == 0)
-        assert 0 < np.count_nonzero(support) < 40
-
-    @pytest.mark.parametrize("model", [CONST, READER, BM])
-    def test_mixture_of_point_measures_has_full_writable_rows(self, model):
-        # each component repeats one row with stride 0; the merge picks rows into a new array
-        batch = EnsembleDistribution(model, half_half_mixture(PLUS_X)).sample_batch(4, 0, 40).rows
-        rows = batch.first if isinstance(batch, PairBatch) else batch
-        assert rows.flags.writeable and rows.strides == (24, 8)
-        assert {tuple(r) for r in rows} == {tuple(PLUS_X.vec()), tuple(MINUS_X.vec())}
-
-    def test_head_of_a_pair_mixture_is_the_shorter_draw(self):
-        dist = EnsembleDistribution(BM, half_half_mixture(PLUS_Z))
-        short = dist.sample_batch(4, 10, 12).rows
-        for sphere in ("first", "second", "total"):
-            whole = dist.sample_batch(4, 10, 40)
-            np.testing.assert_array_equal(getattr(whole[:12].rows, sphere), getattr(short, sphere))
 
     def test_pair_mixture_density_absent(self):
         dist = EnsembleDistribution(BM, half_half_mixture(PLUS_Z))
@@ -431,21 +417,10 @@ class TestStreamKeys:
             b = psi.bloch
             assert model._prepare_key(psi, 42) == expected_key(42, model.name, "prepare", [b.x, b.y, b.z])
 
-    @pytest.mark.parametrize("model", [KS, BM], ids=lambda m: m.name)
-    def test_choice_keys_hash_the_weight_and_bloch_rows(self, model):
-        for psi in CATALOG.states:
-            mixture = half_half_mixture(psi)
-            rows = [c for w, s in mixture.entries for c in (w, s.bloch.x, s.bloch.y, s.bloch.z)]
-            key = EnsembleDistribution(model, mixture)._choice_key(42)
-            assert key == expected_key(42, "ensemble-choice", model.name, rows)
-
     def test_keys_of_record(self):
         # the keys every reference report was drawn with, in hex
-        ks_z, bm_z = (EnsembleDistribution(m, half_half_mixture(PLUS_Z)) for m in (KS, BM))
         assert hex(KS._prepare_key(PLUS_Z, 42)) == "0x2534224e76e9eeec688398437d3fa8fa"
         assert hex(BM._prepare_key(orthogonal_complement(PLUS_Z), 42)) == "0xedfac3224f0fc2c4da975e7ae3ae7112"
-        assert hex(ks_z._choice_key(42)) == "0x8db30e0ece6297dabbd8e548a58c9ca2"
-        assert hex(bm_z._choice_key(42)) == "0x7d8136a6d95a2de7074081bd1bb9ab33"
 
     def test_a_tag_keys_the_same_in_either_byte_order(self):
         tag = np.array([[0.5, -0.0, 1e-16, -1.0], [0.5, 0.0, -1e-16, 1.0]])

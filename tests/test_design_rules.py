@@ -60,9 +60,10 @@ RULES = {  # reason: (pattern, files, the only places a match may sit, places th
         (r"_LENDER\.set\(", PKG, ("integrate.py:walk",), ("integrate.py:walk",)),
     "the 5-sigma resolution is Comparison's; OmegaWitness's is a consistency guard, not a verdict":
         (r"5\.0\s*\*", PKG, ("checks.py:Comparison", "checks.py:OmegaWitness"), ()),
-    "a mixture draws its choices in EnsembleDistribution, read on first need through MixtureBatch":
-        (r"_choices\(", PKG, ("checks.py:EnsembleDistribution", "checks.py:MixtureBatch"),
-         ("checks.py:EnsembleDistribution",)),
+    "a mixture is its components' weighted estimates: no stream picks a component and no rows are merged":
+        (r"ensemble-choice|_choices\b|\.choices\b|\.merge\(", TREE + TESTS, (), ()),
+    "a batch is only what a sampler drew: walk ends a batch at every budget, so no batch is sliced":
+        (r"__getitem__", TREE, (), ()),
     "integrate.walk alone starts a worker, and joins it before it returns":
         (r"threading\.Thread\(|ThreadPoolExecutor|multiprocessing", TREE, ("integrate.py:walk",),
          ("integrate.py:walk",)),

@@ -1,3 +1,4 @@
+import math
 import sys
 import threading
 
@@ -504,6 +505,19 @@ class TestMcEstimateFromSums:
         assert est.mean == vals.mean()
         assert abs(est.std_error - vals.std(ddof=1) / np.sqrt(5)) <= 1e-15
         assert est.n == 5
+
+
+class TestStratified:
+    def test_the_weights_are_divided_by_their_sum(self):
+        strata = [McEstimate(0.0, 0.5, 100), McEstimate(1.0, 0.25, 100)]
+        got = integrate.stratified(np.array([1.0, 3.0]), strata)
+        assert got == McEstimate(0.75, math.hypot(0.125, 0.1875), 100)
+
+    @pytest.mark.parametrize("kept", [0, 1])
+    def test_a_zero_weight_stratum_adds_nothing(self, kept):
+        strata = [McEstimate(0.25, 0.5, 100), McEstimate(1.0, 0.25, 100)]
+        weights = np.array([1.0, 0.0]) if kept == 0 else np.array([0.0, 1.0])
+        assert integrate.stratified(weights, strata) == strata[kept]
 
 
 class TestSphereQuadrature:

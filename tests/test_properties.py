@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onticlab import checks, integrate
+from onticlab import integrate
 from onticlab.bell import make_max_entangled, steer, steering_basis
 from onticlab.checks import CheckRun, EnsembleDistribution
 from onticlab.errors import FieldError
@@ -173,6 +173,12 @@ class TestExactSumsAndBatchSize:
                 assert bits(mc_expectations([self.quarters], uniform_sphere_batch, cfg)) == one_batch
 
 
+def batch_starts(budgets, size):
+    """Where a walk starts a source's batches: 0, each multiple of size and each budget, below the last budget."""
+    n = max(budgets, default=0)
+    return sorted({0, *range(size, n, size), *budgets} - {n})
+
+
 class TestWalk:
     """Each feed of a walk reads its budget's indices once, in order, bitwise one draw of them."""
 
@@ -202,7 +208,7 @@ class TestWalk:
         # patched per example: a function-scoped fixture is not reset between examples
         with mock.patch.object(integrate, "BATCH_SIZE", size):
             walk([(sampler, [(budget, feed_of(rows)) for budget, rows in zip(budgets, read)])], seed)
-        assert drawn == (list(range(0, max(budgets), size)) if pairs else [])   # each batch's once
+        assert drawn == (batch_starts(budgets, size) if pairs else [])   # each batch's once
         for budget, rows in zip(budgets, read):
             whole = sampler(seed, 0, budget)
             for sphere, part in zip((whole.first, whole.second) if pairs else (whole,), zip(*rows)):
@@ -236,7 +242,7 @@ class TestWalk:
             drawn, read = run(range(len(sources)))
             for j, budgets in enumerate(sources):
                 alone_drawn, alone_read = run([j])
-                assert drawn[j] == alone_drawn[j] == list(range(0, max(budgets, default=0), size))
+                assert drawn[j] == alone_drawn[j] == batch_starts(budgets, size)
                 assert read[j] == alone_read[j]
                 assert [sum(len(r) for r in rows) for rows in read[j]] == [24 * b for b in budgets]
 
@@ -309,48 +315,55 @@ CATALOG_STATES = st.sampled_from(default_catalog().states)
 
 
 def ensembles(states):
-    """Ensembles of 1 to 3 entries whose weights, zero included, sum to 1."""
+    """Ensembles of 1 to 3 entries whose weights, zero included, sum to 1 but for a few units of 2**-44."""
     entries = st.lists(st.tuples(st.integers(0, 4), states), min_size=1, max_size=3)
-    return entries.filter(lambda es: any(w for w, _ in es)).map(
-        lambda es: Ensemble(tuple((w / sum(v for v, _ in es), s) for w, s in es))
+    scales = st.integers(-4, 4).map(lambda k: 1.0 + k * 2.0**-44)
+    return st.tuples(entries.filter(lambda es: any(w for w, _ in es)), scales).map(
+        lambda drawn: Ensemble(tuple((drawn[1] * w / sum(v for v, _ in drawn[0]), s) for w, s in drawn[0]))
     )
 
 
-class TestMixtureSupport:
-    """A mixture's support witness is the union over its positive-weight entries on the merged rows.
+def estimate_bits(e):
+    return e.mean.hex(), e.std_error.hex(), e.n
 
-    It is evaluated on each component's batch, so the choice stream is drawn
-    exactly when the components' answers disagree.
+
+class TestStratifiedExpectation:
+    """A mixture's expectation is each component's own estimate, combined by integrate.stratified.
+
+    The witness is the union of another ensemble's supports, so components
+    may disagree, and entries may have zero weight.
     """
 
+    @staticmethod
+    def general(part):
+        rows = part.total if isinstance(part, PairBatch) else part
+        return np.sqrt(2.0) * rows[:, 0] + 1.0 / 3.0   # not dyadic: its sums round at every step
+
     @FAST
-    @given(st.sampled_from(["ks", "bell-mermin"]), st.data(), st.integers(0, 2**63), st.integers(1, 60))
-    def test_support_of_the_merged_rows_with_choices_drawn_on_disagreement(self, model_name, data, seed, count):
+    @given(st.sampled_from(["ks", "bell-mermin"]), st.data(), st.integers(0, 2**63),
+           st.integers(MIN_SAMPLES, 300))
+    def test_each_component_is_estimated_on_its_own_stream(self, model_name, data, seed, n):
         model = make_model(model_name)
         states = CATALOG_STATES if model_name == "bell-mermin" else st.one_of(CATALOG_STATES, STATES)
         witness = EnsembleDistribution(model, data.draw(ensembles(states)))
         dist = EnsembleDistribution(model, data.draw(ensembles(states)))
-        k = data.draw(st.integers(1, count))
-        positive = [s for w, s in witness.ensemble.entries if w > 0.0]
+        f = data.draw(st.sampled_from([witness.support_batch, self.general]))
+        cfg = McConfig(n, seed)
+        samplers = [lambda seed, start, count, psi=psi: model.prepare_batch(psi, seed, start, count)
+                    for _, psi in dist.ensemble.entries]
+        strata = [mc_expectation(f, sampler, cfg) for sampler in samplers]
+        got = dist.expectation(f, cfg)
+        assert estimate_bits(got) == estimate_bits(integrate.stratified(dist.ensemble.weights(), strata))
+        if len(strata) == 1:
+            assert estimate_bits(got) == estimate_bits(strata[0])
 
-        def union(rows):
-            return np.logical_or.reduce([model.in_support_batch(s, rows) for s in positive])
-
-        drawn = []
-
-        def counting(key, start, n):
-            drawn.append(key)
-            return uniform_blocks(key, start, n)
-
-        with mock.patch.object(checks, "uniform_blocks", counting):
-            batch = dist.sample_batch(seed, 0, count)[:k]
-            got = witness.support_batch(batch)
-            choices_drawn = list(drawn)
-            members = [union(part) for part in batch.parts]
-            want = union(batch.rows)
-        assert got.dtype == np.bool_ and got.tobytes() == want.tobytes()
-        disagree = any(not np.array_equal(members[0], m) for m in members[1:])
-        assert choices_drawn == ([dist._choice_key(seed)] if disagree else [])
+    @FAST
+    @given(st.sampled_from(["ks", "bell-mermin"]), st.data(), st.integers(0, 2**63), st.integers(-64, 64))
+    def test_a_constant_comes_back_exactly(self, model_name, data, seed, k):
+        # a dyadic constant, so each component's sums are exact and its estimate is the constant
+        dist = EnsembleDistribution(make_model(model_name), data.draw(ensembles(CATALOG_STATES)))
+        got = dist.expectation(lambda part: np.full(len(part), k / 8.0), McConfig(MIN_SAMPLES, seed))
+        assert (got.mean, got.std_error, got.n) == (k / 8.0, 0.0, MIN_SAMPLES)
 
 
 class TestSteeringRoundTrip:
