@@ -208,41 +208,11 @@ def check_born_reproduction(run: CheckRun) -> CheckReport:
     )
 
 
-@dataclass
-class _Tally:
-    """Values an exact check compared, the offenses among them and the first offense's text."""
-
-    checked: int = 0
-    bad: int = 0
-    first: str = ""
-    rank: tuple | None = None   # the first offense's (source, basis, outcome or variant)
-
-    def add(self, off: np.ndarray, rank: tuple, describe) -> None:
-        """Count off's offenses; keep describe() when rank is strictly below the first offense's.
-
-        A source's batches come in index order, so a rank keeps its lowest sample index.
-        """
-        bad = np.count_nonzero(off)
-        if bad and (self.rank is None or rank < self.rank):
-            self.first, self.rank = describe(), rank
-        self.checked += len(off)
-        self.bad += bad
-
-    @classmethod
-    def merged(cls, tallies) -> _Tally:
-        """One tally of several: the counts summed, and the first offense of the lowest rank."""
-        out = cls()
-        for t in tallies:
-            out.checked += t.checked
-            out.bad += t.bad
-            if t.rank is not None and (out.rank is None or t.rank < out.rank):
-                out.first, out.rank = t.first, t.rank
-        return out
-
-    def report(self, run: CheckRun, name: str, label: str, what: str) -> CheckReport:
-        """The offending fraction against 0 at tolerance 0: satisfied exactly when there is no offense."""
-        row = LabeledEstimate(label, self.bad / self.checked if self.checked else 0.0, 0.0)
-        return run.report(name, Comparison(row, 0.0).verdict(0.0), (row,), what + self.first, tolerance=0.0)
+def _exact_report(run: CheckRun, name: str, label: str, what: str, counts: tuple) -> CheckReport:
+    """An exact check's (values, offenses, first offense's text): offending fraction against 0 at tolerance 0."""
+    checked, bad, first = counts
+    row = LabeledEstimate(label, bad / checked if checked else 0.0, 0.0)
+    return run.report(name, Comparison(row, 0.0).verdict(0.0), (row,), what + first, tolerance=0.0)
 
 
 def _descriptor_variants(basis: MeasurementBasis) -> list[tuple[MeasurementBasis, tuple[int, int]]]:
@@ -259,44 +229,34 @@ def _descriptor_variants(basis: MeasurementBasis) -> list[tuple[MeasurementBasis
     return [(swapped, (1, 0)), (relabeled, (0, 1))]
 
 
-def _scan_feed(model: OntologicalModel, bases, det: _Tally, mnc: _Tally, source: int, label: str):
-    """The feed of the source-th sample source's batches to the determinism and measurement-nc tallies.
+def _scan_integrand(model: OntologicalModel, basis: MeasurementBasis):
+    """The integrand of a basis's offense indicators: determinism's, then measurement-nc's.
 
-    Per batch and basis the two responses come from one call; determinism
-    counts their values other than 0 and 1, then measurement-nc compares them
-    with every descriptor variant's, one call per variant.  Offenses name
-    label and rank by (source, basis, outcome or variant).
+    Determinism's, per outcome, mark values other than 0 and 1; measurement-nc's,
+    per descriptor variant and outcome, mark the variant's responses that differ.
     """
-    def add(batch):
-        for b, basis in enumerate(bases):
-            vals = model.response_batch(basis, batch)
-            for idx, v in enumerate(vals):
-                off = (v != 0.0) & (v != 1.0)
-                det.add(off, (source, b, idx), lambda: (
-                    f"; first offense {label}|{basis.describe()} value {v[off][0]!r}"))
-            for j, (variant, outcome_map) in enumerate(_descriptor_variants(basis)):
-                variant_vals = model.response_batch(variant, batch)
-                for idx, (v, b_idx) in enumerate(zip(variant_vals, outcome_map)):
-                    mnc.add(v != vals[b_idx], (source, b, j, idx), lambda: (
-                        f"; first mismatch {label}|{basis.describe()} vs descriptor {variant.describe()}"))
-    return add
+    def offenses(batch):
+        vals = model.response_batch(basis, batch)
+        return [(v != 0.0) & (v != 1.0) for v in vals] + [
+            v != vals[b_idx] for variant, outcome_map in _descriptor_variants(basis)
+            for v, b_idx in zip(model.response_batch(variant, batch), outcome_map)]
+
+    return offenses
 
 
 def check_outcome_determinism(run: CheckRun) -> CheckReport:
     """Assert every evaluated response value is exactly 0 or 1."""
     _require_bases(run)
     det, _, n_states = run.part("scan", "determinism")
-    return det.report(
-        run, "determinism", "non_binary_fraction",
-        f"{det.checked} response values over {n_states} sampled ontic states",
-    )
+    what = f"{det[0]} response values over {n_states} sampled ontic states"
+    return _exact_report(run, "determinism", "non_binary_fraction", what, det)
 
 
 def check_measurement_noncontextuality(run: CheckRun) -> CheckReport:
     """Assert responses depend only on the outcome state, not its descriptor."""
     _require_bases(run)
     _, mnc, _ = run.part("scan", "measurement-nc")
-    return mnc.report(run, "measurement-nc", "mismatch_fraction", f"{mnc.checked} descriptor comparisons")
+    return _exact_report(run, "measurement-nc", "mismatch_fraction", f"{mnc[0]} descriptor comparisons", mnc)
 
 
 def overlap_integral(model: OntologicalModel, psi: PureState, phi: PureState, cfg: McConfig) -> McEstimate:
@@ -533,6 +493,34 @@ def canonical_pair(catalog: StateCatalog) -> tuple[PureState, PureState]:
     raise PreconditionError("catalog has no distinct nonorthogonal pair")
 
 
+def _offenses(model: OntologicalModel, bases, scans, seed: int) -> list[tuple[int, int, str]]:
+    """Determinism's and measurement-nc's (values, offenses, first offense's text) from scans' sums.
+
+    scans holds each scanned source's (label, sampler, sums of the bases'
+    _scan_integrand) in source order, and slots names each sum's check, basis,
+    and outcome or variant.  A first offense is the lowest (source, basis,
+    outcome or variant) with a positive count; determinism's text also gives
+    its first value, from that one batch drawn again.
+    """
+    det, mnc = [0, 0, ""], [0, 0, ""]
+    slots = [slot for basis in bases for slot in [(det, basis, idx) for idx, _ in enumerate(basis.outcomes)]
+             + [(mnc, basis, variant) for variant, omap in _descriptor_variants(basis) for _ in omap]]
+    for label, sampler, sums in scans:
+        for (counts, basis, at), (hits, _), batch in zip(slots, sums.sums, sums.firsts):
+            if hits and not counts[1]:
+                counts[2] = label, sampler, basis, at, batch
+            counts[0] += sums.n
+            counts[1] += int(hits)
+    if det[1]:
+        label, sampler, basis, idx, (start, count) = det[2]
+        v = model.response_batch(basis, sampler(seed, start, count))[idx]
+        det[2] = f"; first offense {label}|{basis.describe()} value {v[(v != 0.0) & (v != 1.0)][0]!r}"
+    if mnc[1]:
+        label, _, basis, variant, _ = mnc[2]
+        mnc[2] = f"; first mismatch {label}|{basis.describe()} vs descriptor {variant.describe()}"
+    return [tuple(det), tuple(mnc)]
+
+
 def source_pass(run: CheckRun) -> dict:
     """Draw each catalog stream once and feed its batches to every part the run's checks read.
 
@@ -541,21 +529,21 @@ def source_pass(run: CheckRun) -> dict:
       with its Born probability, and "overlaps" (psi, phi, Comparison of the
       row psi->phi with born_probability(phi, psi)) for every ordered pair
       of states, each on mu_psi's first n samples;
-    - "scan" holds (determinism tally, measurement-nc tally, states sampled)
-      over an even share of the budget (at least MIN_SAMPLES) of every mu_psi,
-      then of the reference measure; it is None on a catalog without a basis;
+    - "scan" holds determinism's and measurement-nc's counts (see _offenses)
+      and the states sampled, over an even share of the budget (at least
+      MIN_SAMPLES) of every mu_psi, then of the reference measure; it is None
+      on a catalog without a basis;
     - "omega" holds the OmegaWitness of the canonical pair on psi's first n
       samples; it is None on a catalog without that pair.
     The pass is one integrate.walk over its sources: each catalog state's
     mu_psi in catalog order, then the reference measure when the scan runs.
     A source's feeds are the parts that read it, each with its budget, so
     the shorter scan reads the first batches of what the others drew.  The
-    walk may feed two sources at once, so every feed touches only its own
-    source's state: each source has its own sums and its own pair of scan
-    tallies, and the pairs are merged in source order after the walk.
-    Each estimate builds up on its own in index order, and the scan ranks its
-    first offense by source, basis and outcome or variant, so no part depends
-    on which others share the pass, on the batch size or on the workers.
+    walk may feed two sources at once, so every feed is the add of sums that
+    its source alone feeds, and the scan's counts are read from its sources'
+    sums in source order after the walk.  Each estimate builds up on its own
+    in index order, so no part depends on which others share the pass, on
+    the batch size or on the workers.
     """
     model, catalog, cfg = run.model, run.catalog, run.cfg
     reads = {part for part, (_, readers) in PASS_PARTS.items() if not readers.isdisjoint(run.check_names)}
@@ -572,10 +560,11 @@ def source_pass(run: CheckRun) -> dict:
             at = next(i for i, s in enumerate(catalog.states) if s is psi)
             omega = at, RunningSums([_omega_integrand(model, phi, _basis_containing(catalog, phi))])
     scan = "scan" in reads and bool(catalog.bases)
+    scan_fs = [_scan_integrand(model, basis) for basis in catalog.bases]
     per_source = max(MIN_SAMPLES, cfg.n_samples // (len(catalog.states) + 1))
-    tallies, table, sources = [], [], []   # tallies: each scanned source's (determinism, measurement-nc)
+    scans, table, sources = [], [], []   # scans: each scanned source's (label, sampler, sums)
     for i, psi in enumerate(catalog.states):
-        feeds = []
+        sampler, feeds = _prepare_sampler(model, psi), []
         if outcomes or phis:
             fs = [lambda b, basis=basis: model.response_batch(basis, b) for basis in bases]
             fs += [lambda b, phi=phi: (model.in_support_batch(phi, b),) for phi in phis]
@@ -585,15 +574,13 @@ def source_pass(run: CheckRun) -> dict:
         if omega is not None and omega[0] == i:
             feeds.append((cfg.n_samples, omega[1].add))
         if scan:
-            tallies.append((_Tally(), _Tally()))
-            feeds.append((per_source, _scan_feed(model, catalog.bases, *tallies[-1], i, f"mu({psi.describe()})")))
-        sources.append((_prepare_sampler(model, psi), feeds))
+            scans.append((f"mu({psi.describe()})", sampler, RunningSums(scan_fs)))
+            feeds.append((per_source, scans[-1][2].add))
+        sources.append((sampler, feeds))
     if scan:
-        tallies.append((_Tally(), _Tally()))
-        reference = _scan_feed(model, catalog.bases, *tallies[-1], len(catalog.states), "reference")
-        sources.append((model.reference_batch, [(per_source, reference)]))
+        scans.append(("reference", model.reference_batch, RunningSums(scan_fs)))
+        sources.append((model.reference_batch, [(per_source, scans[-1][2].add)]))
     walk(sources, cfg.seed)
-    det, mnc = (_Tally.merged(pair[k] for pair in tallies) for k in (0, 1))
 
     resp_rows, pair_rows = [], []
     for psi, sums in table:
@@ -608,7 +595,8 @@ def source_pass(run: CheckRun) -> dict:
     return {
         "responses": tuple(resp_rows) if "responses" in reads else None,
         "overlaps": tuple(pair_rows) if "overlaps" in reads else None,
-        "scan": (det, mnc, per_source * (len(catalog.states) + 1)) if scan else None,
+        "scan": (*_offenses(model, catalog.bases, scans, cfg.seed), per_source * (len(catalog.states) + 1))
+        if scan else None,
         "omega": OmegaWitness(*omega[1].estimates()) if omega is not None else None,
     }
 

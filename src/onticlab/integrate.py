@@ -267,6 +267,9 @@ class RunningSums:
     arrays on every batch, and the first batch that breaks this raises.  The
     estimates come back flattened in order: those of fs[0], then those of
     fs[1], and so on.  add(batch) is a walk feed: it counts len(batch) samples.
+    sums holds per estimate (sum, sum of squares), and firsts the (start,
+    count) of its first batch with a positive sum of squares (for an
+    indicator, a positive count) or None.
     """
 
     def __init__(self, fs: Sequence[Callable]):
@@ -274,17 +277,18 @@ class RunningSums:
             raise ValueError("need at least one integrand")
         self.fs = fs
         self.n = 0
-        self.sums = None   # per estimate (sum, sum of squares), sized on the first batch
+        self.sums = self.firsts = None   # per estimate, sized on the first batch
 
     def add(self, batch) -> None:
         """Reduce the batch of the next len(batch) sample indices into the sums."""
         arrays = (v for f in self.fs for v in f(batch))   # lazy: one integrand's arrays are held at a time
         reduced = [batch_sums(v, len(batch), f"integrand {k}") for k, v in enumerate(arrays)]
         if self.sums is None:
-            self.sums = [(0.0, 0.0)] * len(reduced)
+            self.sums, self.firsts = [(0.0, 0.0)] * len(reduced), [None] * len(reduced)
         elif len(reduced) != len(self.sums):
             raise ValueError("the integrands returned a different number of arrays on some batch")
         self.sums = [(s1 + a, s2 + b) for (s1, s2), (a, b) in zip(self.sums, reduced)]
+        self.firsts = [f or ((self.n, len(batch)) if b > 0.0 else None) for f, (_, b) in zip(self.firsts, reduced)]
         self.n += len(batch)
 
     def estimates(self) -> list[McEstimate]:

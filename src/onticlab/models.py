@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -163,6 +164,12 @@ def _tangent_frame(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e1, np.cross(axis, e1)
 
 
+@lru_cache(maxsize=256)
+def _cap_frame(axis_bytes: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """_tangent_frame of the axis with these float64 bytes, once per axis: a complement's -0.0 keeps its own."""
+    return _tangent_frame(np.frombuffer(axis_bytes))
+
+
 def _cap_points(axis: np.ndarray, key: int, start: int, count: int) -> np.ndarray:
     """Sample the cosine-cap density (1/pi) * max(0, axis . lam) exactly.
 
@@ -184,7 +191,7 @@ def _cap_points(axis: np.ndarray, key: int, start: int, count: int) -> np.ndarra
     ss = np.sin(phi, out=lend((count,)))
     ss *= s
     tmp = phi   # phi and s are spent
-    e1, e2 = _tangent_frame(axis)
+    e1, e2 = _cap_frame(axis.tobytes())
     out = lend((count, 3))
     for k in range(3):
         col = out[:, k]

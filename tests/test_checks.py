@@ -110,9 +110,9 @@ class TestComparison:
     @pytest.mark.parametrize("bad, verdict", [(0, SATISFIED), (1, VIOLATED)])
     def test_an_exact_scan_decides_through_the_rule(self, bad, verdict):
         # the offending fraction against 0 at tolerance 0, with no error bar: any offense is violated
-        tally = checks._Tally()
-        tally.add(np.arange(4) < bad, (0, 0, 0), lambda: "; first offense")
-        rep = tally.report(run_of(KS, "determinism"), "determinism", "non_binary_fraction", "4 values")
+        counts = (4, bad, "; first offense" * bad)   # values, offenses, and the first offense's text or ""
+        run = run_of(KS, "determinism")
+        rep = checks._exact_report(run, "determinism", "non_binary_fraction", "4 values", counts)
         assert rep.verdict == verdict and rep.tolerance == 0.0
         assert rep.estimates == (LabeledEstimate("non_binary_fraction", bad / 4, 0.0),)
         assert rep.details == "4 values" + "; first offense" * bad
@@ -206,7 +206,30 @@ class TestOutcomeDeterminism:
 
         monkeypatch.setattr(integrate, "BATCH_SIZE", size)
         rep = check_outcome_determinism(run_of(HalfOnAxes(), "determinism", cfg=McConfig(7_000, 42)))
-        assert "; first offense mu(+z)|z value" in rep.details
+        assert rep.details == (
+            "42000 response values over 7000 sampled ontic states; first offense mu(+z)|z value np.float64(0.5)"
+        )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("size", [7, 300, 25_000])
+    def test_a_late_first_offense_names_its_value_at_any_batch_size(self, size, workers, monkeypatch):
+        # outcome +x reads the row's x coordinate on the few rows with y < -0.9995, which mu(-y), the
+        # last catalog stream, reaches first: its value comes from that one batch, drawn again
+        class LateOffense(KochenSpeckerModel):
+            def response_batch(self, basis, batch):
+                r0, r1 = super().response_batch(basis, batch)
+                return (np.where(batch[:, 1] < -0.9995, batch[:, 0], r0), r1) if basis.label == "x" else (r0, r1)
+
+        monkeypatch.setattr(integrate, "BATCH_SIZE", size)
+        monkeypatch.setattr(integrate, "WORKERS", workers)
+        run = CheckRun(LateOffense(), CATALOG, McConfig(70_000, 42), ("determinism", "measurement-nc"))
+        assert check_outcome_determinism(run).details == (
+            "420000 response values over 70000 sampled ontic states;"
+            " first offense mu(-y)|x value np.float64(-0.005346286312863614)"
+        )
+        assert check_measurement_noncontextuality(run).details == (
+            "840000 descriptor comparisons; first mismatch mu(-y)|x vs descriptor x"
+        )
 
 
 class TestMeasurementNoncontextuality:

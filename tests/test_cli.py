@@ -513,9 +513,9 @@ class TestSourcesShareNoState:
 
     @staticmethod
     def state(feed) -> set[int]:
-        """The tallies and sums a feed writes: the sums of a bound add, or those its closure holds."""
+        """The sums a feed writes: the sums of a bound add, or those its closure holds."""
         held = [getattr(feed, "__self__", None)] + [cell.cell_contents for cell in feed.__closure__ or ()]
-        return {id(x) for x in held if isinstance(x, (checks._Tally, integrate.RunningSums))}
+        return {id(x) for x in held if isinstance(x, integrate.RunningSums)}
 
     @pytest.mark.parametrize("model_name", MODEL_NAMES)
     def test_each_source_writes_its_own_tallies_and_sums(self, model_name, monkeypatch):

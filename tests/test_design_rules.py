@@ -32,8 +32,8 @@ RULES = {  # reason: (pattern, files, the only places a match may sit, places th
     "every statistical verdict is Comparison.verdict of a row and its target; CheckRun validates tol":
         (r"[<>]=?\s*(run\.|self\.)?\btol\b|\btol\s*[<>]", ("src/onticlab/checks.py", "src/onticlab/bell.py"),
          ("checks.py:Comparison", "checks.py:CheckRun"), ()),
-    "integrate.substream_key alone makes stream-key bytes; prep_nc_report's tobytes( is a memo key":
-        (r"tobytes\(", PKG, ("integrate.py:substream_key", "checks.py:prep_nc_report"), ()),
+    "integrate.substream_key alone makes stream-key bytes; prep_nc_report's and _cap_points' tobytes( are memo keys":
+        (r"tobytes\(", PKG, ("integrate.py:substream_key", "checks.py:prep_nc_report", "models.py:_cap_points"), ()),
     "batch boundaries live in integrate.py, which draws every stream":
         (r"BATCH_SIZE", PKG, ("integrate.py",), ()),
     "integrate.walk is the only loop over a sample stream, and the one reader of BATCH_SIZE":
@@ -71,6 +71,10 @@ RULES = {  # reason: (pattern, files, the only places a match may sit, places th
         (r"cached_property", TREE, (), ()),
     "the worker count is integrate.WORKERS, read by walk alone and patched only by tests":
         (r"^(?!WORKERS =).*\bWORKERS\b", PKG, ("integrate.py:walk",), ("integrate.py:walk",)),
+    "every count reduces through integrate.batch_sums":
+        (r"np\.count_nonzero\(", TREE, ("integrate.py:batch_sums",), ("integrate.py:batch_sums",)),
+    "exact checks count through RunningSums: no tally of their own and nothing to merge across workers":
+        (r"_Tally|\.merged\(", TREE + TESTS, (), ()),
     "environment variables are never consulted":
         (r"os\.environ|getenv\(", TREE, (), ()),
     "no test calls the bench-pinned shims, so deleting them touches no test":

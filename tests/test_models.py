@@ -30,6 +30,7 @@ from onticlab.models import (
 )
 from onticlab.qubit import (
     MINUS_X,
+    MINUS_Y,
     MINUS_Z,
     PLUS_X,
     PLUS_Y,
@@ -168,7 +169,10 @@ class TestMapsMatchPlainExpressions:
     read) do not.
     """
 
-    AXES = [s.vec() for s in random_states(17, 4)] + _axes_near_the_frame_switch()
+    # the six axis states, with -z twice: as MINUS_Z and as the complement of +z, which carries -0.0
+    AXES = [s.vec() for s in random_states(17, 4)] + _axes_near_the_frame_switch() + [
+        s.vec() for s in (PLUS_Z, MINUS_Z, orthogonal_complement(PLUS_Z), PLUS_X, MINUS_X, PLUS_Y, MINUS_Y)
+    ]
     COUNT = 1_000
 
     @staticmethod
@@ -211,6 +215,15 @@ class TestMapsMatchPlainExpressions:
             assert got.tobytes() == self.plain_cap(axis, j, 12_345, self.COUNT).tobytes()
             for got, want in zip(self.spheres(j, 12_345, self.COUNT), self.plain_spheres(j, 12_345, self.COUNT)):
                 assert got.tobytes() == want.tobytes()
+
+    def test_the_cap_frame_memo_is_keyed_by_bytes(self):
+        # the signed zeros of a frame never reach a cap point's bits, since each coordinate has a nonzero
+        # term in the frame, so the maps cannot tell a memo keyed by value: -z and the complement of +z
+        # are equal in value, and each must still get the frame of its own bytes
+        for axis in self.AXES:
+            models._cap_points(axis, 0, 0, 10)
+            frame = models._cap_frame(axis.tobytes())
+            assert [e.tobytes() for e in frame] == [e.tobytes() for e in models._tangent_frame(axis)]
 
     def test_inside_one_walk_of_alternating_cap_and_sphere_sources(self, monkeypatch):
         # 300 does not divide the count: the cap and sphere maps take the same slots with other

@@ -32,7 +32,7 @@ from onticlab.integrate import (
     walk,
     weighted_sum,
 )
-from onticlab.models import PairBatch, catalog_from_states, default_catalog, make_model
+from onticlab.models import KochenSpeckerModel, PairBatch, catalog_from_states, default_catalog, make_model
 from onticlab.qubit import (
     PLUS_X,
     PLUS_Z,
@@ -375,3 +375,48 @@ class TestSteeringRoundTrip:
         assert abs(p0 - 0.5) <= 1e-10 and abs(p1 - 0.5) <= 1e-10
         assert np.abs(bob0.vec() - phi.vec()).max() <= 1e-10
         assert np.abs(bob1.vec() + phi.vec()).max() <= 1e-10
+
+
+class WideSupport(KochenSpeckerModel):
+    """ks with every support widened to lambda . phi > -0.1, past the half-space where phi responds."""
+
+    def in_support_batch(self, psi, batch):
+        return batch @ psi.vec() > -0.1
+
+
+class TestBornLemma:
+    """The lemma behind both steps of the chain: a model that reproduces Born on phi has
+    response(phi, lambda) = 1 for mu_phi-almost every lambda.
+
+    For every catalog psi, basis outcome phi and lambda ~ mu_psi, lambda in supp mu_phi must imply
+    response(phi, lambda) = 1.  const-half answers 1/2 everywhere and fails Born, so it offends on
+    every support row, and a support widened past phi's half-space shows that the scan has teeth.
+    """
+
+    @staticmethod
+    def counts(model, cfg=McConfig(n_samples=20_000, seed=42)):
+        """(offending rows, support rows) over every catalog psi and basis outcome phi."""
+        def lemma(basis, idx, phi):
+            def support_and_offense(batch):
+                inside = model.in_support_batch(phi, batch)
+                return inside, inside & (model.response_batch(basis, batch)[idx] != 1)
+            return support_and_offense
+
+        catalog = default_catalog()
+        fs = [lemma(basis, idx, phi) for basis in catalog.bases for idx, phi in enumerate(basis.outcomes)]
+        offending = support = 0
+        for psi in catalog.states:
+            sampler = lambda seed, start, count, psi=psi: model.prepare_batch(psi, seed, start, count)
+            hits = [round(e.mean * e.n) for e in mc_expectations(fs, sampler, cfg)]
+            support, offending = support + sum(hits[0::2]), offending + sum(hits[1::2])
+        return offending, support
+
+    @pytest.mark.parametrize("model, offending, support", [
+        (make_model("ks"), 0, 360_000),
+        (make_model("bell-mermin"), 0, 120_000),
+        (make_model("label-reader"), 0, 120_000),
+        (make_model("const-half"), 120_000, 120_000),
+        (WideSupport(), 31_577, 391_577),
+    ], ids=["ks", "bell-mermin", "label-reader", "const-half", "wide-support"])
+    def test_support_rows_respond_with_one(self, model, offending, support):
+        assert self.counts(model) == (offending, support)
