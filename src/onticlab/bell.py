@@ -74,12 +74,13 @@ def steer(state: BipartiteState, alice_basis: MeasurementBasis) -> Ensemble:
     return Ensemble(tuple(results))
 
 
-def steering_basis(psi: PureState, phi: PureState) -> MeasurementBasis:
-    """Alice basis steering Bob to {phi, phi_perp} with probability 1/2 each.
+def steering_basis(psi: PureState, phi: PureState) -> tuple[MeasurementBasis, Ensemble]:
+    """Alice's basis steering Bob to {phi, phi_perp} with probability 1/2 each, and Bob's steered ensemble.
 
     Alice's first outcome is the conjugate of |phi> written in the
     {psi, psi_perp} amplitude coordinates.  The construction is verified at
-    runtime by steering and comparing against phi directly.
+    runtime by steering make_max_entangled(psi) and comparing against phi
+    directly; the ensemble returned is that steering's.
     """
     pa = bloch_to_amplitudes(psi)
     qa = bloch_to_amplitudes(orthogonal_complement(psi))
@@ -92,7 +93,8 @@ def steering_basis(psi: PureState, phi: PureState) -> MeasurementBasis:
         (alice, orthogonal_complement(alice)),
         f"steer({psi.describe()}->{phi.describe()})",
     )
-    (p0, bob0), (p1, bob1) = steer(make_max_entangled(psi), basis).entries
+    ensemble = steer(make_max_entangled(psi), basis)
+    (p0, bob0), (p1, bob1) = ensemble.entries
     errs = (
         abs(p0 - 0.5),
         abs(p1 - 0.5),
@@ -104,7 +106,7 @@ def steering_basis(psi: PureState, phi: PureState) -> MeasurementBasis:
             f"steering basis verification failed for {psi.describe()}->{phi.describe()}"
             f" (worst error {max(errs):.3e})"
         )
-    return basis
+    return basis, ensemble
 
 
 def nonlocality_witness(run: CheckRun, psi: PureState, phi: PureState) -> CheckReport:
@@ -125,11 +127,8 @@ def nonlocality_witness(run: CheckRun, psi: PureState, phi: PureState) -> CheckR
             f"model {run.model.name} does not reproduce the Born rule on the catalog"
             f" (verdict {born.verdict})"
         )
-    entangled = make_max_entangled(psi)
-    basis1 = steering_basis(psi, psi)
-    basis2 = steering_basis(psi, phi)
-    e1 = steer(entangled, basis1)
-    e2 = steer(entangled, basis2)
+    basis1, e1 = steering_basis(psi, psi)
+    basis2, e2 = steering_basis(psi, phi)
     report = check_preparation_noncontextuality(run, e1, e2)
     return replace(
         report,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -235,10 +236,12 @@ def _scan_integrand(model: OntologicalModel, basis: MeasurementBasis):
     Determinism's, per outcome, mark values other than 0 and 1; measurement-nc's,
     per descriptor variant and outcome, mark the variant's responses that differ.
     """
+    variants = _descriptor_variants(basis)
+
     def offenses(batch):
         vals = model.response_batch(basis, batch)
         return [(v != 0.0) & (v != 1.0) for v in vals] + [
-            v != vals[b_idx] for variant, outcome_map in _descriptor_variants(basis)
+            v != vals[b_idx] for variant, outcome_map in variants
             for v, b_idx in zip(model.response_batch(variant, batch), outcome_map)]
 
     return offenses
@@ -493,31 +496,36 @@ def canonical_pair(catalog: StateCatalog) -> tuple[PureState, PureState]:
     raise PreconditionError("catalog has no distinct nonorthogonal pair")
 
 
-def _offenses(model: OntologicalModel, bases, scans, seed: int) -> list[tuple[int, int, str]]:
-    """Determinism's and measurement-nc's (values, offenses, first offense's text) from scans' sums.
+# One stream of a source pass: its label, its sampler, and its RunningSums over the run's budget
+# and over the scan's share, each None when no check of the run reads it
+_Stream = namedtuple("_Stream", "label sampler budget share")
 
-    scans holds each scanned source's (label, sampler, sums of the bases'
-    _scan_integrand) in source order, and slots names each sum's check, basis,
-    and outcome or variant.  A first offense is the lowest (source, basis,
-    outcome or variant) with a positive count; determinism's text also gives
-    its first value, from that one batch drawn again.
+
+def _offenses(model: OntologicalModel, bases, streams, seed: int) -> list[tuple[int, int, str]]:
+    """Determinism's and measurement-nc's (values, offenses, first offense's text) from the streams' shares.
+
+    A share holds the sums of the bases' _scan_integrand, and slots names
+    each sum's check, basis, and outcome or variant.  A first offense is the
+    lowest (stream, basis, outcome or variant) with a positive count;
+    determinism's text also gives its first value, from that one batch drawn
+    again.
     """
     det, mnc = [0, 0, ""], [0, 0, ""]
     slots = [slot for basis in bases for slot in [(det, basis, idx) for idx, _ in enumerate(basis.outcomes)]
              + [(mnc, basis, variant) for variant, omap in _descriptor_variants(basis) for _ in omap]]
-    for label, sampler, sums in scans:
-        for (counts, basis, at), (hits, _), batch in zip(slots, sums.sums, sums.firsts):
+    for stream in streams:
+        for (counts, basis, at), (hits, _), batch in zip(slots, stream.share.sums, stream.share.firsts):
             if hits and not counts[1]:
-                counts[2] = label, sampler, basis, at, batch
-            counts[0] += sums.n
+                counts[2] = stream, basis, at, batch
+            counts[0] += stream.share.n
             counts[1] += int(hits)
     if det[1]:
-        label, sampler, basis, idx, (start, count) = det[2]
-        v = model.response_batch(basis, sampler(seed, start, count))[idx]
-        det[2] = f"; first offense {label}|{basis.describe()} value {v[(v != 0.0) & (v != 1.0)][0]!r}"
+        stream, basis, idx, (start, count) = det[2]
+        v = model.response_batch(basis, stream.sampler(seed, start, count))[idx]
+        det[2] = f"; first offense {stream.label}|{basis.describe()} value {v[(v != 0.0) & (v != 1.0)][0]!r}"
     if mnc[1]:
-        label, _, basis, variant, _ = mnc[2]
-        mnc[2] = f"; first mismatch {label}|{basis.describe()} vs descriptor {variant.describe()}"
+        stream, basis, variant, _ = mnc[2]
+        mnc[2] = f"; first mismatch {stream.label}|{basis.describe()} vs descriptor {variant.describe()}"
     return [tuple(det), tuple(mnc)]
 
 
@@ -535,56 +543,46 @@ def source_pass(run: CheckRun) -> dict:
       on a catalog without a basis;
     - "omega" holds the OmegaWitness of the canonical pair on psi's first n
       samples; it is None on a catalog without that pair.
-    The pass is one integrate.walk over its sources: each catalog state's
-    mu_psi in catalog order, then the reference measure when the scan runs.
-    A source's feeds are the parts that read it, each with its budget, so
-    the shorter scan reads the first batches of what the others drew.  The
-    walk may feed two sources at once, so every feed is the add of sums that
-    its source alone feeds, and the scan's counts are read from its sources'
-    sums in source order after the walk.  Each estimate builds up on its own
-    in index order, so no part depends on which others share the pass, on
-    the batch size or on the workers.
+    Each stream is one _Stream: each catalog state's mu_psi in catalog
+    order, then the reference measure when the scan runs.  Its budget sums
+    reduce the table's integrands, then on the canonical psi the Omega
+    integrand, whose two estimates come last; its share sums reduce the
+    scan's, so the scan reads the first batches of what the budget drew.
+    The pass is one integrate.walk over the streams, which may feed two at
+    once, so each feed adds to its own stream's sums.  Each estimate builds
+    up on its own in index order, so no part depends on which others share
+    the pass, on the batch size or on the workers.
     """
     model, catalog, cfg = run.model, run.catalog, run.cfg
     reads = {part for part, (_, readers) in PASS_PARTS.items() if not readers.isdisjoint(run.check_names)}
     bases = catalog.bases if "responses" in reads else ()
     outcomes = [(basis, outcome) for basis in bases for outcome in basis.outcomes]
     phis = catalog.states if "overlaps" in reads else ()
-    omega = None
+    table_fs = [lambda b, basis=basis: model.response_batch(basis, b) for basis in bases]
+    table_fs += [lambda b, phi=phi: (model.in_support_batch(phi, b),) for phi in phis]
+    omega_psi, omega_fs = None, []
     if "omega" in reads:
         try:
-            psi, phi = canonical_pair(catalog)
+            omega_psi, phi = canonical_pair(catalog)
         except PreconditionError:
             pass   # omega raises it itself
         else:
-            at = next(i for i, s in enumerate(catalog.states) if s is psi)
-            omega = at, RunningSums([_omega_integrand(model, phi, _basis_containing(catalog, phi))])
-    scan = "scan" in reads and bool(catalog.bases)
-    scan_fs = [_scan_integrand(model, basis) for basis in catalog.bases]
+            omega_fs = [_omega_integrand(model, phi, _basis_containing(catalog, phi))]
+    scan_fs = [_scan_integrand(model, basis) for basis in catalog.bases] if "scan" in reads else []
     per_source = max(MIN_SAMPLES, cfg.n_samples // (len(catalog.states) + 1))
-    scans, table, sources = [], [], []   # scans: each scanned source's (label, sampler, sums)
-    for i, psi in enumerate(catalog.states):
-        sampler, feeds = _prepare_sampler(model, psi), []
-        if outcomes or phis:
-            fs = [lambda b, basis=basis: model.response_batch(basis, b) for basis in bases]
-            fs += [lambda b, phi=phi: (model.in_support_batch(phi, b),) for phi in phis]
-            sums = RunningSums(fs)
-            table.append((psi, sums))
-            feeds.append((cfg.n_samples, sums.add))
-        if omega is not None and omega[0] == i:
-            feeds.append((cfg.n_samples, omega[1].add))
-        if scan:
-            scans.append((f"mu({psi.describe()})", sampler, RunningSums(scan_fs)))
-            feeds.append((per_source, scans[-1][2].add))
-        sources.append((sampler, feeds))
-    if scan:
-        scans.append(("reference", model.reference_batch, RunningSums(scan_fs)))
-        sources.append((model.reference_batch, [(per_source, scans[-1][2].add)]))
-    walk(sources, cfg.seed)
+    sums = lambda fs: RunningSums(fs) if fs else None
+    streams = []
+    for psi in catalog.states:
+        fs = table_fs + omega_fs if psi is omega_psi else table_fs
+        streams.append(_Stream(f"mu({psi.describe()})", _prepare_sampler(model, psi), sums(fs), sums(scan_fs)))
+    if scan_fs:
+        streams.append(_Stream("reference", model.reference_batch, None, sums(scan_fs)))
+    feeds = lambda s: [(k, x.add) for k, x in ((cfg.n_samples, s.budget), (per_source, s.share)) if x is not None]
+    walk([(s.sampler, feeds(s)) for s in streams], cfg.seed)
 
-    resp_rows, pair_rows = [], []
-    for psi, sums in table:
-        ests = sums.estimates()
+    resp_rows, pair_rows, witness = [], [], None
+    for psi, stream in zip(catalog.states, streams):
+        ests = stream.budget.estimates() if stream.budget is not None else []
         for (basis, outcome), est in zip(outcomes, ests):
             label = f"{psi.describe()}|{basis.describe()}|{outcome.describe()}"
             row = LabeledEstimate(label, est.mean, est.std_error)
@@ -592,12 +590,14 @@ def source_pass(run: CheckRun) -> dict:
         for phi, est in zip(phis, ests[len(outcomes):]):
             row = LabeledEstimate(f"{psi.describe()}->{phi.describe()}", est.mean, est.std_error)
             pair_rows.append((psi, phi, Comparison(row, born_probability(phi, psi))))
+        if psi is omega_psi:
+            witness = OmegaWitness(*ests[-2:])
     return {
         "responses": tuple(resp_rows) if "responses" in reads else None,
         "overlaps": tuple(pair_rows) if "overlaps" in reads else None,
-        "scan": (*_offenses(model, catalog.bases, scans, cfg.seed), per_source * (len(catalog.states) + 1))
-        if scan else None,
-        "omega": OmegaWitness(*omega[1].estimates()) if omega is not None else None,
+        "scan": (*_offenses(model, catalog.bases, streams, cfg.seed), per_source * (len(catalog.states) + 1))
+        if scan_fs else None,
+        "omega": witness,
     }
 
 

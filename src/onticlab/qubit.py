@@ -181,12 +181,10 @@ def bloch_to_amplitudes(psi: PureState) -> np.ndarray:
     amplitude is 0 the second is fixed to 1.  The azimuth is defined as 0
     at the poles.
     """
-    z = min(1.0, max(-1.0, psi.bloch.z))
-    if z == 1.0:
-        return np.array([1.0, 0.0], dtype=complex)
-    if z == -1.0:
+    # acos(z) loses a state's small distance from a pole, which atan2 keeps
+    theta = math.atan2(math.hypot(psi.bloch.x, psi.bloch.y), psi.bloch.z)
+    if theta == math.pi:
         return np.array([0.0, 1.0], dtype=complex)
-    theta = math.acos(z)
     phi = math.atan2(psi.bloch.y, psi.bloch.x)
     a = math.cos(0.5 * theta)
     b = complex(math.cos(phi), math.sin(phi)) * math.sin(0.5 * theta)

@@ -226,7 +226,7 @@ def test_criterion_7_steering_construction():
     """Remote preparation: exact 50/50 collapse, maximally mixed marginals, witness firing."""
     pairs = list(zip(random_states(7, 20), random_states(8, 20)))
     for psi, phi in pairs:
-        basis = steering_basis(psi, phi)   # internally verified at 1e-10
+        basis, _ = steering_basis(psi, phi)   # internally verified at 1e-10
         ens = steer(make_max_entangled(psi), basis)
         (p0, bob0), (p1, bob1) = ens.entries
         assert abs(p0 - 0.5) <= 1e-10 and abs(p1 - 0.5) <= 1e-10

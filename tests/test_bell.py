@@ -131,22 +131,29 @@ class TestSteer:
 
 class TestSteeringBasis:
     def test_same_state_uses_defining_basis(self):
-        basis = steering_basis(PLUS_Z, PLUS_Z)
+        basis, _ = steering_basis(PLUS_Z, PLUS_Z)
         assert np.abs(basis.outcomes[0].vec() - PLUS_Z.vec()).max() <= 1e-12
 
     def test_real_amplitude_target(self):
-        basis = steering_basis(PLUS_Z, PLUS_X)
+        basis, _ = steering_basis(PLUS_Z, PLUS_X)
         assert np.abs(basis.outcomes[0].vec() - PLUS_X.vec()).max() <= 1e-12
 
     def test_conjugation_negates_y(self):
-        basis = steering_basis(PLUS_Z, PLUS_Y)
+        basis, _ = steering_basis(PLUS_Z, PLUS_Y)
         assert np.abs(basis.outcomes[0].vec() - MINUS_Y.vec()).max() <= 1e-12
         assert np.abs(basis.outcomes[1].vec() - PLUS_Y.vec()).max() <= 1e-12
 
+    def test_target_near_a_pole(self):
+        # phi's amplitudes once dropped its 1e-10 distance from +z, and the verification raised
+        psi, phi = (PureState(BlochVector.from_angles(theta, 0.0)) for theta in (0.5, 1e-10))
+        _, steered = steering_basis(psi, phi)
+        assert np.abs(steered.entries[0][1].vec() - phi.vec()).max() <= 1e-15
+
     def test_round_trip_on_random_pairs(self):
         for psi, phi in random_pairs(20, 6):
-            basis = steering_basis(psi, phi)
+            basis, steered = steering_basis(psi, phi)
             ens = steer(make_max_entangled(psi), basis)
+            assert steered.entries == ens.entries
             (p0, bob0), (p1, bob1) = ens.entries
             assert abs(p0 - 0.5) <= 1e-10 and abs(p1 - 0.5) <= 1e-10
             assert np.abs(bob0.vec() - phi.vec()).max() <= 1e-10

@@ -496,6 +496,37 @@ class TestPreparationNoncontextuality:
             )
 
 
+class TestSourcePassStreams:
+    """Each stream of a source pass is one record, reduced by one RunningSums per budget it feeds."""
+
+    def test_omega_reduces_with_its_streams_table(self, monkeypatch):
+        built = []
+
+        def counted(fs):
+            built.append(integrate.RunningSums(fs))
+            return built[-1]
+
+        monkeypatch.setattr(checks, "RunningSums", counted)
+        names = ("born", "max-epistemic", "omega", "determinism")
+        run = CheckRun(KS, CATALOG, McConfig(n_samples=7_000, seed=42), names)
+        for check in (check_born_reproduction, check_max_psi_epistemic, checks.check_omega_witness,
+                      check_outcome_determinism):
+            check(run)
+        # six catalog streams over the budget; the scan's share of 1,000 on each of them and the reference
+        assert sorted(s.n for s in built) == [1_000] * 7 + [7_000] * 6
+
+    def test_descriptor_variants_are_not_rebuilt_per_batch(self, monkeypatch):
+        calls = []
+        variants = checks._descriptor_variants
+        monkeypatch.setattr(checks, "_descriptor_variants", lambda basis: calls.append(basis) or variants(basis))
+        monkeypatch.setattr(integrate, "BATCH_SIZE", 7)
+        run = CheckRun(KS, CATALOG, McConfig(n_samples=700, seed=42), ("determinism", "measurement-nc"))
+        check_outcome_determinism(run)
+        check_measurement_noncontextuality(run)
+        # once for the scan's integrand and once to name the offense slots, not once per batch
+        assert len(calls) <= 2 * len(CATALOG.bases)
+
+
 class TestOmegaWitness:
     def test_pair_model_mass_is_cap_fraction(self):
         # closed form: P(x-component of uniform point > 0) = 1/2

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from onticlab import integrate
 from onticlab.bell import make_max_entangled, steer, steering_basis
-from onticlab.checks import CheckRun, EnsembleDistribution
+from onticlab.checks import CheckRun, EnsembleDistribution, _omega_integrand, find_omega_witness
 from onticlab.errors import FieldError
 from onticlab.integrate import (
     MAX_N_AZIMUTH,
@@ -34,11 +34,14 @@ from onticlab.integrate import (
 )
 from onticlab.models import KochenSpeckerModel, PairBatch, catalog_from_states, default_catalog, make_model
 from onticlab.qubit import (
+    MINUS_Z,
     PLUS_X,
     PLUS_Z,
     BlochVector,
     Ensemble,
+    MeasurementBasis,
     PureState,
+    born_probability,
     half_half_mixture,
     orthogonal_complement,
     same_state,
@@ -370,7 +373,8 @@ class TestSteeringRoundTrip:
     @FAST
     @given(STATES, STATES)
     def test_steered_halves_are_phi_and_its_complement(self, psi, phi):
-        ens = steer(make_max_entangled(psi), steering_basis(psi, phi))
+        basis, _ = steering_basis(psi, phi)
+        ens = steer(make_max_entangled(psi), basis)
         (p0, bob0), (p1, bob1) = ens.entries
         assert abs(p0 - 0.5) <= 1e-10 and abs(p1 - 0.5) <= 1e-10
         assert np.abs(bob0.vec() - phi.vec()).max() <= 1e-10
@@ -420,3 +424,90 @@ class TestBornLemma:
     ], ids=["ks", "bell-mermin", "label-reader", "const-half", "wide-support"])
     def test_support_rows_respond_with_one(self, model, offending, support):
         assert self.counts(model) == (offending, support)
+
+    @pytest.mark.parametrize("name, differ", [
+        ("ks", 0), ("bell-mermin", 0), ("label-reader", 0), ("const-half", 6),
+    ])
+    def test_born_count_is_overlap_count_plus_omega_response_count(self, name, differ):
+        """Where the lemma holds, Born(phi|psi) = mu_psi(supp mu_phi) + D(psi, phi), count for count.
+
+        All three are counted on one stream, and D is the Omega witness's response mass.  const-half
+        responds 1/2 on its own support, so its psi = phi rows break the identity.
+        """
+        model, catalog, cfg = make_model(name), default_catalog(), McConfig(n_samples=20_000, seed=42)
+
+        def born_overlap_omega(basis, idx, phi):
+            omega = _omega_integrand(model, phi, basis)
+            return lambda batch: (
+                model.response_batch(basis, batch)[idx], model.in_support_batch(phi, batch), omega(batch)[1]
+            )
+
+        outcomes = [phi for basis in catalog.bases for phi in basis.outcomes]
+        fs = [born_overlap_omega(basis, idx, phi)
+              for basis in catalog.bases for idx, phi in enumerate(basis.outcomes)]
+        broken = []
+        for psi in catalog.states:
+            sampler = lambda seed, start, count, psi=psi: model.prepare_batch(psi, seed, start, count)
+            counts = [round(e.mean * e.n) for e in mc_expectations(fs, sampler, cfg)]
+            for phi, born, overlap, omega in zip(outcomes, counts[0::3], counts[1::3], counts[2::3]):
+                if born != overlap + omega:
+                    broken.append((psi, phi))
+        assert len(catalog.states) * len(outcomes) == 36
+        assert len(broken) == differ
+        assert all(same_state(psi, phi) for psi, phi in broken)
+
+
+class NarrowSupport(KochenSpeckerModel):
+    """ks with every support narrowed to lambda . phi > 0.1, inside the half-space where phi responds."""
+
+    def in_support_batch(self, psi, batch):
+        return batch @ psi.vec() > 0.1
+
+
+class TestChainFirstStep:
+    """The chain's first step with its slack: for a model that reproduces Born on {phi, phi_perp},
+    D(psi, phi) + D(psi_perp, phi) <= 2 TV(1/2 mu_psi + 1/2 mu_psi_perp, 1/2 mu_phi + 1/2 mu_phi_perp).
+
+    D is the Omega witness's response mass.  The test function 1{off supp mu_phi} response(phi) lies
+    in [0, 1]; it integrates to 0 under the phi mixture and to (D + D') / 2 under the psi mixture.
+    Near pairs make 2 TV small, and a ks support narrowed to lambda . phi > 0.1 breaks the bound
+    there.  bell-mermin has no density, so there D(psi, phi) <= Born(phi|psi) is checked instead.
+    """
+
+    CFG = McConfig(n_samples=20_000, seed=42)
+    ANGLES = (st.floats(0.0, math.pi), st.floats(0.0, 2.0 * math.pi))
+
+    def masses(self, model, phi):
+        """D(+z, phi) and D(-z, phi)."""
+        basis = MeasurementBasis((phi, orthogonal_complement(phi)))
+        return [
+            find_omega_witness(model, psi, phi, basis, self.CFG).response_mass for psi in (PLUS_Z, MINUS_Z)
+        ]
+
+    def bound(self, model, theta, azimuth):
+        """(D + D', 2 TV, 5 sigma of D + D') for psi = +z and phi at (theta, azimuth)."""
+        phi = PureState(BlochVector.from_angles(theta, azimuth))
+        d, d_perp = self.masses(model, phi)
+        mixture = lambda s: EnsembleDistribution(model, half_half_mixture(s)).density_batch
+        tv = tv_distance(mixture(PLUS_Z), mixture(phi), QuadratureGrid())
+        return d.mean + d_perp.mean, 2.0 * tv, 5.0 * math.hypot(d.std_error, d_perp.std_error)
+
+    @settings(derandomize=True, max_examples=4, deadline=None)
+    @given(*ANGLES)
+    def test_ks_omega_masses_are_within_twice_the_mixtures_tv(self, theta, azimuth):
+        masses, twice_tv, resolution = self.bound(make_model("ks"), theta, azimuth)
+        # ks's response to phi shares its support's half-space, so D is exactly 0
+        assert masses == 0.0
+        assert masses <= twice_tv + resolution
+
+    @pytest.mark.parametrize("theta, holds", [(0.002, False), (0.02, True), (0.5, True), (1.2, True)])
+    def test_a_narrowed_support_breaks_the_bound_on_near_pairs(self, theta, holds):
+        masses, twice_tv, resolution = self.bound(NarrowSupport(), theta, 0.3)
+        assert (masses <= twice_tv + resolution) == holds
+
+    @settings(derandomize=True, max_examples=4, deadline=None)
+    @given(*ANGLES)
+    def test_bell_mermin_omega_response_mass_is_within_born(self, theta, azimuth):
+        phi = PureState(BlochVector.from_angles(theta, azimuth))
+        d, _ = self.masses(make_model("bell-mermin"), phi)
+        assert d.mean <= born_probability(phi, PLUS_Z) + 5.0 * d.std_error

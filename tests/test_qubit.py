@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,13 @@ class TestAmplitudes:
         for s in random_pure_states(200, seed=5):
             back = amplitudes_to_bloch(bloch_to_amplitudes(s))
             assert np.abs(back.as_array() - s.vec()).max() <= 1e-10
+
+    @pytest.mark.parametrize("theta", [1e-10, 1e-7, math.pi - 1e-7, math.pi - 1e-10])
+    def test_round_trip_near_the_poles(self, theta):
+        # a polar angle taken as acos(z) missed these states by up to 1e-10
+        s = PureState(BlochVector.from_angles(theta, 0.3))
+        back = amplitudes_to_bloch(bloch_to_amplitudes(s))
+        assert np.abs(back.as_array() - s.vec()).max() <= 1e-15
 
     def test_second_amplitude_fixed_when_first_vanishes(self):
         a = bloch_to_amplitudes(MINUS_Z)
