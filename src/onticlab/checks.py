@@ -126,9 +126,11 @@ class CheckRun:
     draws samples and is shared goes through once(), whose memo lives as long
     as this object: the one source pass over the catalog's streams (the state
     table, the response scan of determinism and measurement-nc, and the Omega
-    witness; see source_pass) and prep-nc's comparison of a pair.  A report
-    built from memoized passes is rebuilt, not stored.  No check builds a run
-    of its own, and nothing computed for one catalog can reach another.
+    witness; see source_pass) and every comparison of two preparations (see
+    check_preparation_noncontextuality), whichever check or caller asks for
+    it.  A comparison's report is kept; a report built from the source pass
+    is rebuilt, not stored.  No check builds a run of its own, and nothing
+    computed for one catalog can reach another.
     """
 
     model: OntologicalModel
@@ -356,12 +358,13 @@ def ensemble_distribution(model: OntologicalModel, ensemble: Ensemble) -> Ensemb
 
 
 def check_preparation_noncontextuality(run: CheckRun, e1: Ensemble, e2: Ensemble) -> CheckReport:
-    """Compare the ontic distributions of two preparations of the same density operator.
+    """Compare the ontic distributions of two preparations of the same density operator, once per run.
 
     With densities available the comparison is the total-variation distance on
     the run's quadrature grid; otherwise a support-membership witness is
     evaluated under both ensembles.  Verdict "violated" means preparation
-    contextual.
+    contextual.  The precondition is checked on every call; the comparison
+    is made once per run for each pair of ensembles, whoever asks.
     """
     if not density_operators_equal(
         ensemble_density_operator(e1), ensemble_density_operator(e2), DENSITY_OP_TOL
@@ -369,6 +372,17 @@ def check_preparation_noncontextuality(run: CheckRun, e1: Ensemble, e2: Ensemble
         raise PreconditionError(
             "ensembles prepare different density operators; the comparison is meaningless"
         )
+    # Ensemble equality ignores the labels and signs of zero that the details
+    # and stream keys carry, so the key holds each entry's exact weight bits,
+    # Bloch bytes and label
+    key = ("prep-nc",) + tuple(
+        tuple((float(w).hex(), s.vec().tobytes(), s.label) for w, s in e.entries) for e in (e1, e2)
+    )
+    return run.once(key, lambda: _compare_preparations(run, e1, e2))
+
+
+def _compare_preparations(run: CheckRun, e1: Ensemble, e2: Ensemble) -> CheckReport:
+    """check_preparation_noncontextuality's report, made afresh."""
     d1 = EnsembleDistribution(run.model, e1)
     d2 = EnsembleDistribution(run.model, e2)
     pair = f"{e1.describe()} vs {e2.describe()}"
@@ -391,16 +405,6 @@ def check_preparation_noncontextuality(run: CheckRun, e1: Ensemble, e2: Ensemble
             LabeledEstimate("witness_under_e2", m2.mean, m2.std_error),
         ),
         f"support-witness route: expectations differ by {diff.disc():.6f} for {pair}",
-    )
-
-
-def prep_nc_report(run: CheckRun, psi: PureState, phi: PureState) -> CheckReport:
-    """The prep-nc report on the half-half mixtures of psi and phi, made once per run."""
-    # PureState equality ignores the labels and signs of zero that the details
-    # and stream keys carry, so the key holds the exact Bloch bytes and labels
-    key = ("prep-nc",) + tuple((s.vec().tobytes(), s.label) for s in (psi, phi))
-    return run.once(
-        key, lambda: check_preparation_noncontextuality(run, half_half_mixture(psi), half_half_mixture(phi))
     )
 
 
@@ -620,7 +624,7 @@ def audit_implication_chain(run: CheckRun) -> CheckReport:
     maxe = check_max_psi_epistemic(run)
     cls = classify_ontology(run)
     psi, phi = _chain_pair(run)
-    prep = prep_nc_report(run, psi, phi)
+    prep = check_preparation_noncontextuality(run, half_half_mixture(psi), half_half_mixture(phi))
     # determinism and measurement-nc are exact: each is satisfied or violated
     ks_nc = _combine((det.verdict, mnc.verdict))
 

@@ -27,13 +27,13 @@ from .checks import (
     check_measurement_noncontextuality,
     check_omega_witness,
     check_outcome_determinism,
+    check_preparation_noncontextuality,
     classify_ontology,
-    prep_nc_report,
 )
 from .errors import FieldError, is_integer
 from .integrate import MIN_SAMPLES, McConfig, QuadratureGrid
 from .models import MODEL_NAMES, StateCatalog, catalog_from_states, default_catalog, make_model
-from .qubit import state_from_catalog_entry
+from .qubit import half_half_mixture, state_from_catalog_entry
 
 OUTPUT_FORMATS = ("json", "csv", "text")
 # The flag that sets each validated field of McConfig, QuadratureGrid and CheckRun.
@@ -62,7 +62,8 @@ class RunConfig:
 
 
 def _run_prep_nc(run: CheckRun) -> CheckReport:
-    return prep_nc_report(run, *canonical_pair(run.catalog))
+    psi, phi = canonical_pair(run.catalog)
+    return check_preparation_noncontextuality(run, half_half_mixture(psi), half_half_mixture(phi))
 
 
 def _run_nonlocality(run: CheckRun) -> CheckReport:

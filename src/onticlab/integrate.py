@@ -426,5 +426,8 @@ def tv_distance(
             raise PreconditionError(f"density {name} takes negative values")
         total = weighted_sum(wts, vals)
         if abs(total - 1.0) > DENSITY_NORM_TOL:
-            raise PreconditionError(f"density {name} integrates to {total:.6f}, not 1")
+            raise PreconditionError(
+                f"density {name} integrates to {total:.6f}, not 1, on the quadrature grid with"
+                f" n_polar={grid.n_polar} and n_azimuth={grid.n_azimuth}"
+            )
     return 0.5 * weighted_sum(wts, np.abs(fv - gv))

@@ -36,52 +36,37 @@ from .qubit import (
 RELABEL_MARK = "*"       # marker used on checker-synthesized basis descriptors
 
 
-class memoized:
-    """A method read as an attribute, computed on first read, once, and kept on the instance.
-
-    This is functools' cached property without its lock: on Python 3.10 and
-    3.11 that lock is one per class attribute, shared by every instance, so
-    two threads reading the attribute on two batches would run one after the
-    other.  A batch is read by the one thread that drew it.
-    """
-
-    def __init__(self, func: Callable):
-        self.func = func
-
-    def __set_name__(self, owner, name: str):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.func(obj)
-        return value
-
-
 class PairBatch:
     """Vectorized batch of sphere-pair ontic states: two (n, 3) arrays of unit rows, one per sphere.
 
     draw_second is a function of no arguments that returns the second
     sphere; it is called when second is first read, once, so rows that no
     integrand reads are never drawn.  Counter-based draws make the deferred
-    rows bitwise those an eager draw gives.
+    rows bitwise those an eager draw gives.  Neither deferred value takes a
+    lock: a batch is read by the one thread that drew it.
     """
 
     def __init__(self, first: np.ndarray, draw_second: Callable[[], np.ndarray]):
         self.first = first
         self._draw_second = draw_second
+        self._second = None
+        self._total = None
 
     def __len__(self) -> int:
         return len(self.first)
 
-    @memoized
+    @property
     def second(self) -> np.ndarray:
-        return self._draw_second()
+        if self._second is None:
+            self._second = self._draw_second()
+        return self._second
 
-    @memoized
+    @property
     def total(self) -> np.ndarray:
         """first + second, the summed vector the two-sphere responses read; computed once per batch."""
-        return np.add(self.first, self.second, out=lend(self.second.shape))
+        if self._total is None:
+            self._total = np.add(self.first, self.second, out=lend(self.second.shape))
+        return self._total
 
 
 # A single-sphere batch is its (n, 3) array of unit rows.

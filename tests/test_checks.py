@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from onticlab import checks, integrate, models
+from onticlab import checks, cli, integrate, models
 from onticlab.checks import (
     INCONCLUSIVE,
     PSI_EPISTEMIC,
@@ -26,7 +26,6 @@ from onticlab.checks import (
     check_preparation_noncontextuality,
     classify_ontology,
     find_omega_witness,
-    prep_nc_report,
 )
 from onticlab.errors import FieldError, PreconditionError
 from onticlab.integrate import (
@@ -168,14 +167,14 @@ class TestBornReproduction:
     def test_bell_mermin_sums_each_batch_once(self, monkeypatch):
         # three bases read every batch, and the summed vector is built once for all six outcomes
         built = []
-        cached = vars(PairBatch)["total"]
-        plain = cached.func
+        plain = models.lend
 
-        def counting(batch):
-            built.append(len(batch))
-            return plain(batch)
+        def counting(shape):
+            built.append(shape[0])
+            return plain(shape)
 
-        monkeypatch.setattr(cached, "func", counting)   # the descriptor and its caching stay
+        # on bell-mermin only PairBatch.total lends from models
+        monkeypatch.setattr(models, "lend", counting)
         monkeypatch.setattr(integrate, "BATCH_SIZE", 300)
         cfg = McConfig(n_samples=1000, seed=19)
         rep = check_born_reproduction(run_of(BM, "born", cfg=cfg))
@@ -485,9 +484,33 @@ class TestPreparationNoncontextuality:
         phis = (PLUS_X, PureState(PLUS_X.bloch, "x"), PureState(PLUS_X.bloch),
                 PureState(BlochVector(1.0, -0.0, 0.0)))
         run = run_of(KS, "prep-nc")
-        shared = [prep_nc_report(run, PLUS_Z, phi) for phi in phis]
-        assert shared == [prep_nc_report(run_of(KS, "prep-nc"), PLUS_Z, phi) for phi in phis]
+        compare = lambda run, phi: check_preparation_noncontextuality(
+            run, half_half_mixture(PLUS_Z), half_half_mixture(phi))
+        shared = [compare(run, phi) for phi in phis]
+        assert shared == [compare(run_of(KS, "prep-nc"), phi) for phi in phis]
         assert len({r.details for r in shared}) == len(phis)
+
+    def test_a_run_compares_a_pair_once_whoever_asks(self, monkeypatch):
+        # a library call, the prep-nc runner, audit and the library call again share one comparison
+        calls = []
+        plain = checks.tv_distance
+
+        def counting(*args):
+            calls.append(args)
+            return plain(*args)
+
+        monkeypatch.setattr(checks, "tv_distance", counting)
+        run = CheckRun(KS, CATALOG, McConfig(n_samples=2000, seed=19), ("prep-nc", "audit"))
+        assert canonical_pair(CATALOG) == (PLUS_Z, PLUS_X)
+        library = lambda: check_preparation_noncontextuality(
+            run, half_half_mixture(PLUS_Z), half_half_mixture(PLUS_X))
+        first = library()
+        runner = cli.CHECK_RUNNERS["prep-nc"](run)
+        audit = audit_implication_chain(run)
+        assert "pair=+z->+x" in audit.details
+        again = library()
+        assert len(calls) == 1
+        assert again is first and runner is first and audit.estimates == first.estimates
 
     def test_density_operator_precondition(self):
         with pytest.raises(PreconditionError):

@@ -102,6 +102,12 @@ class TestRun:
         assert code == 2 and reports == []
         assert "vibes" in capsys.readouterr().err
 
+    def test_unknown_output_format_fails_fast(self, capsys):
+        # argparse's choices cover the command line, so only a library call reaches this
+        code, reports = run(RunConfig(model_name="ks", check_names=("born",), output_format="xml"))
+        assert code == 2 and reports == []
+        assert "unknown output format 'xml'" in capsys.readouterr().err
+
     def test_precondition_error_exits_2(self, capsys):
         code, _ = run(RunConfig(model_name="const-half", check_names=("nonlocality",), **FAST))
         assert code == 2
@@ -333,6 +339,13 @@ class TestMain:
         assert flag in captured.err and bound in captured.err
         assert captured.out == ""
 
+
+    def test_a_grid_too_coarse_to_normalize_exits_2_naming_its_orders(self, capsys):
+        code = main(["--model", "ks", "--check", "prep-nc", "--quad-polar", "1", "--quad-azimuth", "1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "error: check 'prep-nc': density g integrates to 1.732051, not 1," in captured.err
+        assert "n_polar=1 and n_azimuth=1" in captured.err
 
     @pytest.mark.parametrize(
         "field, value, flag",

@@ -32,8 +32,9 @@ RULES = {  # reason: (pattern, files, the only places a match may sit, places th
     "every statistical verdict is Comparison.verdict of a row and its target; CheckRun validates tol":
         (r"[<>]=?\s*(run\.|self\.)?\btol\b|\btol\s*[<>]", ("src/onticlab/checks.py", "src/onticlab/bell.py"),
          ("checks.py:Comparison", "checks.py:CheckRun"), ()),
-    "integrate.substream_key alone makes stream-key bytes; prep_nc_report's and _cap_points' tobytes( are memo keys":
-        (r"tobytes\(", PKG, ("integrate.py:substream_key", "checks.py:prep_nc_report", "models.py:_cap_points"), ()),
+    "integrate.substream_key alone makes stream-key bytes; prep-nc's comparison and _cap_points' tobytes( are memo keys":
+        (r"tobytes\(", PKG,
+         ("integrate.py:substream_key", "checks.py:check_preparation_noncontextuality", "models.py:_cap_points"), ()),
     "batch boundaries live in integrate.py, which draws every stream":
         (r"BATCH_SIZE", PKG, ("integrate.py",), ()),
     "integrate.walk is the only loop over a sample stream, and the one reader of BATCH_SIZE":
@@ -67,7 +68,7 @@ RULES = {  # reason: (pattern, files, the only places a match may sit, places th
     "integrate.walk alone starts a worker, and joins it before it returns":
         (r"threading\.Thread\(|ThreadPoolExecutor|multiprocessing", TREE, ("integrate.py:walk",),
          ("integrate.py:walk",)),
-    "batches memoize with models.memoized: the cached property's lock on 3.10 and 3.11 serializes workers":
+    "batches memoize in plain attributes, not the cached property, whose lock on 3.10 and 3.11 serializes workers":
         (r"cached_property", TREE, (), ()),
     "the worker count is integrate.WORKERS, read by walk alone and patched only by tests":
         (r"^(?!WORKERS =).*\bWORKERS\b", PKG, ("integrate.py:walk",), ("integrate.py:walk",)),

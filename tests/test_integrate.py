@@ -470,6 +470,89 @@ class TestWorkers:
             walk([(lent_rows, [(30, feed_of(i))]) for i in range(4)], 0)
         assert threading.active_count() == before
 
+    @staticmethod
+    def caller_takes_source_0(monkeypatch, interrupted_joins=0):
+        """Samplers whose source 0 the caller takes and source 1 the helper, and an event that join sets.
+
+        The helper takes a source only after the caller has drawn source 0's
+        first batch.  The first interrupted_joins calls of join() raise
+        KeyboardInterrupt; the next one sets the event, then joins.
+        """
+        caller_drew, joined = threading.Event(), threading.Event()
+        joins = []
+
+        class Helper(threading.Thread):
+            def run(self):
+                caller_drew.wait(timeout=10)
+                super().run()
+
+            def join(self, timeout=None):
+                joins.append(self)
+                if len(joins) <= interrupted_joins:
+                    raise KeyboardInterrupt
+                joined.set()
+                super().join(timeout)
+
+        def sampler_of(i):
+            def sampler(seed, start, count):
+                if i == 0:
+                    caller_drew.set()
+                return lent_rows(seed, start, count)
+            return sampler
+
+        monkeypatch.setattr(threading, "Thread", Helper)
+        return sampler_of, joined
+
+    def test_a_source_error_stops_the_other_workers_source_at_its_next_batch(self, monkeypatch, started):
+        monkeypatch.setattr(integrate, "WORKERS", 2)
+        monkeypatch.setattr(integrate, "BATCH_SIZE", 10)
+        sampler_of, joined = self.caller_takes_source_0(monkeypatch)
+        holding = threading.Event()
+        fed = [0, 0]
+
+        class SourceError(Exception):
+            pass
+
+        def feed_of(i):
+            def feed(rows):
+                fed[i] += 1
+                if i == 0:   # source 0 raises while source 1 holds its first batch
+                    assert holding.wait(timeout=10)
+                    raise SourceError(i)
+                holding.set()
+                assert joined.wait(timeout=10)   # the caller joins once it has given up its sources
+            return feed
+
+        with pytest.raises(SourceError) as info:
+            walk([(sampler_of(i), [(30, feed_of(i))]) for i in range(2)], 0)
+        assert info.value.args == (0,)
+        assert fed == [1, 1]
+        assert len(started) == 1 and not started[0].is_alive()
+
+    def test_an_interrupt_while_joining_stops_the_helpers_source_at_its_next_batch(self, monkeypatch, started):
+        monkeypatch.setattr(integrate, "WORKERS", 2)
+        monkeypatch.setattr(integrate, "BATCH_SIZE", 10)
+        sampler_of, joined = self.caller_takes_source_0(monkeypatch, interrupted_joins=1)
+        holding = threading.Event()
+        fed = [0, 0]
+
+        def feed_of(i):
+            def feed(rows):
+                fed[i] += 1
+                if i == 0:   # source 1 is taken before the caller, done with source 0, joins
+                    assert holding.wait(timeout=10)
+                    return
+                holding.set()
+                assert joined.wait(timeout=10)   # the second join comes after the interrupted first
+            return feed
+
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            walk([(sampler_of(i), [(30, feed_of(i))]) for i in range(2)], 0)
+        assert fed == [3, 1]
+        assert len(started) == 1 and not started[0].is_alive()
+        assert threading.active_count() == before
+
     def test_nested_and_one_source_walks_start_no_thread(self, monkeypatch, started):
         monkeypatch.setattr(integrate, "WORKERS", 2)
         monkeypatch.setattr(integrate, "BATCH_SIZE", 4)

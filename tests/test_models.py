@@ -299,6 +299,11 @@ class TestSpherePairModel:
             target = born_probability(alpha_basis.outcomes[idx], psi)
             assert abs(est.mean - target) <= 5 * est.std_error
 
+    def test_rejects_single_sphere_states(self):
+        for respond in (lambda b: BM.in_support_batch(PLUS_Z, b), lambda b: BM.response_batch(X_BASIS, b)):
+            with pytest.raises(ValueError, match="expected a sphere-pair ontic state"):
+                respond(single(PLUS_Z.bloch))
+
     def test_density_absent(self):
         with pytest.raises(PreconditionError, match="'bell-mermin' has no density"):
             density(BM, PLUS_Z, sample_prepared(BM, PLUS_Z, 1, 0))

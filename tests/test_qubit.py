@@ -194,6 +194,10 @@ class TestMeasurementBasis:
         basis = MeasurementBasis((PLUS_Y, orthogonal_complement(PLUS_Y)), "y")
         assert basis.describe() == "y"
 
+    def test_an_unlabeled_basis_describes_its_outcomes(self):
+        outcomes = (PureState(BlochVector(0.6, 0.0, 0.8)), PureState(BlochVector(-0.6, 0.0, -0.8)))
+        assert MeasurementBasis(outcomes).describe() == "{(+0.6000,+0.0000,+0.8000),(-0.6000,+0.0000,-0.8000)}"
+
 
 class TestSameState:
     """same_state and same_state_rows are one rule: every component within STATE_TOL."""
