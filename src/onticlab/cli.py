@@ -12,7 +12,7 @@ import io
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, replace
 from importlib import resources
 
 from .bell import nonlocality_witness
@@ -30,12 +30,13 @@ from .checks import (
     check_preparation_noncontextuality,
     classify_ontology,
 )
-from .errors import FieldError, is_integer
+from .errors import FieldError
 from .integrate import MIN_SAMPLES, McConfig, QuadratureGrid
 from .models import MODEL_NAMES, StateCatalog, catalog_from_states, default_catalog, make_model
 from .qubit import half_half_mixture, state_from_catalog_entry
 
 OUTPUT_FORMATS = ("json", "csv", "text")
+DEFAULT_CHECKS = ("audit",)
 # The flag that sets each validated field of McConfig, QuadratureGrid and CheckRun.
 FIELD_FLAGS = {
     "n_samples": "--samples",
@@ -44,21 +45,6 @@ FIELD_FLAGS = {
     "n_polar": "--quad-polar",
     "n_azimuth": "--quad-azimuth",
 }
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One CLI invocation; its defaults are the command line's defaults."""
-
-    model_name: str
-    check_names: tuple[str, ...] = ("audit",)
-    samples: int = McConfig.n_samples
-    seed: int = McConfig.seed
-    tolerance: float = CheckRun.tol
-    quad_polar: int = QuadratureGrid.n_polar
-    quad_azimuth: int = QuadratureGrid.n_azimuth
-    catalog_path: str | None = None
-    output_format: str = "text"
 
 
 def _run_prep_nc(run: CheckRun) -> CheckReport:
@@ -100,7 +86,13 @@ def load_catalog(path: str) -> StateCatalog:
         raise ValueError(f"--catalog {path!r} is nested too deeply to parse") from exc
     if not isinstance(entries, list) or not entries:
         raise ValueError(f"--catalog {path!r} must hold a non-empty JSON array of state entries")
-    return catalog_from_states([state_from_catalog_entry(e) for e in entries])
+    states = []
+    for index, entry in enumerate(entries):
+        try:
+            states.append(state_from_catalog_entry(entry))
+        except ValueError as exc:
+            raise ValueError(f"--catalog {path!r} entry {index}: {exc}") from exc
+    return catalog_from_states(states)
 
 
 def emit_report(reports: list[CheckReport], output_format: str) -> str:
@@ -133,30 +125,45 @@ def emit_report(reports: list[CheckReport], output_format: str) -> str:
     raise ValueError(f"unknown output format {output_format!r}; valid: {', '.join(OUTPUT_FORMATS)}")
 
 
-def run(config: RunConfig) -> tuple[int, list[CheckReport]]:
-    """Execute the configured checks; exit code 0 only for fully expected verdicts."""
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """The command line's settings; each flag defaults to the library field it sets."""
+    parser = argparse.ArgumentParser(
+        prog="onticlab", description="Run property checks on hidden-variable models of a qubit."
+    )
+    parser.add_argument("--model", required=True, help=f"model name ({', '.join(MODEL_NAMES)})")
+    parser.add_argument(
+        "--check", dest="check_names", action="append", choices=sorted(CHECK_RUNNERS), metavar="NAME",
+        help=f"check to run, repeatable ({', '.join(sorted(CHECK_RUNNERS))});"
+        f" default: {', '.join(DEFAULT_CHECKS)}",
+    )
+    parser.add_argument("--samples", type=int, default=McConfig.n_samples, help="Monte Carlo sample count")
+    parser.add_argument("--seed", type=int, default=McConfig.seed, help="base seed for all sampling")
+    parser.add_argument("--tol", type=float, default=CheckRun.tol, help="verdict tolerance")
+    parser.add_argument("--quad-polar", type=int, default=QuadratureGrid.n_polar,
+                        help="quadrature polar order per hemisphere")
+    parser.add_argument("--quad-azimuth", type=int, default=QuadratureGrid.n_azimuth,
+                        help="quadrature azimuth count")
+    parser.add_argument("--catalog", help="path to a JSON state-catalog file")
+    parser.add_argument("--format", choices=OUTPUT_FORMATS, default="text", help="report format")
+    args = parser.parse_args(argv)
+    args.check_names = tuple(args.check_names or DEFAULT_CHECKS)
+    return args
+
+
+def run(args: argparse.Namespace) -> tuple[int, list[CheckReport]]:
+    """Execute the parsed checks; exit code 0 only for fully expected verdicts."""
     reports: list[CheckReport] = []
     try:
-        model = make_model(config.model_name)
-        for name in config.check_names:
-            if name not in CHECK_RUNNERS:
-                raise ValueError(
-                    f"unknown check {name!r}; valid names: {', '.join(sorted(CHECK_RUNNERS))}"
-                )
-        if config.output_format not in OUTPUT_FORMATS:
-            raise ValueError(
-                f"unknown output format {config.output_format!r}; valid: {', '.join(OUTPUT_FORMATS)}"
-            )
-        samples = config.samples
-        # only an integer count of 1..99 is raised; anything else reaches
-        # McConfig, which rejects zero, negative, boolean and non-integer counts
-        if is_integer(samples) and 0 < samples < MIN_SAMPLES:
+        model = make_model(args.model)
+        samples = args.samples
+        # a count of 1..99 is raised; McConfig rejects zero and negative counts
+        if 0 < samples < MIN_SAMPLES:
             print(f"note: samples raised to the minimum of {MIN_SAMPLES}", file=sys.stderr)
             samples = MIN_SAMPLES
-        cfg = McConfig(n_samples=samples, seed=config.seed)
-        grid = QuadratureGrid(config.quad_polar, config.quad_azimuth)
-        catalog = load_catalog(config.catalog_path) if config.catalog_path else default_catalog()
-        check_run = CheckRun(model, catalog, cfg, config.check_names, config.tolerance, grid)
+        cfg = McConfig(n_samples=samples, seed=args.seed)
+        grid = QuadratureGrid(args.quad_polar, args.quad_azimuth)
+        catalog = load_catalog(args.catalog) if args.catalog else default_catalog()
+        check_run = CheckRun(model, catalog, cfg, args.check_names, args.tol, grid)
     except FieldError as exc:
         print(f"error: {exc.worded(FIELD_FLAGS.get(exc.field, exc.field))}", file=sys.stderr)
         return 2, reports
@@ -164,9 +171,9 @@ def run(config: RunConfig) -> tuple[int, list[CheckReport]]:
         print(f"error: {exc}", file=sys.stderr)
         return 2, reports
 
-    patterns = expected_patterns().get(config.model_name, {})
+    patterns = expected_patterns().get(args.model, {})
     exit_code = 0
-    for name in config.check_names:
+    for name in args.check_names:
         started = time.perf_counter()
         try:
             report = CHECK_RUNNERS[name](check_run)
@@ -179,7 +186,7 @@ def run(config: RunConfig) -> tuple[int, list[CheckReport]]:
         if report.verdict != expected:
             exit_code = 1
             print(
-                f"unexpected verdict for {config.model_name}/{name}:"
+                f"unexpected verdict for {args.model}/{name}:"
                 f" got {report.verdict!r}, expected {expected!r}",
                 file=sys.stderr,
             )
@@ -187,41 +194,10 @@ def run(config: RunConfig) -> tuple[int, list[CheckReport]]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # An absent flag leaves its RunConfig field at the field's default.
-    parser = argparse.ArgumentParser(
-        prog="onticlab",
-        description="Run property checks on hidden-variable models of a qubit.",
-        argument_default=argparse.SUPPRESS,
-    )
-    parser.add_argument(
-        "--model", dest="model_name", metavar="MODEL", required=True,
-        help=f"model name ({', '.join(MODEL_NAMES)})",
-    )
-    parser.add_argument(
-        "--check",
-        dest="check_names",
-        action="append",
-        metavar="NAME",
-        help=f"check to run, repeatable ({', '.join(sorted(CHECK_RUNNERS))});"
-        f" default: {', '.join(RunConfig.check_names)}",
-    )
-    parser.add_argument("--samples", type=int, help="Monte Carlo sample count")
-    parser.add_argument("--seed", type=int, help="base seed for all sampling")
-    parser.add_argument("--tol", dest="tolerance", metavar="TOL", type=float, help="verdict tolerance")
-    parser.add_argument("--quad-polar", type=int, help="quadrature polar order per hemisphere")
-    parser.add_argument("--quad-azimuth", type=int, help="quadrature azimuth count")
-    parser.add_argument(
-        "--catalog", dest="catalog_path", metavar="CATALOG", help="path to a JSON state-catalog file"
-    )
-    parser.add_argument("--format", dest="output_format", choices=OUTPUT_FORMATS, help="report format")
-    args = vars(parser.parse_args(argv))
-    if "check_names" in args:
-        args["check_names"] = tuple(args["check_names"])
-
-    config = RunConfig(**args)
-    code, reports = run(config)
+    args = parse_args(argv)
+    code, reports = run(args)
     if reports:
-        sys.stdout.write(emit_report(reports, config.output_format))
+        sys.stdout.write(emit_report(reports, args.format))
     return code
 
 

@@ -22,17 +22,12 @@ class FieldError(ValueError):
         return self.worded(self.field)
 
 
-def is_integer(value) -> bool:
-    """True iff value is an integer (numpy integers included) and not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 def require_int(field: str, value, lo: int, hi: float, span: str) -> None:
-    """Raise FieldError unless is_integer(value) and lo <= value <= hi.
+    """Raise FieldError unless value is an integer (numpy integers included, bools not) in [lo, hi].
 
     span words the range for the message, e.g. "in [1, 512]".
     """
-    if not is_integer(value):
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise FieldError(field, "an integer", value)
     if not lo <= value <= hi:
         raise FieldError(field, span, value)

@@ -25,7 +25,6 @@ from .qubit import (
     PLUS_X,
     PLUS_Y,
     PLUS_Z,
-    BlochVector,
     MeasurementBasis,
     PureState,
     orthogonal_complement,
@@ -330,15 +329,6 @@ def default_catalog() -> StateCatalog:
             MeasurementBasis((PLUS_X, MINUS_X), "x"),
             MeasurementBasis((PLUS_Y, MINUS_Y), "y"),
         ),
-    )
-
-
-def random_states(seed: int, count: int) -> tuple[PureState, ...]:
-    """Uniformly random pure states with stable labels r00, r01, ..."""
-    u = uniform_blocks(substream_key(seed, "random-states"), 0, count)
-    pts = sphere_points_from_uniforms(u[:, 0], u[:, 1])
-    return tuple(
-        PureState(BlochVector.from_array(pts[i]), f"r{i:02d}") for i in range(count)
     )
 
 

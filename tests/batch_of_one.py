@@ -3,13 +3,14 @@
 The package evaluates models, samplers and mixtures on batches only.  These
 helpers let a test state a pointwise fact about one ontic state, a one-row
 batch, and each one goes through the same batch method the checks call.
+random_states draws the random preparations that tests build catalogs from.
 """
 
 import numpy as np
 
-from onticlab.integrate import sphere_points_from_uniforms, uniform_blocks
+from onticlab.integrate import sphere_points_from_uniforms, substream_key, uniform_blocks
 from onticlab.models import KochenSpeckerModel, PairBatch
-from onticlab.qubit import MINUS_Z, PLUS_Z, BlochVector, MeasurementBasis
+from onticlab.qubit import MINUS_Z, PLUS_Z, BlochVector, MeasurementBasis, PureState
 
 _KS = KochenSpeckerModel()
 _Z_BASIS = MeasurementBasis((PLUS_Z, MINUS_Z), "z")
@@ -51,6 +52,13 @@ def uniform_sphere_batch(seed, start, count):
 def uniform_sphere_sampler(seed, index) -> BlochVector:
     """The uniform sphere point assigned to (seed, index)."""
     return BlochVector.from_array(uniform_sphere_batch(seed, index, 1)[0])
+
+
+def random_states(seed: int, count: int) -> tuple[PureState, ...]:
+    """Uniformly random pure states with stable labels r00, r01, ..."""
+    u = uniform_blocks(substream_key(seed, "random-states"), 0, count)
+    pts = sphere_points_from_uniforms(u[:, 0], u[:, 1])
+    return tuple(PureState(BlochVector.from_array(pts[i]), f"r{i:02d}") for i in range(count))
 
 
 def step(x):

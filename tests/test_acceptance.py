@@ -27,14 +27,9 @@ from onticlab.checks import (
     classify_ontology,
     find_omega_witness,
 )
-from onticlab.cli import RunConfig, emit_report, expected_patterns, run
+from onticlab.cli import emit_report, expected_patterns, parse_args, run
 from onticlab.integrate import McConfig, QuadratureGrid, sphere_quadrature
-from onticlab.models import (
-    StateCatalog,
-    default_catalog,
-    make_model,
-    random_states,
-)
+from onticlab.models import StateCatalog, default_catalog, make_model
 from onticlab.qubit import (
     MINUS_X,
     MINUS_Z,
@@ -46,6 +41,8 @@ from onticlab.qubit import (
     half_half_mixture,
     orthogonal_complement,
 )
+
+from batch_of_one import random_states
 
 FULL = McConfig(n_samples=1_000_000, seed=42)
 GRID = QuadratureGrid()
@@ -258,12 +255,9 @@ def test_criterion_8_implication_chain_audit(audits):
 
 def test_criterion_9_reproducible_reports():
     """Identical run configurations yield byte-identical JSON, duration aside."""
-    config = RunConfig(
-        model_name="ks",
-        check_names=("born", "prep-nc", "classify"),
-        samples=50_000,
-        seed=42,
-        output_format="json",
+    config = parse_args(
+        ["--model", "ks", "--check", "born", "--check", "prep-nc", "--check", "classify",
+         "--samples", "50000", "--seed", "42", "--format", "json"]
     )
     outputs = []
     for _ in range(2):

@@ -23,7 +23,6 @@ from onticlab.models import (
     catalog_from_states,
     default_catalog,
     make_model,
-    random_states,
 )
 from onticlab.qubit import (
     MINUS_X,
@@ -40,6 +39,8 @@ from onticlab.qubit import (
     ensemble_density_operator,
     orthogonal_complement,
 )
+
+from batch_of_one import random_states
 
 CFG = McConfig(n_samples=50_000, seed=23)
 Z_BASIS = MeasurementBasis((PLUS_Z, MINUS_Z), "z")

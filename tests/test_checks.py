@@ -44,7 +44,6 @@ from onticlab.models import (
     catalog_from_states,
     default_catalog,
     make_model,
-    random_states,
 )
 from onticlab.qubit import (
     MINUS_X,
@@ -61,7 +60,7 @@ from onticlab.qubit import (
     orthogonal_complement,
 )
 
-from batch_of_one import uniform_sphere_batch
+from batch_of_one import random_states, uniform_sphere_batch
 
 CFG = McConfig(n_samples=50_000, seed=19)
 GRID = QuadratureGrid()

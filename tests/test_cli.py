@@ -10,7 +10,7 @@ import pytest
 
 from onticlab import checks, integrate, models
 from onticlab.integrate import McConfig, QuadratureGrid, walk
-from onticlab.errors import PreconditionError
+from onticlab.errors import FieldError, PreconditionError
 from onticlab.models import (
     MODEL_NAMES,
     LabelReadingModel,
@@ -36,11 +36,11 @@ from onticlab.checks import (
 from onticlab.cli import (
     CHECK_RUNNERS,
     FIELD_FLAGS,
-    RunConfig,
     emit_report,
     expected_patterns,
     load_catalog,
     main,
+    parse_args,
     run,
 )
 
@@ -48,33 +48,51 @@ FAST = {"samples": 20_000}
 IS_DIRECTORY = object()   # a catalog path that names a directory
 
 
-def run_json(tmp_path=None, **kwargs):
-    code, reports = run(RunConfig(**{**FAST, **kwargs}))
+def parsed(model_name, checks=(), **flags):
+    """parse_args of --model model_name, one --check per name, and --flag value per keyword (_ as -)."""
+    argv = ["--model", model_name]
+    for name in checks:
+        argv += ["--check", name]
+    for flag, value in flags.items():
+        argv += ["--" + flag.replace("_", "-"), str(value)]
+    return parse_args(argv)
+
+
+def exit_of(argv):
+    """main's exit code, whether main returns it or the parser exits with it."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def run_json(model_name, checks):
+    code, reports = run(parsed(model_name, checks, **FAST))
     return code, json.loads(emit_report(reports, "json"))
 
 
 class TestRun:
     def test_cap_model_audit_passes(self):
-        code, payload = run_json(model_name="ks", check_names=("audit",))
+        code, payload = run_json("ks", ("audit",))
         assert code == 0
         assert payload[0]["verdict"] == "satisfied"
         assert "prep-nc=violated" in payload[0]["details"]
         assert "max-epistemic=satisfied" in payload[0]["details"]
 
     def test_pair_model_expected_violation_passes(self):
-        code, payload = run_json(model_name="bell-mermin", check_names=("max-epistemic",))
+        code, payload = run_json("bell-mermin", ("max-epistemic",))
         assert code == 0
         assert payload[0]["verdict"] == "violated"
 
     def test_undersampled_run_is_inconclusive(self):
-        code, reports = run(RunConfig(model_name="ks", check_names=("born",), samples=10))
+        code, reports = run(parsed("ks", ("born",), samples=10))
         assert code == 1
         assert reports[0].verdict == "inconclusive"
         assert reports[0].n_samples == 100
 
-    @pytest.mark.parametrize("samples", [50, np.int64(50)])
+    @pytest.mark.parametrize("samples", [50, 99])
     def test_small_positive_sample_count_is_raised_with_a_note(self, capsys, samples):
-        code, reports = run(RunConfig(model_name="ks", check_names=("born",), samples=samples))
+        code, reports = run(parsed("ks", ("born",), samples=samples))
         assert "note: samples raised to the minimum of 100" in capsys.readouterr().err
         assert code == 1 and reports[0].n_samples == 100
 
@@ -88,35 +106,40 @@ class TestRun:
 
     @pytest.mark.parametrize("samples", [50.5, 50.0, True])
     def test_non_integer_sample_count_is_not_raised(self, capsys, samples):
-        code, reports = run(RunConfig(model_name="ks", check_names=("born",), samples=samples))
-        assert code == 2 and reports == []
-        assert capsys.readouterr().err == f"error: --samples must be an integer, got {samples!r}\n"
+        # the parser rejects it; test_a_value_only_python_can_pass_is_rejected_by_its_object
+        # covers the same values passed to McConfig
+        code = exit_of(["--model", "ks", "--check", "born", "--samples", str(samples)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "--samples" in captured.err and f"'{samples}'" in captured.err
+        assert "raised" not in captured.err
 
     def test_unknown_model_fails_fast(self, capsys):
-        code, reports = run(RunConfig(model_name="mystery"))
+        code, reports = run(parsed("mystery"))
         assert code == 2 and reports == []
         assert "valid names" in capsys.readouterr().err
 
+    # argparse words its choice list differently across Python versions, so only
+    # the flag and the value are asserted
     def test_unknown_check_fails_fast(self, capsys):
-        code, reports = run(RunConfig(model_name="ks", check_names=("born", "vibes")))
-        assert code == 2 and reports == []
-        assert "vibes" in capsys.readouterr().err
+        code = exit_of(["--model", "ks", "--check", "born", "--check", "vibes"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "--check" in captured.err and "'vibes'" in captured.err
 
     def test_unknown_output_format_fails_fast(self, capsys):
-        # argparse's choices cover the command line, so only a library call reaches this
-        code, reports = run(RunConfig(model_name="ks", check_names=("born",), output_format="xml"))
-        assert code == 2 and reports == []
-        assert "unknown output format 'xml'" in capsys.readouterr().err
+        code = exit_of(["--model", "ks", "--check", "born", "--format", "xml"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "--format" in captured.err and "'xml'" in captured.err
 
     def test_precondition_error_exits_2(self, capsys):
-        code, _ = run(RunConfig(model_name="const-half", check_names=("nonlocality",), **FAST))
+        code, _ = run(parsed("const-half", ("nonlocality",), **FAST))
         assert code == 2
         assert "Born" in capsys.readouterr().err
 
     def test_checks_run_in_declared_order(self):
-        code, reports = run(
-            RunConfig(model_name="ks", check_names=("classify", "born"), **FAST)
-        )
+        code, reports = run(parsed("ks", ("classify", "born"), **FAST))
         assert [r.check_name for r in reports] == ["classify", "born"]
         assert code == 0
 
@@ -130,7 +153,7 @@ class TestRun:
             }
 
     def test_omega_check_matches_pattern(self):
-        code, payload = run_json(model_name="bell-mermin", check_names=("omega",))
+        code, payload = run_json("bell-mermin", ("omega",))
         assert code == 0
         assert payload[0]["verdict"] == "violated"
         assert abs(payload[0]["estimates"][0]["mean"] - 0.5) < 0.02
@@ -201,15 +224,13 @@ class TestCatalogIngestion:
         catalog = load_catalog(str(path))
         assert len(catalog.states) == 4           # closed under complements
         assert len(catalog.bases) == 2
-        code, reports = run(
-            RunConfig(model_name="ks", check_names=("born",), catalog_path=str(path), **FAST)
-        )
+        code, reports = run(parsed("ks", ("born",), catalog=path, **FAST))
         assert code == 0 and reports[0].verdict == "satisfied"
 
     def test_malformed_catalog_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{}")
-        code, reports = run(RunConfig(model_name="ks", catalog_path=str(path)))
+        code, reports = run(parsed("ks", catalog=path))
         assert code == 2 and reports == []
 
     @pytest.mark.parametrize(
@@ -222,7 +243,7 @@ class TestCatalogIngestion:
     def test_non_finite_entry_exits_2_naming_the_field(self, tmp_path, capsys, entry, field):
         path = tmp_path / "nonfinite.json"
         path.write_text(json.dumps([{"bloch": [0, 0, 1]}, entry]))
-        code, reports = run(RunConfig(model_name="ks", catalog_path=str(path), **FAST))
+        code, reports = run(parsed("ks", catalog=path, **FAST))
         assert code == 2 and reports == []
         assert f"'{field}'" in capsys.readouterr().err
 
@@ -243,31 +264,36 @@ class TestCatalogIngestion:
     def test_malformed_entry_exits_2_naming_the_field(self, tmp_path, capsys, entries, message):
         path = tmp_path / "malformed.json"
         path.write_text(json.dumps(entries))
-        code, reports = run(RunConfig(model_name="ks", catalog_path=str(path), **FAST))
+        code, reports = run(parsed("ks", catalog=path, **FAST))
         assert code == 2 and reports == []
         assert message in capsys.readouterr().err
+
+    def test_a_bad_entry_is_named_by_the_flag_the_path_and_its_index(self, tmp_path, capsys):
+        path = tmp_path / "two.json"
+        path.write_text(json.dumps([{"bloch": [0, 0, 1]}, {"bloch": [0, 1]}]))
+        code, reports = run(parsed("ks", catalog=path, **FAST))
+        assert code == 2 and reports == []
+        assert capsys.readouterr().err == (
+            f"error: --catalog {str(path)!r} entry 1: catalog entry 'bloch' must be a 3-element list\n"
+        )
 
     @pytest.mark.parametrize("offset, triples", [(1e-13, 4), (2e-12, 16)])
     def test_states_within_state_tol_merge(self, tmp_path, offset, triples):
         path = tmp_path / "near.json"
         path.write_text(json.dumps([{"bloch": [0, 0, 1]}, {"bloch": [offset, 0, 1]}]))
-        code, reports = run(
-            RunConfig(model_name="ks", check_names=("born",), catalog_path=str(path), **FAST)
-        )
+        code, reports = run(parsed("ks", ("born",), catalog=path, **FAST))
         assert code == 0
         assert len(reports[0].estimates) == triples
 
     def test_classify_on_a_one_state_catalog_exits_2(self, tmp_path, capsys):
         path = tmp_path / "one.json"
         path.write_text(json.dumps([{"bloch": [0, 0, 1]}]))
-        code, reports = run(
-            RunConfig(model_name="ks", check_names=("classify",), catalog_path=str(path), **FAST)
-        )
+        code, reports = run(parsed("ks", ("classify",), catalog=path, **FAST))
         assert code == 2 and reports == []
         assert "no distinct nonorthogonal pair" in capsys.readouterr().err
 
     def test_missing_file_exits_2(self):
-        code, reports = run(RunConfig(model_name="ks", catalog_path="/nonexistent.json"))
+        code, reports = run(parsed("ks", catalog="/nonexistent.json"))
         assert code == 2
 
     @pytest.mark.parametrize(
@@ -282,7 +308,7 @@ class TestCatalogIngestion:
             path.mkdir()
         elif content is not None:   # None leaves the path missing
             path.write_text(content)
-        code, reports = run(RunConfig(model_name="ks", catalog_path=str(path), **FAST))
+        code, reports = run(parsed("ks", catalog=path, **FAST))
         assert code == 2 and reports == []
         err = capsys.readouterr().err
         assert "--catalog" in err and str(path) in err
@@ -355,10 +381,38 @@ class TestMain:
     def test_run_config_value_of_the_wrong_type_exits_2_naming_the_flag(
         self, capsys, field, value, flag
     ):
-        config = RunConfig(model_name="ks", check_names=("born",), samples=100, **{field: value})
-        code, reports = run(config)
-        assert code == 2 and reports == []
-        assert f"error: {flag} must be" in capsys.readouterr().err
+        # the parser rejects the first three by type and CheckRun the NaN tolerance
+        code = exit_of(["--model", "ks", "--check", "born", "--samples", "100", flag, str(value)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert flag in captured.err and str(value) in captured.err
+
+    @pytest.mark.parametrize(
+        "build, field, requirement, value",
+        [
+            pytest.param(McConfig, "n_samples", "an integer", 50.5, id="samples-50.5"),
+            pytest.param(McConfig, "n_samples", "an integer", 50.0, id="samples-50.0"),
+            pytest.param(McConfig, "n_samples", "an integer", True, id="samples-True"),
+            # a numpy integer is an integer, so only its range fails
+            pytest.param(McConfig, "n_samples", ">= 100", np.int64(50), id="samples-np.int64"),
+            pytest.param(McConfig, "seed", "an integer", 1.5, id="seed-1.5"),
+            pytest.param(QuadratureGrid, "n_polar", "an integer", True, id="quad-polar-True"),
+            pytest.param(QuadratureGrid, "n_azimuth", "an integer", 8.0, id="quad-azimuth-8.0"),
+        ],
+    )
+    def test_a_value_only_python_can_pass_is_rejected_by_its_object(self, build, field, requirement, value):
+        with pytest.raises(FieldError) as info:
+            build(**{field: value})
+        flag = FIELD_FLAGS[info.value.field]
+        assert info.value.worded(flag) == f"{flag} must be {requirement}, got {value!r}"
+
+    def test_absent_flags_take_the_library_defaults(self):
+        args = parse_args(["--model", "ks"])
+        cfg, grid = McConfig(), QuadratureGrid()
+        assert (args.samples, args.seed, args.quad_polar, args.quad_azimuth) == (
+            cfg.n_samples, cfg.seed, grid.n_polar, grid.n_azimuth
+        )
+        assert (args.tol, args.check_names, args.catalog, args.format) == (CheckRun.tol, ("audit",), None, "text")
 
     def test_field_flags_name_validated_fields_and_real_flags(self, capsys):
         validated = {f.name for cls in (McConfig, QuadratureGrid, CheckRun) for f in fields(cls)}
@@ -371,10 +425,7 @@ class TestMain:
 
 class TestDeterminism:
     def test_identical_configs_give_identical_json(self):
-        config = RunConfig(
-            model_name="ks", check_names=("born", "prep-nc"), samples=20_000, seed=7,
-            output_format="json",
-        )
+        config = parsed("ks", ("born", "prep-nc"), samples=20_000, seed=7, format="json")
         outputs = []
         for _ in range(2):
             code, reports = run(config)
@@ -501,7 +552,7 @@ class TestLentMemory:
     @classmethod
     def output(cls, model_name):
         checks = tuple(c for c in CHECK_RUNNERS if c != "nonlocality" or model_name in ("ks", "bell-mermin"))
-        code, reports = run(RunConfig(model_name, checks, samples=cls.SAMPLES, tolerance=0.05))
+        code, reports = run(parsed(model_name, checks, samples=cls.SAMPLES, tol=0.05))
         return code, zeroed_json(reports)
 
     @pytest.mark.parametrize("size", (25_000, 1_000, 7))
@@ -601,11 +652,11 @@ class TestSharedStateTable:
 
     @pytest.mark.parametrize("model_name", MODEL_NAMES)
     def test_shared_run_equals_separate_runs(self, model_name):
-        code, together = run(RunConfig(model_name=model_name, check_names=self.SHARING, **FAST))
+        code, together = run(parsed(model_name, self.SHARING, **FAST))
         assert code == 0
         alone = []
         for name in self.SHARING:
-            code, reports = run(RunConfig(model_name=model_name, check_names=(name,), **FAST))
+            code, reports = run(parsed(model_name, (name,), **FAST))
             assert code == 0
             alone += reports
         assert zeroed_json(together) == zeroed_json(alone)
@@ -615,11 +666,11 @@ class TestSharedStateTable:
         others = tuple(name for name in expected_patterns()[model_name] if name != "audit")
         alone = {}
         for name in others + ("audit",):
-            code, reports = run(RunConfig(model_name=model_name, check_names=(name,), **FAST))
+            code, reports = run(parsed(model_name, (name,), **FAST))
             assert code == 0
             alone[name] = reports
         for names in (("audit",) + others, others + ("audit",)):
-            code, together = run(RunConfig(model_name=model_name, check_names=names, **FAST))
+            code, together = run(parsed(model_name, names, **FAST))
             assert code == 0
             assert zeroed_json(together) == zeroed_json([r for n in names for r in alone[n]])
 
@@ -631,7 +682,7 @@ class TestSharedStateTable:
 
         def drawn(checks):
             before = model.drawn
-            code, reports = run(RunConfig(model_name="label-reader", check_names=checks, **FAST))
+            code, reports = run(parsed("label-reader", checks, **FAST))
             assert code == 0 and len(reports) == len(checks)
             return model.drawn - before
 

@@ -80,6 +80,10 @@ RULES = {  # reason: (pattern, files, the only places a match may sit, places th
         (r"os\.environ|getenv\(", TREE, (), ()),
     "no test calls the bench-pinned shims, so deleting them touches no test":
         (r"overlap_integral\(|ensemble_distribution\(", TESTS, (), ()),
+    "the command line is configured once: cli.parse_args's namespace goes to run, with no mirror of its flags":
+        (r"RunConfig", TREE + TESTS + ("README.md",), (), ()),
+    "random preparations are a test fixture (batch_of_one.random_states); the package draws no random state":
+        (r"random_states", TREE, (), ()),
 }
 
 

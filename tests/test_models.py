@@ -26,7 +26,6 @@ from onticlab.models import (
     catalog_from_states,
     default_catalog,
     make_model,
-    random_states,
 )
 from onticlab.qubit import (
     MINUS_X,
@@ -46,6 +45,7 @@ from batch_of_one import (
     density,
     in_support,
     pair,
+    random_states,
     response,
     sample_prepared,
     single,

@@ -313,6 +313,64 @@ class TestQuadratureReduction:
         assert tv == 0.4141998590767367
 
 
+TV_GRID_ERROR = 5e-5   # E: how far the default grid's TV may lie from the exact TV of ks mixtures
+
+
+def exact_mixture_tv(psi, phi):
+    """The TV of ks's half-half mixtures of psi and phi: sqrt(1 + |psi x phi|) - 1 for their Bloch vectors."""
+    return math.sqrt(1.0 + np.linalg.norm(np.cross(psi.vec(), phi.vec()))) - 1.0
+
+
+class TestExactMixtureTv:
+    """On the default grid, tv_distance of ks half-half mixtures lies within TV_GRID_ERROR of the closed form.
+
+    A ks half-half mixture of psi has density |psi . lambda| / (2 pi).  With psi
+    and phi at angle gamma in one plane, TV = (1/8) int_0^{2 pi} ||cos b| - |cos(b - gamma)|| db
+    = sin(gamma/2) + cos(gamma/2) - 1 = sqrt(1 + |psi x phi|) - 1.  So a prep-nc or
+    nonlocality verdict on ks can flip with the grid only when |TV - tol| < TV_GRID_ERROR.
+    """
+
+    KS = make_model("ks")
+
+    def assert_near_exact(self, e1, e2, psi, phi):
+        densities = (EnsembleDistribution(self.KS, e).density_batch for e in (e1, e2))
+        assert abs(tv_distance(*densities, QuadratureGrid()) - exact_mixture_tv(psi, phi)) <= TV_GRID_ERROR
+
+    @FAST
+    @given(STATES, STATES)
+    def test_random_pairs(self, psi, phi):
+        self.assert_near_exact(half_half_mixture(psi), half_half_mixture(phi), psi, phi)
+
+    @FAST
+    @given(st.floats(0.0, math.pi - 0.01), st.floats(0.0, 2.0 * math.pi), st.floats(1e-9, 1e-2))
+    def test_near_pairs(self, theta, azimuth, delta):
+        psi, phi = (PureState(BlochVector.from_angles(t, azimuth)) for t in (theta, theta + delta))
+        self.assert_near_exact(half_half_mixture(psi), half_half_mixture(phi), psi, phi)
+
+    @pytest.mark.parametrize("psi", [PLUS_Z, PLUS_X, PureState(BlochVector.from_angles(1.1, 4.2))])
+    def test_equal_and_orthogonal_pairs(self, psi):
+        # a state and its complement make the same mixture: both read exactly 0
+        for phi in (psi, orthogonal_complement(psi)):
+            assert exact_mixture_tv(psi, phi) == 0.0
+            self.assert_near_exact(half_half_mixture(psi), half_half_mixture(phi), psi, phi)
+        # Bloch vectors at a right angle read sqrt(2) - 1
+        axis = np.cross(psi.vec(), [0.6, 0.0, 0.8])
+        perp = PureState(BlochVector.from_array(axis / np.linalg.norm(axis)))
+        assert exact_mixture_tv(psi, perp) == pytest.approx(math.sqrt(2.0) - 1.0, abs=1e-15)
+        self.assert_near_exact(half_half_mixture(psi), half_half_mixture(perp), psi, perp)
+
+    @FAST
+    @given(STATES, STATES)
+    def test_steered_ensembles(self, psi, phi):
+        # nonlocality's two ensembles: Bob's halves for Alice's bases aimed at psi and at phi
+        (_, e1), (_, e2) = steering_basis(psi, psi), steering_basis(psi, phi)
+        self.assert_near_exact(e1, e2, psi, phi)
+
+    def test_nonlocality_steered_pair(self):
+        (_, e1), (_, e2) = steering_basis(PLUS_Z, PLUS_Z), steering_basis(PLUS_Z, PLUS_X)
+        self.assert_near_exact(e1, e2, PLUS_Z, PLUS_X)
+
+
 # catalog states coincide across ensembles, as a point measure's support needs to show anything
 CATALOG_STATES = st.sampled_from(default_catalog().states)
 
