@@ -16,7 +16,6 @@ from .checks import CheckReport, CheckRun, check_born_reproduction, check_prepar
 from .errors import PreconditionError
 from .models import _index
 from .qubit import (
-    DensityOperator,
     Ensemble,
     MeasurementBasis,
     PureState,
@@ -53,10 +52,11 @@ def make_max_entangled(psi: PureState) -> BipartiteState:
     return BipartiteState((np.kron(a, a) + np.kron(b, b)) / np.sqrt(2.0))
 
 
-def bob_reduced_density(state: BipartiteState) -> DensityOperator:
-    """Bob's marginal density operator (partial trace over Alice)."""
+def bob_reduced_density(state: BipartiteState) -> np.ndarray:
+    """Bloch vector (2 Re rho_10, 2 Im rho_10, rho_00 - rho_11) of Bob's marginal rho (partial trace over Alice)."""
     v = state.amplitudes.reshape(2, 2)
-    return DensityOperator(v.T @ v.conj())
+    rho = v.T @ v.conj()
+    return np.array([2.0 * rho[1, 0].real, 2.0 * rho[1, 0].imag, (rho[0, 0] - rho[1, 1]).real])
 
 
 def steer(state: BipartiteState, alice_basis: MeasurementBasis) -> Ensemble:

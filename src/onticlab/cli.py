@@ -130,7 +130,8 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(
         prog="onticlab", description="Run property checks on hidden-variable models of a qubit."
     )
-    parser.add_argument("--model", required=True, help=f"model name ({', '.join(MODEL_NAMES)})")
+    parser.add_argument("--model", required=True, choices=MODEL_NAMES, metavar="MODEL",
+                        help=f"model name ({', '.join(MODEL_NAMES)})")
     parser.add_argument(
         "--check", dest="check_names", action="append", choices=sorted(CHECK_RUNNERS), metavar="NAME",
         help=f"check to run, repeatable ({', '.join(sorted(CHECK_RUNNERS))});"

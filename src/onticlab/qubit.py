@@ -115,28 +115,12 @@ class Ensemble:
     def weights(self) -> np.ndarray:
         return np.array([w for w, _ in self.entries])
 
+    def vec(self) -> np.ndarray:
+        """Mean Bloch vector sum_j p_j r_j: the density operator (I + r.sigma)/2 of the mixture."""
+        return sum(w * s.vec() for w, s in self.entries)
+
     def describe(self) -> str:
         return "+".join(f"{w:g}*{s.describe()}" for w, s in self.entries)
-
-
-@dataclass(frozen=True, eq=False)
-class DensityOperator:
-    """2x2 Hermitian, unit-trace, positive-semidefinite matrix."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValueError("density operator must be a 2x2 matrix")
-        if np.abs(m - m.conj().T).max() > 1e-12:
-            raise ValueError("density operator is not Hermitian")
-        if abs(np.trace(m) - 1.0) > 1e-12:
-            raise ValueError("density operator trace differs from 1")
-        if np.linalg.eigvalsh(m).min() < -1e-12:
-            raise ValueError("density operator has a negative eigenvalue")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
 
 
 def same_state(a: PureState, b: PureState) -> bool:
@@ -196,25 +180,6 @@ def amplitudes_to_bloch(amps) -> BlochVector:
     a, b = complex(amps[0]), complex(amps[1])
     cross = a.conjugate() * b
     return BlochVector(2.0 * cross.real, 2.0 * cross.imag, abs(a) ** 2 - abs(b) ** 2)
-
-
-def ensemble_density_operator(ensemble: Ensemble) -> DensityOperator:
-    """Density operator sum_j p_j |psi_j><psi_j| of the mixture."""
-    r = np.zeros(3)
-    for w, s in ensemble.entries:
-        r = r + w * s.vec()
-    x, y, z = r
-    m = np.array(
-        [[0.5 * (1.0 + z), 0.5 * (x - 1j * y)],
-         [0.5 * (x + 1j * y), 0.5 * (1.0 - z)]],
-        dtype=complex,
-    )
-    return DensityOperator(m)
-
-
-def density_operators_equal(a: DensityOperator, b: DensityOperator, tol: float) -> bool:
-    """True iff the matrices agree entrywise within tol."""
-    return bool(np.abs(a.matrix - b.matrix).max() <= tol)
 
 
 def half_half_mixture(psi: PureState) -> Ensemble:

@@ -3,8 +3,11 @@
 The package evaluates models, samplers and mixtures on batches only.  These
 helpers let a test state a pointwise fact about one ontic state, a one-row
 batch, and each one goes through the same batch method the checks call.
-random_states draws the random preparations that tests build catalogs from.
+random_states draws the random preparations that tests build catalogs from,
+and density_gap compares two mixed states given as Bloch vectors.
 """
+
+import math
 
 import numpy as np
 
@@ -72,3 +75,13 @@ def step(x):
     points = np.column_stack([np.zeros_like(z), np.zeros_like(z), z])
     vals = _KS.response_batch(_Z_BASIS, points)[0]
     return vals if np.ndim(x) else float(vals[0])
+
+
+def density_gap(r, s) -> float:
+    """Twice the largest entrywise gap between the density operators (I + r.sigma)/2 and (I + s.sigma)/2.
+
+    The diagonal moves by |dz|/2 and the off-diagonal by |dx - i dy|/2, so an
+    entrywise matrix tolerance t reads density_gap(r, s) <= 2t.
+    """
+    dx, dy, dz = np.asarray(r, dtype=float) - np.asarray(s, dtype=float)
+    return max(abs(float(dz)), math.hypot(dx, dy))

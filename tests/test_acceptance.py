@@ -37,12 +37,11 @@ from onticlab.qubit import (
     PLUS_Z,
     MeasurementBasis,
     born_probability,
-    ensemble_density_operator,
     half_half_mixture,
     orthogonal_complement,
 )
 
-from batch_of_one import random_states
+from batch_of_one import density_gap, random_states
 
 FULL = McConfig(n_samples=1_000_000, seed=42)
 GRID = QuadratureGrid()
@@ -170,11 +169,8 @@ def test_criterion_5_preparation_contextuality_of_cap_model():
     """The z and x equal mixtures share a density operator but not a distribution."""
     e_z = half_half_mixture(PLUS_Z)
     e_x = half_half_mixture(PLUS_X)
-    rho_z = ensemble_density_operator(e_z)
-    rho_x = ensemble_density_operator(e_x)
-    half_eye = np.eye(2) / 2
-    assert np.abs(rho_z.matrix - half_eye).max() <= 1e-12
-    assert np.abs(rho_x.matrix - half_eye).max() <= 1e-12
+    assert density_gap(e_z.vec(), np.zeros(3)) <= 2e-12
+    assert density_gap(e_x.vec(), np.zeros(3)) <= 2e-12
 
     prep_run = CheckRun(KS, default_catalog(), FULL, ("prep-nc",), TOL, GRID)
     report = check_preparation_noncontextuality(prep_run, e_z, e_x)
@@ -229,8 +225,7 @@ def test_criterion_7_steering_construction():
         assert abs(p0 - 0.5) <= 1e-10 and abs(p1 - 0.5) <= 1e-10
         assert np.abs(bob0.vec() - phi.vec()).max() <= 1e-10
         assert np.abs(bob1.vec() + phi.vec()).max() <= 1e-10
-        rho = ensemble_density_operator(ens)
-        assert np.abs(rho.matrix - np.eye(2) / 2).max() <= 1e-12
+        assert density_gap(ens.vec(), np.zeros(3)) <= 2e-12
     for name in ("ks", "bell-mermin"):
         witness_run = CheckRun(make_model(name), default_catalog(), FULL, ("nonlocality",), TOL, GRID)
         fired = nonlocality_witness(witness_run, PLUS_Z, PLUS_X)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from onticlab import bell
 from onticlab.bell import (
     BipartiteState,
     bob_reduced_density,
@@ -36,16 +37,15 @@ from onticlab.qubit import (
     MeasurementBasis,
     PureState,
     bloch_to_amplitudes,
-    ensemble_density_operator,
     orthogonal_complement,
 )
 
-from batch_of_one import random_states
+from batch_of_one import density_gap, random_states
 
 CFG = McConfig(n_samples=50_000, seed=23)
 Z_BASIS = MeasurementBasis((PLUS_Z, MINUS_Z), "z")
 X_BASIS = MeasurementBasis((PLUS_X, MINUS_X), "x")
-HALF_EYE = np.eye(2) / 2
+PAULI = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1]))
 
 
 def witness_run(name):
@@ -59,14 +59,14 @@ def random_pairs(n, seed):
 
 
 def oracle_steer(state_amps, alice_state):
-    """Independent 4x4 projector route: project, trace out Alice, normalize."""
+    """Independent 4x4 projector route: project, trace out Alice, normalize; Bob's r_k = tr(rho sigma_k)."""
     a = bloch_to_amplitudes(alice_state)
     proj = np.kron(np.outer(a, a.conj()), np.eye(2))
     collapsed = proj @ state_amps
     p = float(np.vdot(collapsed, collapsed).real)
     v = collapsed.reshape(2, 2)
     rho_bob = (v.T @ v.conj()) / p
-    return p, rho_bob
+    return p, np.array([np.trace(rho_bob @ sigma).real for sigma in PAULI])
 
 
 class TestMaxEntangled:
@@ -83,12 +83,15 @@ class TestMaxEntangled:
 
     def test_bob_marginal_is_maximally_mixed(self):
         for psi, _ in random_pairs(10, 2):
-            rho = bob_reduced_density(make_max_entangled(psi))
-            assert np.abs(rho.matrix - HALF_EYE).max() <= 1e-12
+            assert density_gap(bob_reduced_density(make_max_entangled(psi)), np.zeros(3)) <= 2e-12
 
     def test_norm_validation(self):
         with pytest.raises(ValueError):
             BipartiteState(np.array([1.0, 0.0, 0.0, 1.0]))
+
+    def test_amplitude_count_validation(self):
+        with pytest.raises(ValueError, match="needs 4 amplitudes"):
+            BipartiteState(np.array([1.0, 0.0, 0.0]))
 
 
 class TestSteer:
@@ -112,17 +115,15 @@ class TestSteer:
             basis = MeasurementBasis((alice, orthogonal_complement(alice)))
             ens = steer(state, basis)
             for (p, bob), outcome in zip(ens.entries, basis.outcomes):
-                p_ref, rho_ref = oracle_steer(state.amplitudes, outcome)
+                p_ref, r_ref = oracle_steer(state.amplitudes, outcome)
                 assert abs(p - p_ref) <= 1e-12
-                rho_bob = ensemble_density_operator(Ensemble(((1.0, bob),)))
-                assert np.abs(rho_bob.matrix - rho_ref).max() <= 1e-10
+                assert density_gap(bob.vec(), r_ref) <= 2e-10
 
     def test_every_steered_marginal_is_maximally_mixed(self):
         for psi, alice in random_pairs(10, 4):
             basis = MeasurementBasis((alice, orthogonal_complement(alice)))
             ens = steer(make_max_entangled(psi), basis)
-            rho = ensemble_density_operator(ens)
-            assert np.abs(rho.matrix - HALF_EYE).max() <= 1e-12
+            assert density_gap(ens.vec(), np.zeros(3)) <= 2e-12
 
     def test_degenerate_outcome_rejected(self):
         product = BipartiteState(np.array([1.0, 0.0, 0.0, 0.0]))
@@ -159,6 +160,17 @@ class TestSteeringBasis:
             assert abs(p0 - 0.5) <= 1e-10 and abs(p1 - 0.5) <= 1e-10
             assert np.abs(bob0.vec() - phi.vec()).max() <= 1e-10
             assert np.abs(bob1.vec() + phi.vec()).max() <= 1e-10
+
+    def test_failed_verification_names_the_pair(self, monkeypatch):
+        plain = bell.steer
+
+        def perturbed(state, basis):
+            (p0, bob0), (p1, bob1) = plain(state, basis).entries
+            return Ensemble(((p0 + 1e-9, bob0), (p1 - 1e-9, bob1)))
+
+        monkeypatch.setattr(bell, "steer", perturbed)
+        with pytest.raises(ValueError, match=r"verification failed for \+z->\+x"):
+            steering_basis(PLUS_Z, PLUS_X)
 
 
 class CountingCapModel(KochenSpeckerModel):

@@ -511,6 +511,18 @@ class TestPreparationNoncontextuality:
         assert len(calls) == 1
         assert again is first and runner is first and audit.estimates == first.estimates
 
+    @pytest.mark.parametrize("delta, accepted", [(0.95e-12, True), (1.05e-12, False)])
+    def test_precondition_allows_an_entrywise_density_gap_of_1e_12(self, delta, accepted):
+        # weights 1/2 +- delta on the x (z) pair move rho's off-diagonal (diagonal) entries by delta
+        run = run_of(BM, "prep-nc", cfg=McConfig(n_samples=2000, seed=19))
+        for psi, plus, minus in ((PLUS_Z, PLUS_X, MINUS_X), (PLUS_X, PLUS_Z, MINUS_Z)):
+            tilted = Ensemble(((0.5 + delta, plus), (0.5 - delta, minus)))
+            if accepted:
+                check_preparation_noncontextuality(run, half_half_mixture(psi), tilted)
+            else:
+                with pytest.raises(PreconditionError, match="different density operators"):
+                    check_preparation_noncontextuality(run, half_half_mixture(psi), tilted)
+
     def test_density_operator_precondition(self):
         with pytest.raises(PreconditionError):
             check_preparation_noncontextuality(

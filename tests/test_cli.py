@@ -115,7 +115,10 @@ class TestRun:
         assert "raised" not in captured.err
 
     def test_unknown_model_fails_fast(self, capsys):
-        code, reports = run(parsed("mystery"))
+        # the parser rejects an unknown --model, so run() is reached by library callers only
+        args = parsed("ks")
+        args.model = "mystery"
+        code, reports = run(args)
         assert code == 2 and reports == []
         assert "valid names" in capsys.readouterr().err
 
@@ -334,7 +337,9 @@ class TestMain:
         assert [r["check_name"] for r in payload] == ["classify", "determinism"]
 
     def test_unknown_model_exit_2(self, capsys):
-        assert main(["--model", "zeta", "--samples", "20000"]) == 2
+        assert exit_of(["--model", "zeta", "--samples", "20000"]) == 2
+        captured = capsys.readouterr()
+        assert "--model" in captured.err and "'zeta'" in captured.err
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_seed_out_of_range_exits_2_naming_the_flag(self, capsys, seed):

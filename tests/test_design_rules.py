@@ -84,6 +84,8 @@ RULES = {  # reason: (pattern, files, the only places a match may sit, places th
         (r"RunConfig", TREE + TESTS + ("README.md",), (), ()),
     "random preparations are a test fixture (batch_of_one.random_states); the package draws no random state":
         (r"random_states", TREE, (), ()),
+    "a mixed qubit state is its Bloch vector (Ensemble.vec); no density-matrix type compares two preparations":
+        (r"DensityOperator|ensemble_density_operator|density_operators_equal", TREE + TESTS + ("README.md",), (), ()),
 }
 
 

@@ -10,15 +10,12 @@ from onticlab.qubit import (
     PLUS_Y,
     PLUS_Z,
     BlochVector,
-    DensityOperator,
     Ensemble,
     MeasurementBasis,
     PureState,
     amplitudes_to_bloch,
     bloch_to_amplitudes,
     born_probability,
-    density_operators_equal,
-    ensemble_density_operator,
     half_half_mixture,
     STATE_TOL,
     orthogonal_complement,
@@ -26,6 +23,8 @@ from onticlab.qubit import (
     same_state_rows,
     state_from_catalog_entry,
 )
+
+from batch_of_one import density_gap
 
 
 def random_pure_states(n, seed=0):
@@ -138,17 +137,13 @@ class TestAmplitudes:
 class TestEnsembles:
     def test_antipodal_mixture_is_maximally_mixed(self):
         for s in random_pure_states(20, seed=6):
-            rho = ensemble_density_operator(half_half_mixture(s))
-            assert np.abs(rho.matrix - np.eye(2) / 2).max() <= 1e-12
+            assert density_gap(half_half_mixture(s).vec(), np.zeros(3)) <= 2e-12
 
     def test_x_and_z_mixtures_agree(self):
-        rho_z = ensemble_density_operator(half_half_mixture(PLUS_Z))
-        rho_x = ensemble_density_operator(half_half_mixture(PLUS_X))
-        assert density_operators_equal(rho_z, rho_x, 1e-12)
+        assert density_gap(half_half_mixture(PLUS_Z).vec(), half_half_mixture(PLUS_X).vec()) <= 2e-12
 
     def test_pure_preparation(self):
-        rho = ensemble_density_operator(Ensemble(((1.0, PLUS_Z),)))
-        np.testing.assert_allclose(rho.matrix, np.diag([1.0, 0.0]), atol=1e-15)
+        assert density_gap(Ensemble(((1.0, PLUS_Z),)).vec(), [0.0, 0.0, 1.0]) <= 2e-15
 
     def test_weight_validation(self):
         with pytest.raises(ValueError):
@@ -167,22 +162,6 @@ class TestEnsembles:
         entries = tuple(zip(weights, (PLUS_Z, MINUS_Z)))
         with pytest.raises(ValueError, match="finite"):
             Ensemble(entries)
-
-
-class TestDensityOperators:
-    def test_equality_tolerance(self):
-        half = DensityOperator(np.eye(2) / 2)
-        assert density_operators_equal(half, half, 1e-12)
-        pure = DensityOperator(np.diag([1.0, 0.0]))
-        assert not density_operators_equal(pure, half, 1e-12)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            DensityOperator(np.array([[0.5, 0.1j], [0.1j, 0.5]]))   # not Hermitian
-        with pytest.raises(ValueError):
-            DensityOperator(np.diag([0.7, 0.7]))                    # trace 1.4
-        with pytest.raises(ValueError):
-            DensityOperator(np.diag([1.5, -0.5]))                   # negative eigenvalue
 
 
 class TestMeasurementBasis:
