@@ -38,6 +38,9 @@ class BipartiteState:
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.shape != (4,):
             raise ValueError("bipartite state needs 4 amplitudes")
+        # a NaN norm passes the norm test below (every comparison with it is false)
+        if not np.isfinite(amps).all():
+            raise ValueError(f"bipartite state amplitudes must be finite, got {amps.tolist()!r}")
         norm = float(np.vdot(amps, amps).real)
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"bipartite state norm-squared {norm!r} differs from 1")
@@ -70,7 +73,7 @@ def steer(state: BipartiteState, alice_basis: MeasurementBasis) -> Ensemble:
             raise PreconditionError(
                 f"Alice outcome {outcome.describe()} has probability {p:.3e}; Bob state undefined"
             )
-        results.append((p, PureState(amplitudes_to_bloch(v / np.sqrt(p)))))
+        results.append((p, amplitudes_to_bloch(v / np.sqrt(p))))
     return Ensemble(tuple(results))
 
 
@@ -88,7 +91,7 @@ def steering_basis(psi: PureState, phi: PureState) -> tuple[MeasurementBasis, En
     c = np.vdot(pa, fa)
     d = np.vdot(qa, fa)
     alice_amps = np.conj(c) * pa + np.conj(d) * qa
-    alice = PureState(amplitudes_to_bloch(alice_amps / np.linalg.norm(alice_amps)))
+    alice = amplitudes_to_bloch(alice_amps / np.linalg.norm(alice_amps))
     basis = MeasurementBasis(
         (alice, orthogonal_complement(alice)),
         f"steer({psi.describe()}->{phi.describe()})",

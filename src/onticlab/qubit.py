@@ -12,13 +12,23 @@ NORM_ACCEPT_TOL = 1e-9   # construction tolerance on the input norm
 STATE_TOL = 1e-12        # per Bloch component: vectors this close name one state
 
 
+def _perp_label(label: str | None) -> str | None:
+    if label is None:
+        return None
+    return label[:-1] if label.endswith("'") else label + "'"
+
+
 @dataclass(frozen=True)
-class BlochVector:
-    """Unit 3-vector. Inputs within 1e-9 of unit norm are renormalized, others rejected."""
+class PureState:
+    """Pure qubit state: its unit Bloch vector (x, y, z); the label is metadata only.
+
+    Inputs within 1e-9 of unit norm are renormalized, others rejected.
+    """
 
     x: float
     y: float
     z: float
+    label: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if not all(math.isfinite(c) for c in (self.x, self.y, self.z)):
@@ -34,46 +44,17 @@ class BlochVector:
             object.__setattr__(self, "z", self.z / norm)
 
     @classmethod
-    def from_array(cls, v) -> BlochVector:
-        v = np.asarray(v, dtype=float)
-        return cls(float(v[0]), float(v[1]), float(v[2]))
-
-    @classmethod
-    def from_angles(cls, theta: float, phi: float) -> BlochVector:
+    def from_angles(cls, theta: float, phi: float, label: str | None = None) -> PureState:
         s = math.sin(theta)
-        return cls(s * math.cos(phi), s * math.sin(phi), math.cos(theta))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
-    def dot(self, other: BlochVector) -> float:
-        return self.x * other.x + self.y * other.y + self.z * other.z
-
-    def antipode(self) -> BlochVector:
-        return BlochVector(-self.x, -self.y, -self.z)
-
-
-def _perp_label(label: str | None) -> str | None:
-    if label is None:
-        return None
-    return label[:-1] if label.endswith("'") else label + "'"
-
-
-@dataclass(frozen=True)
-class PureState:
-    """Pure qubit state stored as a Bloch vector; the label is metadata only."""
-
-    bloch: BlochVector
-    label: str | None = field(default=None, compare=False)
+        return cls(s * math.cos(phi), s * math.sin(phi), math.cos(theta), label)
 
     def vec(self) -> np.ndarray:
-        return self.bloch.as_array()
+        return np.array([self.x, self.y, self.z])
 
     def describe(self) -> str:
         if self.label is not None:
             return self.label
-        b = self.bloch
-        return f"({b.x:+.4f},{b.y:+.4f},{b.z:+.4f})"
+        return f"({self.x:+.4f},{self.y:+.4f},{self.z:+.4f})"
 
 
 @dataclass(frozen=True)
@@ -129,8 +110,7 @@ def same_state(a: PureState, b: PureState) -> bool:
     The scalar form of same_state_rows, kept in plain Python because catalog
     construction calls it for every pair of states.
     """
-    p, q = a.bloch, b.bloch
-    return abs(p.x - q.x) <= STATE_TOL and abs(p.y - q.y) <= STATE_TOL and abs(p.z - q.z) <= STATE_TOL
+    return abs(a.x - b.x) <= STATE_TOL and abs(a.y - b.y) <= STATE_TOL and abs(a.z - b.z) <= STATE_TOL
 
 
 def same_state_rows(points: np.ndarray, psi: PureState) -> np.ndarray:
@@ -139,23 +119,22 @@ def same_state_rows(points: np.ndarray, psi: PureState) -> np.ndarray:
     One comparison per column, ANDed: an axis-1 max over the three columns
     costs about 10x more.  A row holding NaN matches nothing.
     """
-    p = psi.bloch
     return (
-        (np.abs(points[:, 0] - p.x) <= STATE_TOL)
-        & (np.abs(points[:, 1] - p.y) <= STATE_TOL)
-        & (np.abs(points[:, 2] - p.z) <= STATE_TOL)
+        (np.abs(points[:, 0] - psi.x) <= STATE_TOL)
+        & (np.abs(points[:, 1] - psi.y) <= STATE_TOL)
+        & (np.abs(points[:, 2] - psi.z) <= STATE_TOL)
     )
 
 
 def born_probability(phi: PureState, psi: PureState) -> float:
     """Probability of outcome phi on preparation psi: (1 + phi.psi)/2 in Bloch form."""
-    p = 0.5 * (1.0 + phi.bloch.dot(psi.bloch))
+    p = 0.5 * (1.0 + (phi.x * psi.x + phi.y * psi.y + phi.z * psi.z))
     return min(1.0, max(0.0, p))
 
 
 def orthogonal_complement(psi: PureState) -> PureState:
     """The unique state orthogonal to psi (antipodal Bloch vector)."""
-    return PureState(psi.bloch.antipode(), _perp_label(psi.label))
+    return PureState(-psi.x, -psi.y, -psi.z, _perp_label(psi.label))
 
 
 def bloch_to_amplitudes(psi: PureState) -> np.ndarray:
@@ -166,20 +145,20 @@ def bloch_to_amplitudes(psi: PureState) -> np.ndarray:
     at the poles.
     """
     # acos(z) loses a state's small distance from a pole, which atan2 keeps
-    theta = math.atan2(math.hypot(psi.bloch.x, psi.bloch.y), psi.bloch.z)
+    theta = math.atan2(math.hypot(psi.x, psi.y), psi.z)
     if theta == math.pi:
         return np.array([0.0, 1.0], dtype=complex)
-    phi = math.atan2(psi.bloch.y, psi.bloch.x)
+    phi = math.atan2(psi.y, psi.x)
     a = math.cos(0.5 * theta)
     b = complex(math.cos(phi), math.sin(phi)) * math.sin(0.5 * theta)
     return np.array([a, b], dtype=complex)
 
 
-def amplitudes_to_bloch(amps) -> BlochVector:
-    """Bloch vector of a (normalized) amplitude pair, insensitive to global phase."""
+def amplitudes_to_bloch(amps) -> PureState:
+    """The state of a (normalized) amplitude pair, by its Bloch vector; insensitive to global phase."""
     a, b = complex(amps[0]), complex(amps[1])
     cross = a.conjugate() * b
-    return BlochVector(2.0 * cross.real, 2.0 * cross.imag, abs(a) ** 2 - abs(b) ** 2)
+    return PureState(2.0 * cross.real, 2.0 * cross.imag, abs(a) ** 2 - abs(b) ** 2)
 
 
 def half_half_mixture(psi: PureState) -> Ensemble:
@@ -187,12 +166,12 @@ def half_half_mixture(psi: PureState) -> Ensemble:
     return Ensemble(((0.5, psi), (0.5, orthogonal_complement(psi))))
 
 
-PLUS_Z = PureState(BlochVector(0.0, 0.0, 1.0), "+z")
-MINUS_Z = PureState(BlochVector(0.0, 0.0, -1.0), "-z")
-PLUS_X = PureState(BlochVector(1.0, 0.0, 0.0), "+x")
-MINUS_X = PureState(BlochVector(-1.0, 0.0, 0.0), "-x")
-PLUS_Y = PureState(BlochVector(0.0, 1.0, 0.0), "+y")
-MINUS_Y = PureState(BlochVector(0.0, -1.0, 0.0), "-y")
+PLUS_Z = PureState(0.0, 0.0, 1.0, "+z")
+MINUS_Z = PureState(0.0, 0.0, -1.0, "-z")
+PLUS_X = PureState(1.0, 0.0, 0.0, "+x")
+MINUS_X = PureState(-1.0, 0.0, 0.0, "-x")
+PLUS_Y = PureState(0.0, 1.0, 0.0, "+y")
+MINUS_Y = PureState(0.0, -1.0, 0.0, "-y")
 
 
 def _finite(field_name: str, value) -> float:
@@ -231,10 +210,10 @@ def state_from_catalog_entry(entry: dict) -> PureState:
             raise ValueError("catalog entry 'bloch' must be a 3-element list")
         coords = [_finite("bloch", c) for c in v]
         try:
-            return PureState(BlochVector(*coords), label)
+            return PureState(*coords, label)
         except ValueError as exc:   # the components are finite, so the norm is off
             raise ValueError(f"catalog entry 'bloch' must be a unit vector: {exc}") from None
     if "theta" in entry and "phi" in entry:
         theta, phi = _finite("theta", entry["theta"]), _finite("phi", entry["phi"])
-        return PureState(BlochVector.from_angles(theta, phi), label)
+        return PureState.from_angles(theta, phi, label)
     raise ValueError("catalog entry needs either 'bloch' or 'theta'/'phi' fields")

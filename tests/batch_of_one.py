@@ -4,7 +4,8 @@ The package evaluates models, samplers and mixtures on batches only.  These
 helpers let a test state a pointwise fact about one ontic state, a one-row
 batch, and each one goes through the same batch method the checks call.
 random_states draws the random preparations that tests build catalogs from,
-and density_gap compares two mixed states given as Bloch vectors.
+density_gap compares two mixed states given as Bloch vectors, and gauss_1d
+is the tests' one-dimensional quadrature oracle.
 """
 
 import math
@@ -13,21 +14,21 @@ import numpy as np
 
 from onticlab.integrate import sphere_points_from_uniforms, substream_key, uniform_blocks
 from onticlab.models import KochenSpeckerModel, PairBatch
-from onticlab.qubit import MINUS_Z, PLUS_Z, BlochVector, MeasurementBasis, PureState
+from onticlab.qubit import MINUS_Z, PLUS_Z, MeasurementBasis, PureState
 
 _KS = KochenSpeckerModel()
 _Z_BASIS = MeasurementBasis((PLUS_Z, MINUS_Z), "z")
 
 
-def single(point: BlochVector) -> np.ndarray:
-    """The one-row batch of a single-sphere model at point."""
-    return point.as_array()[None]
+def single(point: PureState) -> np.ndarray:
+    """The one-row batch of a single-sphere model at point's Bloch vector."""
+    return point.vec()[None]
 
 
-def pair(first: BlochVector, second: BlochVector) -> PairBatch:
-    """The one-row batch of a two-sphere model at (first, second)."""
-    second_row = second.as_array()[None]
-    return PairBatch(first.as_array()[None], lambda: second_row)
+def pair(first: PureState, second: PureState) -> PairBatch:
+    """The one-row batch of a two-sphere model at the Bloch vectors (first, second)."""
+    second_row = second.vec()[None]
+    return PairBatch(first.vec()[None], lambda: second_row)
 
 
 def sample_prepared(model, psi, seed, index):
@@ -52,16 +53,23 @@ def uniform_sphere_batch(seed, start, count):
     return sphere_points_from_uniforms(u[:, 0], u[:, 1])
 
 
-def uniform_sphere_sampler(seed, index) -> BlochVector:
-    """The uniform sphere point assigned to (seed, index)."""
-    return BlochVector.from_array(uniform_sphere_batch(seed, index, 1)[0])
+def uniform_sphere_sampler(seed, index) -> PureState:
+    """The state at the uniform sphere point assigned to (seed, index)."""
+    return PureState(*uniform_sphere_batch(seed, index, 1)[0].tolist())
 
 
 def random_states(seed: int, count: int) -> tuple[PureState, ...]:
     """Uniformly random pure states with stable labels r00, r01, ..."""
     u = uniform_blocks(substream_key(seed, "random-states"), 0, count)
     pts = sphere_points_from_uniforms(u[:, 0], u[:, 1])
-    return tuple(PureState(BlochVector.from_array(pts[i]), f"r{i:02d}") for i in range(count))
+    return tuple(PureState(*pts[i].tolist(), f"r{i:02d}") for i in range(count))
+
+
+def gauss_1d(f, a, b, n):
+    """Independent n-point Gauss-Legendre oracle for the integral of f over [a, b]."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    xm = 0.5 * (b - a) * x + 0.5 * (a + b)
+    return float(0.5 * (b - a) * (w @ f(xm)))
 
 
 def step(x):

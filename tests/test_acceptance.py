@@ -41,7 +41,7 @@ from onticlab.qubit import (
     orthogonal_complement,
 )
 
-from batch_of_one import density_gap, random_states
+from batch_of_one import density_gap, gauss_1d, random_states
 
 FULL = McConfig(n_samples=1_000_000, seed=42)
 GRID = QuadratureGrid()
@@ -51,12 +51,6 @@ QUAD_TOL = 1e-3
 KS = make_model("ks")
 BM = make_model("bell-mermin")
 X_BASIS = MeasurementBasis((PLUS_X, MINUS_X), "x")
-
-
-def gauss_1d(f, a, b, n=600):
-    x, w = np.polynomial.legendre.leggauss(n)
-    xm = 0.5 * (b - a) * x + 0.5 * (a + b)
-    return float(0.5 * (b - a) * (w @ f(xm)))
 
 
 def overlap_rows(report, catalog):
@@ -141,7 +135,7 @@ def test_criterion_3_pair_model_fails_maximal_epistemicity():
         for phi in catalog.states:
             est = next(rows)
             born = born_probability(phi, psi)
-            if psi.bloch == phi.bloch:
+            if psi == phi:
                 assert est.mean == 1.0
                 continue
             assert est.mean == 0.0 and est.std_error == 0.0
@@ -193,7 +187,7 @@ def test_criterion_5_preparation_contextuality_of_cap_model():
 
     half_sqrt2 = 1.0 / math.sqrt(2.0)
     oracle = (
-        2.0 * (gauss_1d(j_low, 0.0, half_sqrt2) + gauss_1d(j_high, half_sqrt2, 1.0))
+        2.0 * (gauss_1d(j_low, 0.0, half_sqrt2, 600) + gauss_1d(j_high, half_sqrt2, 1.0, 600))
     ) / (4.0 * np.pi)
     assert abs(oracle - (math.sqrt(2.0) - 1.0)) <= 1e-10
     assert abs(tv - oracle) <= 0.01 * oracle

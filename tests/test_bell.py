@@ -32,7 +32,6 @@ from onticlab.qubit import (
     PLUS_X,
     PLUS_Y,
     PLUS_Z,
-    BlochVector,
     Ensemble,
     MeasurementBasis,
     PureState,
@@ -93,6 +92,12 @@ class TestMaxEntangled:
         with pytest.raises(ValueError, match="needs 4 amplitudes"):
             BipartiteState(np.array([1.0, 0.0, 0.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, complex(0.0, np.nan), np.inf])
+    def test_non_finite_amplitudes_rejected(self, bad):
+        # a NaN norm passed the norm test, and steer then failed naming a Bloch vector
+        with pytest.raises(ValueError, match="bipartite state amplitudes must be finite"):
+            BipartiteState(np.array([bad, 0.0, 0.0, 0.0]))
+
 
 class TestSteer:
     def test_z_measurement_on_z_pair(self):
@@ -147,7 +152,7 @@ class TestSteeringBasis:
 
     def test_target_near_a_pole(self):
         # phi's amplitudes once dropped its 1e-10 distance from +z, and the verification raised
-        psi, phi = (PureState(BlochVector.from_angles(theta, 0.0)) for theta in (0.5, 1e-10))
+        psi, phi = (PureState.from_angles(theta, 0.0) for theta in (0.5, 1e-10))
         _, steered = steering_basis(psi, phi)
         assert np.abs(steered.entries[0][1].vec() - phi.vec()).max() <= 1e-15
 
@@ -201,7 +206,7 @@ class TestNonlocalityWitness:
                 nonlocality_witness(run, psi, phi)
         assert model.drawn == 0
         # same_state decides membership, so a state 1e-16 off a catalog state is in it
-        near_x = PureState(BlochVector(1.0, 1e-16, 0.0))
+        near_x = PureState(1.0, 1e-16, 0.0)
         assert nonlocality_witness(run, PLUS_Z, near_x).verdict == VIOLATED
 
     def test_fires_on_cap_model(self):

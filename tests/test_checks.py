@@ -51,7 +51,6 @@ from onticlab.qubit import (
     PLUS_X,
     PLUS_Y,
     PLUS_Z,
-    BlochVector,
     Ensemble,
     MeasurementBasis,
     PureState,
@@ -128,7 +127,7 @@ class TestComparison:
     def test_the_chain_pair_is_the_first_violated_pair_with_the_largest_discrepancy(self):
         # bell-mermin's overlaps of distinct states are 0, so each deficit is the Born probability;
         # the canonical pair is (+z, s80), and four pairs tie at the largest deficit, (+z, s30) first
-        s80, s30 = (PureState(BlochVector.from_angles(math.radians(a), 0.0)) for a in (80, 30))
+        s80, s30 = (PureState.from_angles(math.radians(a), 0.0) for a in (80, 30))
         catalog = catalog_from_states((PLUS_Z, s80, s30))
         run = CheckRun(BM, catalog, McConfig(n_samples=1000, seed=3), ("audit",))
         assert canonical_pair(catalog) == (PLUS_Z, s80)
@@ -435,8 +434,7 @@ class TestStreamKeys:
     @pytest.mark.parametrize("model", [KS, BM], ids=lambda m: m.name)
     def test_prepare_keys_hash_the_little_endian_bloch_vector(self, model):
         for psi in self.STATES:
-            b = psi.bloch
-            assert model._prepare_key(psi, 42) == expected_key(42, model.name, "prepare", [b.x, b.y, b.z])
+            assert model._prepare_key(psi, 42) == expected_key(42, model.name, "prepare", [psi.x, psi.y, psi.z])
 
     def test_keys_of_record(self):
         # the keys every reference report was drawn with, in hex
@@ -480,8 +478,8 @@ class TestPreparationNoncontextuality:
 
     def test_run_keeps_reports_of_equal_states_with_other_labels_or_zero_signs_apart(self):
         # each equals PLUS_X, but its label or signed zero shows in the details
-        phis = (PLUS_X, PureState(PLUS_X.bloch, "x"), PureState(PLUS_X.bloch),
-                PureState(BlochVector(1.0, -0.0, 0.0)))
+        phis = (PLUS_X, PureState(1.0, 0.0, 0.0, "x"), PureState(1.0, 0.0, 0.0),
+                PureState(1.0, -0.0, 0.0))
         run = run_of(KS, "prep-nc")
         compare = lambda run, phi: check_preparation_noncontextuality(
             run, half_half_mixture(PLUS_Z), half_half_mixture(phi))
@@ -582,7 +580,7 @@ class TestOmegaWitness:
         [(math.pi - 0.3, s, 200) for s in (1, 2, 3)] + [(math.pi - 0.4, 1, 200), (math.pi - 0.3, 1, 103)],
     )
     def test_exemplars_count_omega_hits_up_to_ten(self, theta, seed, n):
-        phi = PureState(BlochVector.from_angles(theta, 0.0))
+        phi = PureState.from_angles(theta, 0.0)
         basis = MeasurementBasis((phi, orthogonal_complement(phi)))
         cfg = McConfig(n_samples=n, seed=seed)
         batch = BM.prepare_batch(PLUS_Z, seed, 0, n)
@@ -670,17 +668,17 @@ class TestCanonicalPair:
         assert self.pair(PLUS_Z, MINUS_Z, PLUS_X) == (PLUS_Z, PLUS_X)
 
     def test_skips_a_pair_antipodal_within_state_tol(self):
-        near_minus_z = PureState(BlochVector(5e-13, 0.0, -1.0))
+        near_minus_z = PureState(5e-13, 0.0, -1.0)
         psi, phi = self.pair(PLUS_Z, near_minus_z, PLUS_X)
         assert (psi, phi) == (PLUS_Z, PLUS_X)
 
     def test_skips_a_pair_identical_within_state_tol(self):
-        near_plus_z = PureState(BlochVector(5e-13, 0.0, 1.0))
+        near_plus_z = PureState(5e-13, 0.0, 1.0)
         assert self.pair(PLUS_Z, near_plus_z, PLUS_X) == (PLUS_Z, PLUS_X)
 
     def test_orthogonality_is_state_identity_with_the_complement(self):
         # 1e-7 off the antipode is a different state, however small its Born weight
-        off_minus_z = PureState(BlochVector(1e-7, 0.0, -1.0))
+        off_minus_z = PureState(1e-7, 0.0, -1.0)
         assert self.pair(PLUS_Z, off_minus_z) == (PLUS_Z, off_minus_z)
 
     def test_no_pair(self):

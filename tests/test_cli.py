@@ -19,7 +19,7 @@ from onticlab.models import (
     default_catalog,
     make_model,
 )
-from onticlab.qubit import PLUS_X, PLUS_Z, BlochVector, MeasurementBasis, PureState
+from onticlab.qubit import PLUS_X, PLUS_Z, MeasurementBasis, PureState
 
 from onticlab.checks import (
     CheckReport,
@@ -774,7 +774,7 @@ class TestSharedStateTable:
     def axis_catalog(state_labels, basis_mark):
         """The six axis states under the given labels, one basis per pair, marked or not."""
         vectors = ((0, 0, 1), (0, 0, -1), (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0))
-        states = tuple(PureState(BlochVector(*v), label) for v, label in zip(vectors, state_labels))
+        states = tuple(PureState(*v, label) for v, label in zip(vectors, state_labels))
         bases = tuple(
             MeasurementBasis(states[i:i + 2], states[i].label + basis_mark) for i in (0, 2, 4)
         )

@@ -14,7 +14,7 @@ PKG, TREE, TESTS = ("src/onticlab/*.py",), ("src/onticlab/**/*",), ("tests/**/*"
 
 RULES = {  # reason: (pattern, files, the only places a match may sit, places that must hold one)
     "states are compared with qubit.same_state, never with exact float equality":
-        (r"\.bloch (==|!=|in |not in )", TREE, (), ()),
+        (r"\.[xyz]\b\s*(==|!=|in\b|not in\b)|(==|!=)\s*[\w.]+\.[xyz]\b", TREE, (), ()),
     "every report is built by CheckRun.report, so checks cannot bypass the run":
         (r"CheckReport\(", PKG, ("checks.py:CheckRun",), ("checks.py:CheckRun",)),
     "every estimate reduces through integrate.mc_expectations":
@@ -86,6 +86,8 @@ RULES = {  # reason: (pattern, files, the only places a match may sit, places th
         (r"random_states", TREE, (), ()),
     "a mixed qubit state is its Bloch vector (Ensemble.vec); no density-matrix type compares two preparations":
         (r"DensityOperator|ensemble_density_operator|density_operators_equal", TREE + TESTS + ("README.md",), (), ()),
+    "a pure qubit state is its Bloch vector (PureState's x, y, z); no vector type sits under it":
+        (r"BlochVector", TREE + TESTS + ("README.md",), (), ()),
 }
 
 
@@ -137,6 +139,8 @@ def test_exactly_one_walk_in_checks():
     [
         ("every statistical verdict", "checks.py", "def f(run, d):\n    return run.tol < d\n"),
         ("replace(run,", "bell.py", "def g(run):\n    return replace(\n        run, tol=0.5)\n"),
+        ("states are compared", "qubit.py", "def h(a, b):\n    return a.x == b.x and b.z != 0.0\n"),
+        ("states are compared", "models.py", "def k(points, psi):\n    return points[:, 1] == psi.y\n"),
     ],
 )
 def test_widened_rows_catch_what_a_line_grep_missed(tmp_path, prefix, name, snippet):

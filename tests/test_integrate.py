@@ -26,17 +26,10 @@ from onticlab.integrate import (
 from onticlab.models import MODEL_NAMES, RELABEL_MARK, default_catalog, make_model
 from onticlab.qubit import MeasurementBasis
 
-from batch_of_one import uniform_sphere_batch, uniform_sphere_sampler
+from batch_of_one import gauss_1d, uniform_sphere_batch, uniform_sphere_sampler
 
 CFG = McConfig(n_samples=200_000, seed=11)
 GRID = QuadratureGrid()
-
-
-def gauss_1d(f, a, b, n=400):
-    """Independent 1-dim Gauss-Legendre oracle used to pin expected values."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    xm = 0.5 * (b - a) * x + 0.5 * (a + b)
-    return float(0.5 * (b - a) * (w @ f(xm)))
 
 
 class TestCounterStreams:
@@ -57,7 +50,7 @@ class TestCounterStreams:
         b = uniform_sphere_sampler(3, 17)
         assert a == b
         batch = uniform_sphere_batch(3, 15, 5)
-        np.testing.assert_array_equal(batch[2], a.as_array())
+        np.testing.assert_array_equal(batch[2], a.vec())
 
     def test_sphere_points_are_unit(self):
         pts = uniform_sphere_batch(1, 0, 10_000)
@@ -77,7 +70,7 @@ class TestUniformSphereMoments:
 
     def test_z_squared_moment(self):
         # closed-form second moment: (1/2) * integral of u^2 over [-1, 1] = 1/3
-        oracle = 0.5 * gauss_1d(lambda u: u * u, -1.0, 1.0)
+        oracle = 0.5 * gauss_1d(lambda u: u * u, -1.0, 1.0, 400)
         assert abs(oracle - 1.0 / 3.0) <= 1e-12
         est = mc_expectation(lambda p: p[:, 2] ** 2, uniform_sphere_batch, CFG)
         assert abs(est.mean - oracle) <= 5 * est.std_error
@@ -94,7 +87,7 @@ class TestMcExpectation:
 
     def test_positive_part_of_z(self):
         # (1/2) * integral of max(0, u) over [-1, 1] = 1/4
-        oracle = 0.5 * gauss_1d(lambda u: u, 0.0, 1.0)
+        oracle = 0.5 * gauss_1d(lambda u: u, 0.0, 1.0, 400)
         assert abs(oracle - 0.25) <= 1e-14
         est = mc_expectation(lambda p: np.maximum(0.0, p[:, 2]), uniform_sphere_batch, CFG)
         assert abs(est.mean - oracle) <= 5 * est.std_error
@@ -623,10 +616,10 @@ class TestSphereQuadrature:
 
     def test_polynomial_moments(self):
         cases = [
-            (lambda p: p[:, 2] ** 2, 2 * np.pi * gauss_1d(lambda u: u * u, -1, 1)),
-            (lambda p: p[:, 2] ** 4, 2 * np.pi * gauss_1d(lambda u: u**4, -1, 1)),
+            (lambda p: p[:, 2] ** 2, 2 * np.pi * gauss_1d(lambda u: u * u, -1, 1, 400)),
+            (lambda p: p[:, 2] ** 4, 2 * np.pi * gauss_1d(lambda u: u**4, -1, 1, 400)),
             (lambda p: p[:, 0] ** 2 * p[:, 1] ** 2,
-             np.pi / 4 * gauss_1d(lambda u: (1 - u * u) ** 2, -1, 1)),
+             np.pi / 4 * gauss_1d(lambda u: (1 - u * u) ** 2, -1, 1, 400)),
         ]
         for f, expected in cases:
             assert abs(sphere_quadrature(f, GRID) - expected) <= 1e-10
@@ -668,9 +661,9 @@ class TestTvDistance:
     def test_uniform_vs_cap(self):
         # piecewise 1-dim reduction: tv = pi/(2*pi) * int |1/4pi - max(0,u)/pi| du pieces
         pieces = [
-            gauss_1d(lambda u: np.abs(1 / (4 * np.pi) - 0 * u), -1.0, 0.0),
-            gauss_1d(lambda u: np.abs(1 / (4 * np.pi) - u / np.pi), 0.0, 0.25),
-            gauss_1d(lambda u: np.abs(1 / (4 * np.pi) - u / np.pi), 0.25, 1.0),
+            gauss_1d(lambda u: np.abs(1 / (4 * np.pi) - 0 * u), -1.0, 0.0, 400),
+            gauss_1d(lambda u: np.abs(1 / (4 * np.pi) - u / np.pi), 0.0, 0.25, 400),
+            gauss_1d(lambda u: np.abs(1 / (4 * np.pi) - u / np.pi), 0.25, 1.0, 400),
         ]
         oracle = 0.5 * 2 * np.pi * sum(pieces)
         assert abs(oracle - 9.0 / 16.0) <= 1e-12

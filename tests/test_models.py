@@ -34,7 +34,6 @@ from onticlab.qubit import (
     PLUS_X,
     PLUS_Y,
     PLUS_Z,
-    BlochVector,
     MeasurementBasis,
     PureState,
     born_probability,
@@ -43,6 +42,7 @@ from onticlab.qubit import (
 
 from batch_of_one import (
     density,
+    gauss_1d,
     in_support,
     pair,
     random_states,
@@ -59,12 +59,6 @@ KS = KochenSpeckerModel()
 BM = BellMerminModel()
 Z_BASIS = MeasurementBasis((PLUS_Z, MINUS_Z), "z")
 X_BASIS = MeasurementBasis((PLUS_X, MINUS_X), "x")
-
-
-def gauss_1d(f, a, b, n=400):
-    x, w = np.polynomial.legendre.leggauss(n)
-    xm = 0.5 * (b - a) * x + 0.5 * (a + b)
-    return float(0.5 * (b - a) * (w @ f(xm)))
 
 
 def prepare_sampler(model, psi):
@@ -84,14 +78,14 @@ class TestStep:
 
 class TestCapDensity:
     def test_at_the_prepared_vector(self):
-        assert density(KS, PLUS_Z, single(PLUS_Z.bloch)) == 1.0 / np.pi
+        assert density(KS, PLUS_Z, single(PLUS_Z)) == 1.0 / np.pi
 
     def test_boundary_and_antipode(self):
-        assert density(KS, PLUS_Z, single(PLUS_X.bloch)) == 0.0
-        assert density(KS, PLUS_Z, single(MINUS_Z.bloch)) == 0.0
+        assert density(KS, PLUS_Z, single(PLUS_X)) == 0.0
+        assert density(KS, PLUS_Z, single(MINUS_Z)) == 0.0
 
     def test_rejects_pair_states(self):
-        lam = pair(PLUS_Z.bloch, PLUS_X.bloch)
+        lam = pair(PLUS_Z, PLUS_X)
         with pytest.raises(ValueError):
             density(KS, PLUS_Z, lam)
 
@@ -117,16 +111,16 @@ class TestCapDensity:
 class TestCapSampler:
     def test_mean_alignment(self):
         # E[psi . lam] under the cap density: int_0^1 t * 2t dt = 2/3
-        oracle = gauss_1d(lambda t: 2.0 * t * t, 0.0, 1.0)
+        oracle = gauss_1d(lambda t: 2.0 * t * t, 0.0, 1.0, 400)
         assert abs(oracle - 2.0 / 3.0) <= 1e-12
-        for psi in (PLUS_Z, PureState(BlochVector.from_angles(1.1, 2.2))):
+        for psi in (PLUS_Z, PureState.from_angles(1.1, 2.2)):
             est = mc_expectation(
                 lambda b: b @ psi.vec(), prepare_sampler(KS, psi), CFG
             )
             assert abs(est.mean - oracle) <= 5 * est.std_error
 
     def test_all_draws_in_open_hemisphere(self):
-        for psi in (PLUS_X, PureState(BlochVector.from_angles(0.4, -1.0))):
+        for psi in (PLUS_X, PureState.from_angles(0.4, -1.0)):
             pts = KS.prepare_batch(psi, 7, 0, 100_000)
             assert (pts @ psi.vec()).min() > 0.0
 
@@ -139,7 +133,7 @@ class TestCapSampler:
         np.testing.assert_array_equal(batch, again)
 
     def test_matches_density_via_quadrature(self):
-        psi = PureState(BlochVector.from_angles(0.9, 0.3))
+        psi = PureState.from_angles(0.9, 0.3)
         integrands = [
             lambda p: np.exp(p[:, 2]),
             lambda p: (p[:, 0] > 0.2).astype(float),
@@ -247,9 +241,9 @@ class TestMapsMatchPlainExpressions:
 
 class TestCapResponse:
     def test_pointwise_cases(self):
-        assert response(KS, X_BASIS, 0, single(PLUS_X.bloch)) == 1.0
-        assert response(KS, X_BASIS, 0, single(MINUS_X.bloch)) == 0.0
-        assert response(KS, X_BASIS, 0, single(PLUS_Z.bloch)) == 0.0  # boundary
+        assert response(KS, X_BASIS, 0, single(PLUS_X)) == 1.0
+        assert response(KS, X_BASIS, 0, single(MINUS_X)) == 0.0
+        assert response(KS, X_BASIS, 0, single(PLUS_Z)) == 0.0  # boundary
 
     def test_outcomes_sum_to_one_off_boundary(self):
         batch = KS.prepare_batch(PLUS_Y, 3, 0, 50_000)
@@ -257,7 +251,7 @@ class TestCapResponse:
         np.testing.assert_array_equal(r0 + r1, np.ones(len(batch)))
 
     def test_boundary_sums_to_zero(self):
-        boundary = single(PLUS_Z.bloch)   # equator of the x basis
+        boundary = single(PLUS_Z)   # equator of the x basis
         total = response(KS, X_BASIS, 0, boundary) + response(KS, X_BASIS, 1, boundary)
         assert total == 0.0
 
@@ -280,16 +274,16 @@ class TestSpherePairModel:
         assert not in_support(BM, PLUS_X, lam)
 
     def test_point_response_cases(self):
-        assert response(BM, X_BASIS, 0, pair(PLUS_X.bloch, PLUS_X.bloch)) == 1.0
+        assert response(BM, X_BASIS, 0, pair(PLUS_X, PLUS_X)) == 1.0
         for basis, idx in ((X_BASIS, 0), (X_BASIS, 1), (Z_BASIS, 0), (Z_BASIS, 1)):
-            lam = pair(PLUS_Y.bloch, orthogonal_complement(PLUS_Y).bloch)
+            lam = pair(PLUS_Y, orthogonal_complement(PLUS_Y))
             assert response(BM, basis, idx, lam) == 0.0   # summed vector is zero
 
     def test_reproduces_born_rule_in_expectation(self):
         for psi, alpha_basis, idx in (
             (PLUS_Z, X_BASIS, 0),
             (PLUS_Y, Z_BASIS, 1),
-            (PureState(BlochVector.from_angles(0.7, 0.1)), Z_BASIS, 0),
+            (PureState.from_angles(0.7, 0.1), Z_BASIS, 0),
         ):
             est = mc_expectation(
                 lambda b: BM.response_batch(alpha_basis, b)[idx],
@@ -302,7 +296,7 @@ class TestSpherePairModel:
     def test_rejects_single_sphere_states(self):
         for respond in (lambda b: BM.in_support_batch(PLUS_Z, b), lambda b: BM.response_batch(X_BASIS, b)):
             with pytest.raises(ValueError, match="expected a sphere-pair ontic state"):
-                respond(single(PLUS_Z.bloch))
+                respond(single(PLUS_Z))
 
     def test_density_absent(self):
         with pytest.raises(PreconditionError, match="'bell-mermin' has no density"):
@@ -390,9 +384,9 @@ class TestFixtures:
 def _signed_zero_states():
     """States with -0.0 components, whose antipodes carry +0.0 there."""
     return [
-        PureState(BlochVector(-0.0, 0.6, 0.8), "a"),
-        PureState(BlochVector(0.6, -0.0, -0.8), "b"),
-        PureState(BlochVector(-0.0, -0.0, -1.0), "c"),
+        PureState(-0.0, 0.6, 0.8, "a"),
+        PureState(0.6, -0.0, -0.8, "b"),
+        PureState(-0.0, -0.0, -1.0, "c"),
     ]
 
 
@@ -499,7 +493,7 @@ class TestCatalogs:
         a = random_states(31, 12)
         b = random_states(31, 12)
         assert a == b
-        assert len({s.bloch for s in a}) == 12
+        assert len(set(a)) == 12
         for s in a:
             assert abs(np.linalg.norm(s.vec()) - 1.0) <= 1e-12
 
@@ -520,20 +514,20 @@ class TestCatalogs:
         assert [b.label for b in again.bases] == [b.label for b in cat.bases]
 
     def test_states_within_state_tol_merge(self):
-        near = PureState(BlochVector(1e-13, 0.0, 1.0))
-        near_complement = PureState(BlochVector(0.0, -5e-13, -1.0))   # near MINUS_Z
+        near = PureState(1e-13, 0.0, 1.0)
+        near_complement = PureState(0.0, -5e-13, -1.0)   # near MINUS_Z
         cat = catalog_from_states([PLUS_Z, near, near_complement])
         assert cat.states == (PLUS_Z, MINUS_Z) and len(cat.bases) == 1
-        apart = PureState(BlochVector(2e-12, 0.0, 1.0))
+        apart = PureState(2e-12, 0.0, 1.0)
         cat = catalog_from_states([PLUS_Z, apart])
         assert len(cat.states) == 4 and len(cat.bases) == 2
 
     def test_membership_and_closure_use_state_tol(self):
-        near_minus_z = PureState(BlochVector(5e-13, 0.0, -1.0))
+        near_minus_z = PureState(5e-13, 0.0, -1.0)
         cat = StateCatalog((PLUS_Z, near_minus_z), (Z_BASIS,))
         assert cat.closed_under_complements()
         with pytest.raises(ValueError, match="missing from catalog states"):
-            StateCatalog((PLUS_Z, PureState(BlochVector(2e-12, 0.0, -1.0))), (Z_BASIS,))
+            StateCatalog((PLUS_Z, PureState(2e-12, 0.0, -1.0)), (Z_BASIS,))
 
     def test_make_model_unknown(self):
         with pytest.raises(ValueError, match="valid names"):

@@ -37,7 +37,6 @@ from onticlab.qubit import (
     MINUS_Z,
     PLUS_X,
     PLUS_Z,
-    BlochVector,
     Ensemble,
     MeasurementBasis,
     PureState,
@@ -66,7 +65,7 @@ INTEGER_FIELDS = {
 }
 
 STATES = st.builds(
-    lambda theta, phi: PureState(BlochVector.from_angles(theta, phi)),
+    PureState.from_angles,
     st.floats(0.0, math.pi),
     st.floats(0.0, 2.0 * math.pi),
 )
@@ -344,10 +343,10 @@ class TestExactMixtureTv:
     @FAST
     @given(st.floats(0.0, math.pi - 0.01), st.floats(0.0, 2.0 * math.pi), st.floats(1e-9, 1e-2))
     def test_near_pairs(self, theta, azimuth, delta):
-        psi, phi = (PureState(BlochVector.from_angles(t, azimuth)) for t in (theta, theta + delta))
+        psi, phi = (PureState.from_angles(t, azimuth) for t in (theta, theta + delta))
         self.assert_near_exact(half_half_mixture(psi), half_half_mixture(phi), psi, phi)
 
-    @pytest.mark.parametrize("psi", [PLUS_Z, PLUS_X, PureState(BlochVector.from_angles(1.1, 4.2))])
+    @pytest.mark.parametrize("psi", [PLUS_Z, PLUS_X, PureState.from_angles(1.1, 4.2)])
     def test_equal_and_orthogonal_pairs(self, psi):
         # a state and its complement make the same mixture: both read exactly 0
         for phi in (psi, orthogonal_complement(psi)):
@@ -355,7 +354,7 @@ class TestExactMixtureTv:
             self.assert_near_exact(half_half_mixture(psi), half_half_mixture(phi), psi, phi)
         # Bloch vectors at a right angle read sqrt(2) - 1
         axis = np.cross(psi.vec(), [0.6, 0.0, 0.8])
-        perp = PureState(BlochVector.from_array(axis / np.linalg.norm(axis)))
+        perp = PureState(*(axis / np.linalg.norm(axis)).tolist())
         assert exact_mixture_tv(psi, perp) == pytest.approx(math.sqrt(2.0) - 1.0, abs=1e-15)
         self.assert_near_exact(half_half_mixture(psi), half_half_mixture(perp), psi, perp)
 
@@ -544,7 +543,7 @@ class TestChainFirstStep:
 
     def bound(self, model, theta, azimuth):
         """(D + D', 2 TV, 5 sigma of D + D') for psi = +z and phi at (theta, azimuth)."""
-        phi = PureState(BlochVector.from_angles(theta, azimuth))
+        phi = PureState.from_angles(theta, azimuth)
         d, d_perp = self.masses(model, phi)
         mixture = lambda s: EnsembleDistribution(model, half_half_mixture(s)).density_batch
         tv = tv_distance(mixture(PLUS_Z), mixture(phi), QuadratureGrid())
@@ -566,6 +565,6 @@ class TestChainFirstStep:
     @settings(derandomize=True, max_examples=4, deadline=None)
     @given(*ANGLES)
     def test_bell_mermin_omega_response_mass_is_within_born(self, theta, azimuth):
-        phi = PureState(BlochVector.from_angles(theta, azimuth))
+        phi = PureState.from_angles(theta, azimuth)
         d, _ = self.masses(make_model("bell-mermin"), phi)
         assert d.mean <= born_probability(phi, PLUS_Z) + 5.0 * d.std_error

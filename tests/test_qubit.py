@@ -9,7 +9,6 @@ from onticlab.qubit import (
     PLUS_X,
     PLUS_Y,
     PLUS_Z,
-    BlochVector,
     Ensemble,
     MeasurementBasis,
     PureState,
@@ -31,13 +30,13 @@ def random_pure_states(n, seed=0):
     rng = np.random.default_rng(seed)
     v = rng.normal(size=(n, 3))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
-    return [PureState(BlochVector.from_array(row)) for row in v]
+    return [PureState(*row.tolist()) for row in v]
 
 
-class TestBlochVector:
+class TestPureState:
     def test_rejects_far_from_unit(self):
         with pytest.raises(ValueError):
-            BlochVector(0.0, 0.0, 0.5)
+            PureState(0.0, 0.0, 0.5)
 
     @pytest.mark.parametrize(
         "components",
@@ -45,20 +44,42 @@ class TestBlochVector:
     )
     def test_rejects_non_finite(self, components):
         with pytest.raises(ValueError, match="finite"):
-            BlochVector(*components)
+            PureState(*components)
 
     def test_normalizes_near_unit(self):
-        v = BlochVector(0.0, 0.0, 1.0 + 5e-10)
+        v = PureState(0.0, 0.0, 1.0 + 5e-10)
         assert abs(v.x**2 + v.y**2 + v.z**2 - 1.0) <= 1e-12
 
     def test_unit_invariant_random(self):
         for s in random_pure_states(200):
-            b = s.bloch
-            assert abs(b.x**2 + b.y**2 + b.z**2 - 1.0) <= 1e-12
+            assert abs(s.x**2 + s.y**2 + s.z**2 - 1.0) <= 1e-12
 
     def test_from_angles(self):
-        v = BlochVector.from_angles(np.pi / 2, 0.0)
-        np.testing.assert_allclose(v.as_array(), [1.0, 0.0, 0.0], atol=1e-15)
+        v = PureState.from_angles(np.pi / 2, 0.0)
+        np.testing.assert_allclose(v.vec(), [1.0, 0.0, 0.0], atol=1e-15)
+
+    def test_from_angles_keeps_the_label(self):
+        assert PureState.from_angles(0.0, 0.0, "up").label == "up"
+
+    @pytest.mark.parametrize("excess, accepted", [(0.9e-9, True), (1.1e-9, False)])
+    def test_norm_accepted_within_1e_9(self, excess, accepted):
+        if accepted:
+            assert PureState(0.0, 0.0, 1.0 + excess).z == 1.0
+        else:
+            with pytest.raises(ValueError, match="is not within 1e-09 of 1"):
+                PureState(0.0, 0.0, 1.0 + excess)
+
+    def test_renormalized_only_outside_1e_12(self):
+        # inside the unit tolerance the components are kept as written
+        assert PureState(0.0, 0.0, 1.0 + 5e-13).z == 1.0 + 5e-13
+        assert PureState(0.0, 0.0, 1.0 + 5e-12).z == 1.0
+
+    def test_complement_of_plus_z_carries_negative_zeros_but_is_minus_z(self):
+        # classify_ontology keys a dict by state, so equal states must hash alike
+        c = orthogonal_complement(PLUS_Z)
+        assert math.copysign(1.0, c.x) == math.copysign(1.0, c.y) == -1.0
+        assert c == MINUS_Z and hash(c) == hash(MINUS_Z)
+        assert {MINUS_Z: "found"}[c] == "found"
 
 
 class TestBornProbability:
@@ -82,8 +103,8 @@ class TestBornProbability:
 
 class TestOrthogonalComplement:
     def test_axis_cases(self):
-        assert orthogonal_complement(PLUS_Z).bloch == MINUS_Z.bloch
-        assert orthogonal_complement(PLUS_X).bloch == MINUS_X.bloch
+        assert orthogonal_complement(PLUS_Z) == MINUS_Z
+        assert orthogonal_complement(PLUS_X) == MINUS_X
 
     def test_antipodal_map(self):
         assert born_probability(orthogonal_complement(PLUS_Z), PLUS_Z) == 0.0
@@ -97,7 +118,7 @@ class TestOrthogonalComplement:
             assert orthogonal_complement(orthogonal_complement(s)) == s
 
     def test_label_toggle(self):
-        s = PureState(PLUS_Z.bloch, "+z")
+        s = PureState(0.0, 0.0, 1.0, "+z")
         assert orthogonal_complement(s).label == "+z'"
         assert orthogonal_complement(orthogonal_complement(s)).label == "+z"
 
@@ -120,14 +141,14 @@ class TestAmplitudes:
     def test_round_trip(self):
         for s in random_pure_states(200, seed=5):
             back = amplitudes_to_bloch(bloch_to_amplitudes(s))
-            assert np.abs(back.as_array() - s.vec()).max() <= 1e-10
+            assert np.abs(back.vec() - s.vec()).max() <= 1e-10
 
     @pytest.mark.parametrize("theta", [1e-10, 1e-7, math.pi - 1e-7, math.pi - 1e-10])
     def test_round_trip_near_the_poles(self, theta):
         # a polar angle taken as acos(z) missed these states by up to 1e-10
-        s = PureState(BlochVector.from_angles(theta, 0.3))
+        s = PureState.from_angles(theta, 0.3)
         back = amplitudes_to_bloch(bloch_to_amplitudes(s))
-        assert np.abs(back.as_array() - s.vec()).max() <= 1e-15
+        assert np.abs(back.vec() - s.vec()).max() <= 1e-15
 
     def test_second_amplitude_fixed_when_first_vanishes(self):
         a = bloch_to_amplitudes(MINUS_Z)
@@ -174,7 +195,7 @@ class TestMeasurementBasis:
         assert basis.describe() == "y"
 
     def test_an_unlabeled_basis_describes_its_outcomes(self):
-        outcomes = (PureState(BlochVector(0.6, 0.0, 0.8)), PureState(BlochVector(-0.6, 0.0, -0.8)))
+        outcomes = (PureState(0.6, 0.0, 0.8), PureState(-0.6, 0.0, -0.8))
         assert MeasurementBasis(outcomes).describe() == "{(+0.6000,+0.0000,+0.8000),(-0.6000,+0.0000,-0.8000)}"
 
 
@@ -185,7 +206,7 @@ class TestSameState:
     def offset(psi, k, delta):
         v = psi.vec()
         v[k] += delta
-        return PureState(BlochVector.from_array(v))
+        return PureState(*v.tolist())
 
     @staticmethod
     def max_abs_rows(points, psi):
@@ -225,7 +246,7 @@ class TestSameState:
                         raw[k] += delta
                         rows += [phi.vec(), raw]
                         special += [False, False]
-                    for value in (np.nan, np.inf, -np.inf):   # rows no BlochVector can hold
+                    for value in (np.nan, np.inf, -np.inf):   # rows no PureState can hold
                         bad = psi.vec()
                         bad[k] = value
                         rows.append(bad)
@@ -242,21 +263,21 @@ class TestSameState:
     )
     def test_threshold(self, delta, same):
         # a tangential offset leaves the norm at 1, so the components are as written
-        phi = PureState(BlochVector(1.0, float(delta), 0.0))
-        assert phi.bloch.y == delta
+        phi = PureState(1.0, float(delta), 0.0)
+        assert phi.y == delta
         assert same_state(PLUS_X, phi) is same
         assert bool(same_state_rows(phi.vec()[None, :], PLUS_X)[0]) is same
 
     def test_basis_outcomes_antipodal_within_the_tolerance(self):
-        MeasurementBasis((PLUS_X, PureState(BlochVector(-1.0, 0.5e-12, 0.0))))
+        MeasurementBasis((PLUS_X, PureState(-1.0, 0.5e-12, 0.0)))
         with pytest.raises(ValueError, match="not antipodal"):
-            MeasurementBasis((PLUS_X, PureState(BlochVector(-1.0, 2e-12, 0.0))))
+            MeasurementBasis((PLUS_X, PureState(-1.0, 2e-12, 0.0)))
 
 
 class TestCatalogEntries:
     def test_bloch_form(self):
         s = state_from_catalog_entry({"bloch": [0, 0, 1], "label": "up"})
-        assert s.bloch == PLUS_Z.bloch and s.label == "up"
+        assert s == PLUS_Z and s.label == "up"
 
     def test_angle_form(self):
         s = state_from_catalog_entry({"theta": np.pi / 2, "phi": 0.0})
@@ -302,5 +323,5 @@ class TestCatalogEntries:
             state_from_catalog_entry(entry)
 
     def test_integer_and_float_fields_accepted(self):
-        assert state_from_catalog_entry({"bloch": [0, 0, 1]}).bloch == PLUS_Z.bloch
-        assert state_from_catalog_entry({"theta": 0, "phi": 0.0}).bloch == PLUS_Z.bloch
+        assert state_from_catalog_entry({"bloch": [0, 0, 1]}) == PLUS_Z
+        assert state_from_catalog_entry({"theta": 0, "phi": 0.0}) == PLUS_Z
