@@ -282,15 +282,15 @@ def check_max_psi_epistemic(run: CheckRun) -> CheckReport:
 def classify_ontology(run: CheckRun) -> CheckReport:
     """Label the model psi-ontic or psi-epistemic from its support overlaps."""
     canonical_pair(run.catalog)   # without a nonorthogonal pair no overlap can tell
-    perp = {psi: orthogonal_complement(psi) for psi in run.catalog.states}
+    perps = [p for p in map(orthogonal_complement, run.catalog.states) for _ in run.catalog.states]
     rows = []
     epistemic_witness = None
     max_overlap = 0.0
-    for psi, phi, c in run.part("overlaps", "classify"):
+    for (psi, phi, c), perp in zip(run.part("overlaps", "classify"), perps, strict=True):   # psi-major
         if same_state(psi, phi):
             continue
         rows.append(c.row)
-        if same_state(phi, perp[psi]):
+        if same_state(phi, perp):
             continue
         max_overlap = max(max_overlap, c.row.mean)
         # an overlap is at least 0, so a violated comparison with 0 is a significantly positive one
@@ -538,7 +538,7 @@ def source_pass(run: CheckRun) -> dict:
     - "responses" holds a Comparison of each response row psi|basis|outcome
       with its Born probability, and "overlaps" (psi, phi, Comparison of the
       row psi->phi with born_probability(phi, psi)) for every ordered pair
-      of states, each on mu_psi's first n samples;
+      of states, psi-major in catalog order, each on mu_psi's first n samples;
     - "scan" holds determinism's and measurement-nc's counts (see _offenses)
       and the states sampled, over an even share of the budget (at least
       MIN_SAMPLES) of every mu_psi, then of the reference measure; it is None

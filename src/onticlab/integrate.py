@@ -93,26 +93,31 @@ def uniform_blocks(key: int, start: int, count: int) -> np.ndarray:
     return gen.random(out=lend((count, 4)))
 
 
+def circle_points_from_uniforms(radius: np.ndarray, u: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
+    """Write radius*cos(2*pi*u) into x and radius*sin(2*pi*u) into y, bit for bit those expressions.
+
+    y holds the azimuth, so nothing is lent; x and y share no memory with radius, u or each other.
+    """
+    phi = np.multiply(2.0 * np.pi, u, out=y)
+    np.cos(phi, out=x)
+    x *= radius   # a product does not depend on the order of its factors
+    np.sin(phi, out=phi)
+    phi *= radius
+
+
 def sphere_points_from_uniforms(u0: np.ndarray, u1: np.ndarray) -> np.ndarray:
     """Map pairs of uniforms to points on S2 via z = 2*u0 - 1, azimuth = 2*pi*u1.
 
-    Every array it makes is lent, and each step writes with out= the one
-    IEEE operation that 2*u0 - 1, sqrt(1 - z*z), r*cos(phi) and r*sin(phi)
-    apply, so the rows are bit for bit those of the expressions.
+    It lends the (n, 3) rows, whose third column takes z, and the radius sqrt(1 - z*z);
+    each step writes with out= the one IEEE operation of the expressions, bit for bit.
     """
-    n = len(u0)
-    z = np.multiply(2.0, u0, out=lend((n,)))
+    out = lend((len(u0), 3))
+    z = np.multiply(2.0, u0, out=out[:, 2])
     z -= 1.0
-    phi = np.multiply(2.0 * np.pi, u1, out=lend((n,)))
-    r = np.multiply(z, z, out=lend((n,)))
+    r = np.multiply(z, z, out=lend((len(u0),)))
     np.subtract(1.0, r, out=r)
     np.sqrt(r, out=r)
-    out = lend((n, 3))
-    out[:, 2] = z
-    trig = np.cos(phi, out=z)   # z is copied out, so its array takes the cosines, then the sines
-    np.multiply(r, trig, out=out[:, 0])
-    np.sin(phi, out=trig)
-    np.multiply(r, trig, out=out[:, 1])
+    circle_points_from_uniforms(r, u1, out[:, 0], out[:, 1])
     return out
 
 

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import FieldError, PreconditionError
-from .integrate import lend, sphere_points_from_uniforms, substream_key, uniform_blocks
+from .integrate import circle_points_from_uniforms, lend, sphere_points_from_uniforms, substream_key, uniform_blocks
 from .qubit import (
     MINUS_X,
     MINUS_Y,
@@ -141,17 +141,14 @@ def _require_pair(batch: Batch) -> PairBatch:
     return batch
 
 
-def _tangent_frame(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+@lru_cache(maxsize=256)
+def _cap_frame(axis_bytes: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Unit tangents (e1, e2), e1 x e2 = axis, of the axis with these bytes: a complement's -0.0 keeps its own."""
+    axis = np.frombuffer(axis_bytes)
     helper = np.array([0.0, 0.0, 1.0]) if abs(axis[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
     e1 = np.cross(helper, axis)
     e1 /= np.linalg.norm(e1)
     return e1, np.cross(axis, e1)
-
-
-@lru_cache(maxsize=256)
-def _cap_frame(axis_bytes: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """_tangent_frame of the axis with these float64 bytes, once per axis: a complement's -0.0 keeps its own."""
-    return _tangent_frame(np.frombuffer(axis_bytes))
 
 
 def _cap_points(axis: np.ndarray, key: int, start: int, count: int) -> np.ndarray:
@@ -159,9 +156,9 @@ def _cap_points(axis: np.ndarray, key: int, start: int, count: int) -> np.ndarra
 
     In the frame with `axis` at the pole, cos(theta) = sqrt(1 - u) for u
     uniform on [0, 1), which keeps axis . lam strictly positive; the azimuth
-    is uniform.  Every array it makes is lent, and each step writes with out=
-    the one IEEE operation of t = sqrt(1 - u0), s = sqrt(1 - t*t),
-    row = s*cos(phi)*e1 + s*sin(phi)*e2 + t*axis and row / |row|, in order.
+    is uniform.  It lends the uniforms, t, s, two azimuth terms and the rows,
+    each written with out= by the one IEEE operation of t = sqrt(1 - u0),
+    s = sqrt(1 - t*t), row = s*cos(phi)*e1 + s*sin(phi)*e2 + t*axis, row / |row|.
     """
     u = uniform_blocks(key, start, count)
     t = np.subtract(1.0, u[:, 0], out=lend((count,)))
@@ -169,22 +166,18 @@ def _cap_points(axis: np.ndarray, key: int, start: int, count: int) -> np.ndarra
     s = np.multiply(t, t, out=lend((count,)))
     np.subtract(1.0, s, out=s)
     np.sqrt(s, out=s)
-    phi = np.multiply(2.0 * np.pi, u[:, 1], out=lend((count,)))
-    sc = np.cos(phi, out=lend((count,)))
-    sc *= s
-    ss = np.sin(phi, out=lend((count,)))
-    ss *= s
-    tmp = phi   # phi and s are spent
+    sc, ss = lend((count,)), lend((count,))
+    circle_points_from_uniforms(s, u[:, 1], sc, ss)
     e1, e2 = _cap_frame(axis.tobytes())
     out = lend((count, 3))
-    for k in range(3):
+    for k in range(3):   # s is spent, so it serves as scratch
         col = out[:, k]
         np.multiply(sc, e1[k], out=col)
-        col += np.multiply(ss, e2[k], out=tmp)
-        col += np.multiply(t, axis[k], out=tmp)
-    norm = np.multiply(out[:, 0], out[:, 0], out=s)
-    norm += np.multiply(out[:, 1], out[:, 1], out=tmp)
-    norm += np.multiply(out[:, 2], out[:, 2], out=tmp)
+        col += np.multiply(ss, e2[k], out=s)
+        col += np.multiply(t, axis[k], out=s)
+    norm = np.multiply(out[:, 0], out[:, 0], out=sc)   # as do the spent azimuth terms
+    norm += np.multiply(out[:, 1], out[:, 1], out=s)
+    norm += np.multiply(out[:, 2], out[:, 2], out=s)
     out /= np.sqrt(norm, out=norm)[:, None]
     return out
 

@@ -31,8 +31,9 @@ class PureState:
     label: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if not all(math.isfinite(c) for c in (self.x, self.y, self.z)):
-            raise ValueError(f"Bloch vector components must be finite, got {(self.x, self.y, self.z)!r}")
+        comps = (self.x, self.y, self.z)
+        if not all(isinstance(c, numbers.Real) and not isinstance(c, bool) and math.isfinite(c) for c in comps):
+            raise ValueError(f"Bloch vector components must be finite real numbers, got {comps!r}")
         norm = math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
         if abs(norm - 1.0) > NORM_ACCEPT_TOL:
             raise ValueError(f"Bloch vector norm {norm!r} is not within {NORM_ACCEPT_TOL} of 1")

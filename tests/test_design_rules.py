@@ -88,6 +88,11 @@ RULES = {  # reason: (pattern, files, the only places a match may sit, places th
         (r"DensityOperator|ensemble_density_operator|density_operators_equal", TREE + TESTS + ("README.md",), (), ()),
     "a pure qubit state is its Bloch vector (PureState's x, y, z); no vector type sits under it":
         (r"BlochVector", TREE + TESTS + ("README.md",), (), ()),
+    "both samplers take their trig from integrate.circle_points_from_uniforms; the grid computes its nodes":
+        (r"np\.(cos|sin)\(", PKG, ("integrate.py:circle_points_from_uniforms", "integrate.py:_grid_arrays"),
+         ("integrate.py:circle_points_from_uniforms",)),
+    "the cap frame is one memoized function, models._cap_frame":
+        (r"_tangent_frame", TREE + TESTS, (), ()),
 }
 
 

@@ -147,7 +147,7 @@ class TestCapSampler:
 
 
 def _axes_near_the_frame_switch():
-    """Unit axes with |z| on both sides of the 0.9 at which _tangent_frame changes its helper vector."""
+    """Unit axes with |z| on both sides of the 0.9 at which _cap_frame changes its helper vector."""
     zs = (0.8999, 0.9, 0.9001, -0.8999, -0.9, -0.9001)
     return [np.array([math.sqrt(1.0 - z * z) * math.cos(1.3), math.sqrt(1.0 - z * z) * math.sin(1.3), z])
             for z in zs]
@@ -186,7 +186,7 @@ class TestMapsMatchPlainExpressions:
         t = np.sqrt(1.0 - u[:, 0])
         s = np.sqrt(1.0 - t * t)
         phi = (2.0 * np.pi) * u[:, 1]
-        e1, e2 = models._tangent_frame(axis)
+        e1, e2 = models._cap_frame(axis.tobytes())
         sc, ss = s * np.cos(phi), s * np.sin(phi)
         out = np.empty((count, 3))
         for k in range(3):
@@ -216,8 +216,8 @@ class TestMapsMatchPlainExpressions:
         # are equal in value, and each must still get the frame of its own bytes
         for axis in self.AXES:
             models._cap_points(axis, 0, 0, 10)
-            frame = models._cap_frame(axis.tobytes())
-            assert [e.tobytes() for e in frame] == [e.tobytes() for e in models._tangent_frame(axis)]
+            frame, unmemoized = models._cap_frame(axis.tobytes()), models._cap_frame.__wrapped__(axis.tobytes())
+            assert [e.tobytes() for e in frame] == [e.tobytes() for e in unmemoized]
 
     def test_inside_one_walk_of_alternating_cap_and_sphere_sources(self, monkeypatch):
         # 300 does not divide the count: the cap and sphere maps take the same slots with other
@@ -237,6 +237,34 @@ class TestMapsMatchPlainExpressions:
         walk(sources, 0)
         assert [len(rows) for rows in got] == [4] * len(got)
         assert [[b"".join(parts) for parts in zip(*rows)] for rows in got] == want
+
+
+class TestLentRequests:
+    """The arrays one batch of each sampler asks its walk worker's lender for (see integrate.lend)."""
+
+    @staticmethod
+    def requests(sampler) -> list[int]:
+        taken = []
+
+        def feed(batch):
+            if isinstance(batch, PairBatch):
+                batch.total   # what the two-sphere responses read
+            taken.append(integrate._LENDER.get().taken)
+
+        walk([(sampler, [(1_000, feed)])], 0)
+        return taken
+
+    def test_a_sphere_pair_reference_batch_with_its_total(self):
+        # the uniforms, two arrays per sphere (its rows and their radius), and the total
+        assert self.requests(BM.reference_batch) == [6]
+
+    def test_a_sphere_pair_preparation_batch_with_its_total(self):
+        # the point-mass rows are a broadcast view: the second sphere's uniforms, its two arrays, the total
+        assert self.requests(prepare_sampler(BM, PLUS_X)) == [4]
+
+    def test_a_cap_batch(self):
+        # the uniforms, t, s, the two azimuth terms and the rows
+        assert self.requests(prepare_sampler(KS, PLUS_X)) == [6]
 
 
 class TestCapResponse:

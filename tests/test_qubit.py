@@ -46,6 +46,11 @@ class TestPureState:
         with pytest.raises(ValueError, match="finite"):
             PureState(*components)
 
+    @pytest.mark.parametrize("components", [(True, False, False), ("1", 0, 0), (None, 0, 0), (0, 0, 1j)])
+    def test_rejects_non_real_components_naming_them(self, components):
+        with pytest.raises(ValueError, match=r"Bloch vector components must be finite real numbers, got \("):
+            PureState(*components)
+
     def test_normalizes_near_unit(self):
         v = PureState(0.0, 0.0, 1.0 + 5e-10)
         assert abs(v.x**2 + v.y**2 + v.z**2 - 1.0) <= 1e-12
@@ -75,7 +80,7 @@ class TestPureState:
         assert PureState(0.0, 0.0, 1.0 + 5e-12).z == 1.0
 
     def test_complement_of_plus_z_carries_negative_zeros_but_is_minus_z(self):
-        # classify_ontology keys a dict by state, so equal states must hash alike
+        # state identity in the package is same_state; a state used as a key still hashes as it compares
         c = orthogonal_complement(PLUS_Z)
         assert math.copysign(1.0, c.x) == math.copysign(1.0, c.y) == -1.0
         assert c == MINUS_Z and hash(c) == hash(MINUS_Z)
