@@ -1,10 +1,10 @@
 """Property checkers for hidden-variable models, emitting machine-readable reports.
 
-Every statistical verdict is Comparison.verdict: a report row against its
-exact target.  A discrepancy within the tolerance is "satisfied"; one that
-exceeds the tolerance but sits inside the 5-sigma resolution of the row is
-"inconclusive" (insufficient power to call it either way); anything beyond
-both is "violated".
+Every statistical verdict is Comparison.verdict: an estimate, whose count
+stays an int (McEstimate.count), against its exact target, not a report row.
+A discrepancy within the tolerance is "satisfied"; one beyond it but inside
+the estimate's 5-sigma resolution is "inconclusive" (insufficient power to
+call it either way); anything beyond both is "violated".
 """
 
 from __future__ import annotations
@@ -73,22 +73,31 @@ class CheckReport:
     duration_ms: float = 0.0
 
 
+def _row(label: str, est: McEstimate) -> LabeledEstimate:
+    return LabeledEstimate(label, est.mean, est.std_error)
+
+
 @dataclass(frozen=True)
 class Comparison:
-    """A report row and the exact value it estimates: the one rule of statistical verdicts."""
+    """A labeled estimate and the exact value it estimates: the one rule of statistical verdicts."""
 
-    row: LabeledEstimate
+    label: str
+    estimate: McEstimate
     target: float
 
+    @property
+    def row(self) -> LabeledEstimate:
+        return _row(self.label, self.estimate)
+
     def disc(self) -> float:
-        return abs(self.row.mean - self.target)
+        return abs(self.estimate.mean - self.target)
 
     def verdict(self, tol: float) -> str:
-        """Satisfied within tol, inconclusive within the row's 5-sigma resolution, else violated."""
+        """Satisfied within tol, inconclusive within the estimate's 5-sigma resolution, else violated."""
         disc = self.disc()
         if disc <= tol:
             return SATISFIED
-        if disc <= 5.0 * self.row.std_error:
+        if disc <= 5.0 * self.estimate.std_error:
             return INCONCLUSIVE
         return VIOLATED
 
@@ -205,15 +214,15 @@ def check_born_reproduction(run: CheckRun) -> CheckReport:
     return run.report(
         "born", _combine([c.verdict(run.tol) for c in comparisons]), [c.row for c in comparisons],
         f"{len(comparisons)} (state, basis, outcome) triples;"
-        f" worst {worst.row.label} off by {worst.disc():.3e}",
+        f" worst {worst.label} off by {worst.disc():.3e}",
     )
 
 
 def _exact_report(run: CheckRun, name: str, label: str, what: str, counts: tuple) -> CheckReport:
     """An exact check's (values, offenses, first offense's text): offending fraction against 0 at tolerance 0."""
-    checked, bad, first = counts
-    row = LabeledEstimate(label, bad / checked if checked else 0.0, 0.0)
-    return run.report(name, Comparison(row, 0.0).verdict(0.0), (row,), what + first, tolerance=0.0)
+    checked, bad, first = counts   # checked > 0: there is a basis, and each scan stream has MIN_SAMPLES or more
+    fraction = Comparison(label, McEstimate(bad / checked, 0.0, checked, bad), 0.0)
+    return run.report(name, fraction.verdict(0.0), (fraction.row,), what + first, tolerance=0.0)
 
 
 def _descriptor_variants(basis: MeasurementBasis) -> list[tuple[MeasurementBasis, tuple[int, int]]]:
@@ -274,7 +283,7 @@ def check_max_psi_epistemic(run: CheckRun) -> CheckReport:
     worst = max(comparisons, key=Comparison.disc)
     return run.report(
         "max-epistemic", _combine([c.verdict(run.tol) for c in comparisons]), [c.row for c in comparisons],
-        f"worst pair {worst.row.label} deficit {worst.target - worst.row.mean:.6f}"
+        f"worst pair {worst.label} deficit {worst.target - worst.estimate.mean:.6f}"
         f" (|overlap - born| = {worst.disc():.3e})",
     )
 
@@ -292,10 +301,10 @@ def classify_ontology(run: CheckRun) -> CheckReport:
         rows.append(c.row)
         if same_state(phi, perp):
             continue
-        max_overlap = max(max_overlap, c.row.mean)
+        max_overlap = max(max_overlap, c.estimate.mean)
         # an overlap is at least 0, so a violated comparison with 0 is a significantly positive one
-        if epistemic_witness is None and Comparison(c.row, 0.0).verdict(0.0) == VIOLATED:
-            epistemic_witness = c.row.label
+        if epistemic_witness is None and Comparison(c.label, c.estimate, 0.0).verdict(0.0) == VIOLATED:
+            epistemic_witness = c.label
     if epistemic_witness is not None:
         verdict = PSI_EPISTEMIC
         details = f"positive overlap for nonorthogonal pair {epistemic_witness}"
@@ -381,27 +390,20 @@ def check_preparation_noncontextuality(run: CheckRun, e1: Ensemble, e2: Ensemble
 
 def _compare_preparations(run: CheckRun, e1: Ensemble, e2: Ensemble) -> CheckReport:
     """check_preparation_noncontextuality's report, made afresh."""
-    d1 = EnsembleDistribution(run.model, e1)
-    d2 = EnsembleDistribution(run.model, e2)
+    d1, d2 = (EnsembleDistribution(run.model, e) for e in (e1, e2))
     pair = f"{e1.describe()} vs {e2.describe()}"
     if run.model.has_density:
         dist = tv_distance(d1.density_batch, d2.density_batch, run.grid)
-        # with std_error 0 the verdict is violated exactly when the distance exceeds the tolerance
-        tv = Comparison(LabeledEstimate("tv_distance", dist, 0.0), 0.0)
+        # with std_error 0, violated exactly when the distance exceeds the tolerance; n is the grid's points
+        tv = Comparison("tv_distance", McEstimate(dist, 0.0, len(run.grid.weights)), 0.0)
         return run.report(
             "prep-nc", tv.verdict(run.tol), (tv.row,), f"density route: total variation {dist:.6f} for {pair}"
         )
-    witness = d1.support_batch
-    m1, m2 = (d.expectation(witness, run.cfg) for d in (d1, d2))
-    # the row compared is the difference of the two, which is not reported
-    se = math.hypot(m1.std_error, m2.std_error)
-    diff = Comparison(LabeledEstimate("e1 - e2", m1.mean - m2.mean, se), 0.0)
+    m1, m2 = (d.expectation(d1.support_batch, run.cfg) for d in (d1, d2))   # e1's support is the witness
+    # the estimate compared is the difference of the two, which is not reported and is no count
+    diff = Comparison("e1 - e2", McEstimate(m1.mean - m2.mean, math.hypot(m1.std_error, m2.std_error), m1.n), 0.0)
     return run.report(
-        "prep-nc", diff.verdict(run.tol),
-        (
-            LabeledEstimate("witness_under_e1", m1.mean, m1.std_error),
-            LabeledEstimate("witness_under_e2", m2.mean, m2.std_error),
-        ),
+        "prep-nc", diff.verdict(run.tol), (_row("witness_under_e1", m1), _row("witness_under_e2", m2)),
         f"support-witness route: expectations differ by {diff.disc():.6f} for {pair}",
     )
 
@@ -411,7 +413,7 @@ class OmegaWitness:
     """Mass reached by mu_psi outside the support of mu_phi where phi still responds.
 
     The witness counts its exemplar ontic states (Omega hits, at most
-    OMEGA_EXAMPLES) and keeps none of them.
+    OMEGA_EXAMPLES) from mu_psi_mass's count, and keeps none of them.
     """
 
     mu_psi_mass: McEstimate
@@ -424,8 +426,8 @@ class OmegaWitness:
 
     @property
     def exemplars(self) -> int:
-        """min(OMEGA_EXAMPLES, Omega hits); rounded, since mean * n of a count can miss it in the last bit."""
-        return min(OMEGA_EXAMPLES, round(self.mu_psi_mass.mean * self.mu_psi_mass.n))
+        """min(OMEGA_EXAMPLES, Omega hits), the count of the Omega indicator."""
+        return min(OMEGA_EXAMPLES, self.mu_psi_mass.count)
 
 
 def _omega_integrand(model: OntologicalModel, phi: PureState, basis_containing_phi: MeasurementBasis):
@@ -466,12 +468,10 @@ def check_omega_witness(run: CheckRun) -> CheckReport:
     """Report the Omega masses of the catalog's canonical pair against the tolerance."""
     psi, phi = canonical_pair(run.catalog)
     witness = run.part("omega", "omega")
-    m, r = witness.mu_psi_mass, witness.response_mass
-    mass = Comparison(LabeledEstimate("mu_psi_mass", m.mean, m.std_error), 0.0)
+    mass = Comparison("mu_psi_mass", witness.mu_psi_mass, 0.0)
     return run.report(
-        "omega", mass.verdict(run.tol), (mass.row, LabeledEstimate("response_mass", r.mean, r.std_error)),
-        f"pair {psi.describe()}->{phi.describe()};"
-        f" {witness.exemplars} exemplar ontic states collected",
+        "omega", mass.verdict(run.tol), (mass.row, _row("response_mass", witness.response_mass)),
+        f"pair {psi.describe()}->{phi.describe()}; {witness.exemplars} exemplar ontic states collected",
     )
 
 
@@ -520,7 +520,7 @@ def _offenses(model: OntologicalModel, bases, streams, seed: int) -> list[tuple[
             if hits and not counts[1]:
                 counts[2] = stream, basis, at, batch
             counts[0] += stream.share.n
-            counts[1] += int(hits)
+            counts[1] += hits
     if det[1]:
         stream, basis, idx, (start, count) = det[2]
         v = model.response_batch(basis, stream.sampler(seed, start, count))[idx]
@@ -587,11 +587,10 @@ def source_pass(run: CheckRun) -> dict:
         ests = stream.budget.estimates() if stream.budget is not None else []
         for (basis, outcome), est in zip(outcomes, ests):
             label = f"{psi.describe()}|{basis.describe()}|{outcome.describe()}"
-            row = LabeledEstimate(label, est.mean, est.std_error)
-            resp_rows.append(Comparison(row, born_probability(outcome, psi)))
+            resp_rows.append(Comparison(label, est, born_probability(outcome, psi)))
         for phi, est in zip(phis, ests[len(outcomes):]):
-            row = LabeledEstimate(f"{psi.describe()}->{phi.describe()}", est.mean, est.std_error)
-            pair_rows.append((psi, phi, Comparison(row, born_probability(phi, psi))))
+            label = f"{psi.describe()}->{phi.describe()}"
+            pair_rows.append((psi, phi, Comparison(label, est, born_probability(phi, psi))))
         if psi is omega_psi:
             witness = OmegaWitness(*ests[-2:])
     return {

@@ -140,13 +140,14 @@ class McEstimate:
     mean: float
     std_error: float
     n: int
+    count: int | None = None   # a counted (bool) integrand's hits, of which mean is count / n; None for any other
 
     @classmethod
-    def from_sums(cls, s1: float, s2: float, n: int) -> McEstimate:
-        """The estimate from the sum s1 and the sum of squares s2 of n values."""
+    def from_sums(cls, s1: int | float, s2: int | float, n: int) -> McEstimate:
+        """The estimate from the sum s1 and the sum of squares s2 of n values; int sums are a count (batch_sums)."""
         mean = s1 / n
         var = max(0.0, (s2 - n * mean * mean) / (n - 1))
-        return cls(mean=mean, std_error=float(np.sqrt(var / n)), n=n)
+        return cls(mean, float(np.sqrt(var / n)), n, s1 if isinstance(s1, int) else None)
 
 
 def walk(
@@ -243,19 +244,19 @@ def walk(
         raise errors[failed]
 
 
-def batch_sums(values, count: int, name: str) -> tuple[float, float]:
+def batch_sums(values, count: int, name: str) -> tuple[int, int] | tuple[float, float]:
     """The sum and the sum of squares of one integrand's values over one batch.
 
     values must have shape (count,).  A bool array is an indicator, so its
-    count is both sums; any other array is cast to float and must be finite.
-    A float sum of 0/1 values below 2**53 is the exact count, so the two
-    paths give the same doubles for the same 0/1 values.
+    count, an int, is both sums; any other array is cast to float, must be
+    finite, and gives float sums.  A float holds a count below 2**53 exactly,
+    so the two give an estimate the same doubles for the same 0/1 values.
     """
     vals = np.asarray(values)
     if vals.shape != (count,):
         raise ValueError(f"{name} returned shape {vals.shape}, expected ({count},)")
     if vals.dtype == np.bool_:
-        hits = float(np.count_nonzero(vals))
+        hits = int(np.count_nonzero(vals))
         return hits, hits
     vals = vals.astype(float, copy=False)
     if not np.isfinite(vals).all():
@@ -272,9 +273,9 @@ class RunningSums:
     arrays on every batch, and the first batch that breaks this raises.  The
     estimates come back flattened in order: those of fs[0], then those of
     fs[1], and so on.  add(batch) is a walk feed: it counts len(batch) samples.
-    sums holds per estimate (sum, sum of squares), and firsts the (start,
-    count) of its first batch with a positive sum of squares (for an
-    indicator, a positive count) or None.
+    sums holds per estimate (sum, sum of squares), from the int 0 (an
+    indicator's stay its int count), and firsts the (start, count) of its first
+    batch with a positive sum of squares (for an indicator, a positive count) or None.
     """
 
     def __init__(self, fs: Sequence[Callable]):
@@ -289,7 +290,7 @@ class RunningSums:
         arrays = (v for f in self.fs for v in f(batch))   # lazy: one integrand's arrays are held at a time
         reduced = [batch_sums(v, len(batch), f"integrand {k}") for k, v in enumerate(arrays)]
         if self.sums is None:
-            self.sums, self.firsts = [(0.0, 0.0)] * len(reduced), [None] * len(reduced)
+            self.sums, self.firsts = [(0, 0)] * len(reduced), [None] * len(reduced)
         elif len(reduced) != len(self.sums):
             raise ValueError("the integrands returned a different number of arrays on some batch")
         self.sums = [(s1 + a, s2 + b) for (s1, s2), (a, b) in zip(self.sums, reduced)]

@@ -84,7 +84,7 @@ def overlap_of(model, psi, phi, cfg):
 
 
 class TestComparison:
-    """Comparison.verdict is the rule of every statistical verdict."""
+    """Comparison.verdict is the rule of every statistical verdict: an estimate against its target."""
 
     # dyadic gaps and errors, so every discrepancy and 5-sigma bound is exact
     @pytest.mark.parametrize("sign", [1, -1], ids=["above", "below"])
@@ -100,7 +100,7 @@ class TestComparison:
         ],
     )
     def test_verdict(self, gap, std_error, verdict, sign):
-        comparison = Comparison(LabeledEstimate("row", 0.5 + sign * gap, std_error), 0.5)
+        comparison = Comparison("row", McEstimate(0.5 + sign * gap, std_error, 100), 0.5)
         assert comparison.disc() == gap
         assert comparison.verdict(0.125) == verdict
 
@@ -115,7 +115,7 @@ class TestComparison:
         assert rep.details == "4 values" + "; first offense" * bad
 
     def test_the_worst_row_is_the_first_with_the_largest_discrepancy(self):
-        rows = [Comparison(LabeledEstimate(label, mean, 0.0), 0.5)
+        rows = [Comparison(label, McEstimate(mean, 0.0, 100), 0.5)
                 for label, mean in [("a", 0.5), ("b", 0.25), ("c", 0.75), ("d", 0.625)]]
         assert max(rows, key=Comparison.disc).row.label == "b"
         # const-half answers 1/2 where Born gives 0 or 1: 12 rows tie at 0.5, and born names the first
@@ -123,6 +123,23 @@ class TestComparison:
         borns = [born_probability(o, psi) for psi in CATALOG.states for b in CATALOG.bases for o in b.outcomes]
         assert [abs(e.mean - p) for e, p in zip(rep.estimates, borns)].count(0.5) == 12
         assert rep.details.endswith("worst +z|z|+z off by 5.000e-01")
+
+    def test_the_row_is_the_label_with_the_estimates_mean_and_error(self):
+        comparison = Comparison("row", McEstimate(0.25, 0.125, 100, 25), 0.5)
+        assert comparison.row == LabeledEstimate("row", 0.25, 0.125)
+        assert comparison.estimate.count == 25
+
+    @pytest.mark.parametrize("model", [KS, CONST, READER], ids=["ks", "const-half", "label-reader"])
+    def test_an_exact_scan_counts_in_ints(self, model):
+        """The scan's values and offenses are ints, and each exact row's mean is offenses / values."""
+        run = CheckRun(model, CATALOG, CFG, ("determinism", "measurement-nc"))
+        det, mnc, _ = run.part("scan", "determinism")
+        reports = (check_outcome_determinism(run), check_measurement_noncontextuality(run))
+        for (checked, bad, _), rep in zip((det, mnc), reports):
+            assert type(checked) is int and type(bad) is int and checked > 0
+            assert rep.estimates[0].mean == bad / checked
+        # const-half's responses of 1/2 offend determinism, and label-reader's descriptors measurement-nc
+        assert (det[1] > 0, mnc[1] > 0) == (model is CONST, model is READER)
 
     def test_the_chain_pair_is_the_first_violated_pair_with_the_largest_discrepancy(self):
         # bell-mermin's overlaps of distinct states are 0, so each deficit is the Born probability;
@@ -572,9 +589,10 @@ class TestOmegaWitness:
         assert w.mu_psi_mass.mean == 0.0
         assert w.exemplars == 0
 
-    # psi = +z against phi near -z hits Omega a few times in n draws.  mu_psi_mass.mean * n
-    # misses the hit count in the last bit both ways: 7.000000000000001 at pi - 0.4, seed 1,
-    # n = 200 (7 hits), and 1.9999999999999998 at pi - 0.3, seed 1, n = 103 (2 hits)
+    # psi = +z against phi near -z hits Omega a few times in n draws.  exemplars reads
+    # mu_psi_mass.count; mean * n would miss the hit count in the last bit both ways:
+    # 7.000000000000001 at pi - 0.4, seed 1, n = 200 (7 hits), and 1.9999999999999998 at
+    # pi - 0.3, seed 1, n = 103 (2 hits)
     @pytest.mark.parametrize(
         "theta, seed, n",
         [(math.pi - 0.3, s, 200) for s in (1, 2, 3)] + [(math.pi - 0.4, 1, 200), (math.pi - 0.3, 1, 103)],

@@ -93,6 +93,10 @@ RULES = {  # reason: (pattern, files, the only places a match may sit, places th
          ("integrate.py:circle_points_from_uniforms",)),
     "the cap frame is one memoized function, models._cap_frame":
         (r"_tangent_frame", TREE + TESTS, (), ()),
+    "a count is an int from integrate.batch_sums to the verdict (McEstimate.count), so nothing rounds one back":
+        (r"\bround\(|int\(hits\)", TREE, (), ()),
+    "a report row is made from its estimate in one place, checks._row; cli.emit_report's placeholder has none":
+        (r"LabeledEstimate\(", PKG, ("checks.py:_row", "cli.py:emit_report"), ("checks.py:_row",)),
 }
 
 

@@ -15,7 +15,15 @@ from hypothesis import strategies as st
 
 from onticlab import integrate
 from onticlab.bell import make_max_entangled, steer, steering_basis
-from onticlab.checks import CheckRun, EnsembleDistribution, _omega_integrand, find_omega_witness
+from onticlab.checks import (
+    CheckRun,
+    EnsembleDistribution,
+    _basis_containing,
+    _omega_integrand,
+    canonical_pair,
+    find_omega_witness,
+    source_pass,
+)
 from onticlab.errors import FieldError
 from onticlab.integrate import (
     MAX_N_AZIMUTH,
@@ -145,7 +153,63 @@ class TestIndicatorReduction:
         with mock.patch.object(integrate, "BATCH_SIZE", size):
             counted = mc_expectation(lambda u: u < p, sampler, cfg)
             summed = mc_expectation(lambda u: (u < p).astype(float), sampler, cfg)
-        assert counted == summed
+        bits = lambda e: (e.mean.hex(), e.std_error.hex(), e.n)
+        assert bits(counted) == bits(summed)
+        assert type(counted.count) is int and summed.count is None
+
+
+class TestCountsStayInts:
+    """A bool integrand's count is an int from the batch to the estimate: McEstimate.count, never rebuilt."""
+
+    @staticmethod
+    def indicators(thresholds):
+        """Bool integrands of a uniform stream: column k below each threshold."""
+        return [lambda u, k=k, p=p: (u[:, k % 4] < p,) for k, p in enumerate(thresholds)]
+
+    # one example walks two sources, so WORKERS 2 feeds them on two threads
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(st.integers(MIN_SAMPLES, 300), st.data(), st.integers(0, 2**64 - 1),
+           st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4), st.sampled_from([1, 2]))
+    def test_count_is_the_streams_count_nonzero_at_every_batch_size_and_worker_count(
+        self, n_samples, data, seed, thresholds, workers
+    ):
+        size = data.draw(st.integers(1, n_samples))
+        fs = self.indicators(thresholds)
+        samplers = [lambda s, start, count, tag=tag: uniform_blocks(substream_key(s, tag), start, count)
+                    for tag in ("a", "b")]
+        sums = [RunningSums(fs) for _ in samplers]
+        # patched per example: a function-scoped fixture is not reset between examples
+        with mock.patch.object(integrate, "BATCH_SIZE", size), mock.patch.object(integrate, "WORKERS", workers):
+            walk([(sampler, [(n_samples, s.add)]) for sampler, s in zip(samplers, sums)], seed)
+        for sampler, s in zip(samplers, sums):
+            stream = sampler(seed, 0, n_samples)
+            for f, e in zip(fs, s.estimates()):
+                assert type(e.count) is int and e.count == np.count_nonzero(f(stream)[0])
+                assert (e.count / e.n).hex() == e.mean.hex() and e.n == n_samples
+
+    @settings(derandomize=True, max_examples=15, deadline=None)
+    @given(st.sampled_from(["ks", "bell-mermin", "label-reader"]), st.floats(math.pi - 0.5, math.pi - 0.2),
+           st.integers(MIN_SAMPLES, 200), st.data(), st.integers(0, 2**32), st.sampled_from([1, 2]))
+    def test_the_source_pass_reads_its_counts(self, name, theta, n_samples, data, seed, workers):
+        """Every response row and the Omega mass hold their stream's count, and exemplars reads it."""
+        model, size = make_model(name), data.draw(st.integers(1, n_samples))
+        catalog = catalog_from_states((PLUS_Z, PureState.from_angles(theta, 0.0)))
+        run = CheckRun(model, catalog, McConfig(n_samples, seed), ("born", "omega"))
+        with mock.patch.object(integrate, "BATCH_SIZE", size), mock.patch.object(integrate, "WORKERS", workers):
+            part = source_pass(run)
+        outcomes = [(basis, idx) for basis in catalog.bases for idx in range(2)]
+        rows = iter(part["responses"])
+        for psi in catalog.states:
+            batch = model.prepare_batch(psi, seed, 0, n_samples)
+            for basis, idx in outcomes:
+                est = next(rows).estimate
+                assert est.count == np.count_nonzero(model.response_batch(basis, batch)[idx])
+                assert (est.count / est.n).hex() == est.mean.hex()
+        psi, phi = canonical_pair(catalog)
+        omega = _omega_integrand(model, phi, _basis_containing(catalog, phi))
+        hits = np.count_nonzero(omega(model.prepare_batch(psi, seed, 0, n_samples))[0])
+        assert part["omega"].mu_psi_mass.count == hits
+        assert part["omega"].exemplars == min(10, hits)
 
 
 class TestExactSumsAndBatchSize:
@@ -468,7 +532,7 @@ class TestBornLemma:
         offending = support = 0
         for psi in catalog.states:
             sampler = lambda seed, start, count, psi=psi: model.prepare_batch(psi, seed, start, count)
-            hits = [round(e.mean * e.n) for e in mc_expectations(fs, sampler, cfg)]
+            hits = [e.count for e in mc_expectations(fs, sampler, cfg)]
             support, offending = support + sum(hits[0::2]), offending + sum(hits[1::2])
         return offending, support
 
@@ -505,7 +569,13 @@ class TestBornLemma:
         broken = []
         for psi in catalog.states:
             sampler = lambda seed, start, count, psi=psi: model.prepare_batch(psi, seed, start, count)
-            counts = [round(e.mean * e.n) for e in mc_expectations(fs, sampler, cfg)]
+            sums = RunningSums(fs)
+            walk([(sampler, [(cfg.n_samples, sums.add)])], cfg.seed)
+            # an indicator's sum is its estimate's int count; const-half's responses of 1/2 are no
+            # count, and its born and Omega terms are exact sums of halves
+            counts = [s1 for s1, _ in sums.sums]
+            assert [e.count for e in sums.estimates()] == [s if type(s) is int else None for s in counts]
+            assert all(type(s) is int for s in counts) == (name != "const-half")
             for phi, born, overlap, omega in zip(outcomes, counts[0::3], counts[1::3], counts[2::3]):
                 if born != overlap + omega:
                     broken.append((psi, phi))
